@@ -578,16 +578,16 @@ func BenchmarkClusterDESLearn16Nodes(b *testing.B) {
 
 // BenchmarkClusterDES256Nodes runs the request-level cluster DES over
 // a 256-node Web-Search fleet at 30% load with work stealing for 60
-// simulated seconds. 30% is typical datacenter utilisation and the
-// regime where the serial event loop scales worst: most completions
-// leave a node idle, and every idle node triggers an O(fleet) steal
-// scan on top of the per-arrival routing-share walk. The sharded
-// variant partitions the roster into 8 routing domains that exchange
-// cross-domain effects only at interval boundaries, shrinking both
-// scans to one domain each; results stay a pure function of
-// (seed, domain count), so the speedup is purely algorithmic on a
-// single core, and on multi-core hosts the domains additionally step
-// in parallel on the worker pool. Sub-benchmark names are
+// simulated seconds. 30% is typical datacenter utilisation: most
+// completions leave a node idle and try to steal, yet few queues are
+// deep enough to rob, so the steal path exits on the loop's deep-queue
+// count instead of scanning the fleet, and each arrival routes by a
+// binary search over the running routing shares. The sharded variant
+// partitions the roster into 8 routing domains that exchange
+// cross-domain effects only at interval boundaries, each with its own
+// smaller event heap and request table; results stay a pure function
+// of (seed, domain count), and on multi-core hosts the domains also
+// step in parallel on the worker pool. Sub-benchmark names are
 // machine-independent ("serial", "domains=8") because the CI
 // regression gate matches them against the committed baseline.
 func BenchmarkClusterDES256Nodes(b *testing.B) {

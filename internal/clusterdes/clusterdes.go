@@ -18,7 +18,7 @@
 // hedging and stealing decisions happen at deterministic points of one
 // totally ordered event sequence — so a run is a pure function of its
 // seed. Workers only parallelise the per-node interval summaries
-// (sorting sojourns, power evaluation) at interval boundaries, where
+// (tail percentiles, power evaluation) at interval boundaries, where
 // each node's summary is an independent pure computation writing its
 // own slot; results are therefore bit-identical at any worker count,
 // the same two invariants the interval-mode cluster guarantees.
@@ -41,8 +41,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"hipster/internal/autoscale"
 	"hipster/internal/cluster"
@@ -437,7 +435,11 @@ type latRecorder struct {
 	stride int64
 	seen   int64
 	sum    float64
+	limit  int // sample length that triggers decimation: latSampleCap, lowered only by tests
 }
+
+// newLatRecorder returns an empty exact recorder.
+func newLatRecorder() latRecorder { return latRecorder{stride: 1, limit: latSampleCap} }
 
 // loop is one routing domain's event loop: the request table, event
 // heap, RNG streams, arrival process and per-interval counters for a
@@ -460,6 +462,11 @@ type loop struct {
 	stealing  bool
 	minDepth  int
 	hedgeWait float64 // current hedge delay; +Inf until first estimate
+
+	// deep counts this loop's nodes whose raw queue length is at least
+	// minDepth; enqueue and dequeue keep it. With stealing on, zero
+	// means no queue is deep enough to rob.
+	deep int
 
 	// deferCross lets a hedge with no in-domain target park the
 	// re-issue for the coordinator instead of giving up; false in the
@@ -501,8 +508,12 @@ type loop struct {
 	lambda      float64
 	nextArrival float64
 	tickEnd     float64 // end of the current interval
-	shares      []float64
-	shareSum    float64
+	// shares are the interval's routing weights over the active prefix
+	// and cumShares their running sums, added in index order, which
+	// routeDraw binary-searches; shareSum is the last running sum.
+	shares    []float64
+	cumShares []float64
+	shareSum  float64
 
 	// Per-interval scratch. dropped and timedOut are cumulative over
 	// the run; the rest reset at every boundary.
@@ -549,7 +560,16 @@ type Fleet struct {
 
 	hedgeQ float64
 
-	sortScratch []float64
+	// selScratch gathers the samples a boundary reads one percentile
+	// from (the sharded hedge delay, the predictive median).
+	selScratch []float64
+
+	// pool runs the per-node interval summaries (and, in a sharded run,
+	// the domain steps); sumFn is its cached summary closure, reading
+	// the interval end from sumT, so a boundary allocates nothing.
+	pool  *cluster.Pool
+	sumFn func(i int)
+	sumT  float64
 
 	states  []cluster.NodeState
 	samples []telemetry.Sample
@@ -624,7 +644,7 @@ func New(opts Options) (*Fleet, error) {
 		loop: loop{
 			hedgeWait:   math.Inf(1),
 			suspectWait: math.Inf(1),
-			lat:         latRecorder{stride: 1},
+			lat:         newLatRecorder(),
 		},
 		opts:     opts,
 		splitter: opts.Splitter,
@@ -758,11 +778,21 @@ func New(opts Options) (*Fleet, error) {
 	f.stats.PeakActive, f.stats.MinActive = f.active, f.active
 	f.states = make([]cluster.NodeState, len(f.nodes))
 	f.samples = make([]telemetry.Sample, len(f.nodes))
-	f.shares = make([]float64, len(f.nodes))
+	f.pool = cluster.NewPool(f.workers)
+	f.sumFn = func(i int) { f.samples[i] = f.nodes[i].finishInterval(f.sumT, f.dt) }
 	if opts.Domains >= 1 {
 		f.sh = newSharded(f, opts.Domains)
+	} else {
+		f.shares, f.cumShares = newShares(len(f.nodes))
 	}
 	return f, nil
+}
+
+// newShares allocates a loop's routing weights and their running sums
+// together.
+func newShares(n int) (shares, cum []float64) {
+	buf := make([]float64, 2*n)
+	return buf[:n:n], buf[n:]
 }
 
 func newNode(id int, nc NodeConfig, maxQueue int, f *Fleet) (*desNode, error) {
@@ -1007,9 +1037,28 @@ func (l *loop) dispatch(n *desNode, id int32, t float64) bool {
 	if n.queue.Len() >= n.maxQueue {
 		return false
 	}
-	n.queue.Push(id)
+	l.enqueue(n, id)
 	l.reqs[id].refs++
 	return true
+}
+
+// enqueue appends request id to node n's queue. enqueue and dequeue
+// are the only code that changes a queue, so the loop's deep count
+// stays exact.
+func (l *loop) enqueue(n *desNode, id int32) {
+	n.queue.Push(id)
+	if n.queue.Len() == l.minDepth {
+		l.deep++
+	}
+}
+
+// dequeue pops the oldest entry of node n's queue, live or not; see
+// enqueue.
+func (l *loop) dequeue(n *desNode) int32 {
+	if n.queue.Len() == l.minDepth {
+		l.deep--
+	}
+	return n.queue.Pop()
 }
 
 // popLocal pops the oldest live request off n's queue, lazily
@@ -1017,7 +1066,7 @@ func (l *loop) dispatch(n *desNode, id int32, t float64) bool {
 // hedge race or a steal). Returns -1 on an empty queue.
 func (l *loop) popLocal(n *desNode) int32 {
 	for n.queue.Len() > 0 {
-		id := n.queue.Pop()
+		id := l.dequeue(n)
 		l.release(id)
 		if !l.reqs[id].done {
 			return id
@@ -1031,8 +1080,13 @@ func (l *loop) popLocal(n *desNode) int32 {
 // stealing. Warming victims are fair game — their queue is exactly the
 // transient stealing exists to drain. Mid-interval steals stay inside
 // the loop's own domain; cross-domain steals happen only at interval
-// boundaries, through the coordinator.
+// boundaries, through the coordinator. Every victim needs a queue at
+// least minDepth deep, so with no such queue in the loop the answer is
+// -1 without a scan.
 func (l *loop) steal(thief *desNode) int32 {
+	if l.deep == 0 {
+		return -1
+	}
 	best := -1
 	depth := l.minDepth - 1
 	for _, v := range l.nodes[:l.active] {
@@ -1107,24 +1161,41 @@ func (l *loop) kickIdle(n *desNode, t float64) {
 // new work; callers with servingN > 0 always get a node.
 func (l *loop) routeDraw() *desNode {
 	if l.shareSum > 0 {
-		u := l.routeRNG.Float64() * l.shareSum
-		acc := 0.0
-		last := -1
-		for i := 0; i < l.active; i++ {
-			if l.shares[i] <= 0 {
-				continue
-			}
-			last = i
-			acc += l.shares[i]
-			if u < acc {
-				return l.nodes[i]
-			}
-		}
-		if last >= 0 {
-			return l.nodes[last]
-		}
+		return l.nodes[l.routeIndex(l.routeRNG.Float64()*l.shareSum)]
 	}
 	return l.fallbackNode(int(l.retryRNG.Int63n(int64(l.active))))
+}
+
+// routeIndex returns the first active node whose running share sum
+// exceeds u, found by binary search. A zero-share node's running sum
+// equals its predecessor's, so it is never the first; when u rounds up
+// to shareSum no sum exceeds it and the last positive-share node takes
+// the draw. shareSum must be positive.
+func (l *loop) routeIndex(u float64) int {
+	cum := l.cumShares[:l.active]
+	lo, hi := 0, len(cum)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if u < cum[m] {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	if lo == len(cum) {
+		for lo--; l.shares[lo] <= 0; lo-- {
+		}
+	}
+	return lo
+}
+
+// setShare records active node i's routing weight for the interval and
+// extends the running sums routeIndex searches. Callers set shares in
+// index order after zeroing shareSum.
+func (l *loop) setShare(i int, s float64) {
+	l.shares[i] = s
+	l.shareSum += s
+	l.cumShares[i] = l.shareSum
 }
 
 // fallbackNode walks the active prefix round-robin from slot k to the
@@ -1480,7 +1551,7 @@ func (lr *latRecorder) record(soj float64) {
 	lr.sum += soj
 	if lr.seen%lr.stride == 0 {
 		lr.sample = append(lr.sample, soj)
-		if len(lr.sample) >= latSampleCap {
+		if len(lr.sample) >= lr.limit {
 			// Decimate in place: keeping every 2nd kept element turns a
 			// stride-k systematic sample into a stride-2k one.
 			half := len(lr.sample) / 2
@@ -1573,12 +1644,11 @@ func (f *Fleet) refreshInterval(t float64) error {
 		}
 		// A down or draining node takes no new primaries regardless of
 		// what the splitter assigned it; its share redistributes
-		// implicitly through routeDraw's positive-share walk.
+		// implicitly, since routeDraw never picks a zero share.
 		if v := f.nodes[i]; v.down || v.draining {
 			s = 0
 		}
-		f.shares[i] = s
-		f.shareSum += s
+		f.setShare(i, s)
 	}
 	return nil
 }
@@ -1618,8 +1688,7 @@ func (n *desNode) finishInterval(t, dt float64) telemetry.Sample {
 	}
 	tail := 0.0
 	if len(n.sojourns) > 0 {
-		stats.SortFloats(n.sojourns)
-		tail, _ = stats.PercentileSorted(n.sojourns, n.wl.QoSPercentile)
+		tail, _ = stats.SelectPercentile(n.sojourns, n.wl.QoSPercentile)
 	} else if n.queue.Len() > 0 || n.busyCount > 0 {
 		// Work in flight but nothing completed: the load generator
 		// observes timeouts, not silence — report the tail cap so a
@@ -1704,41 +1773,14 @@ func (n *desNode) finishInterval(t, dt float64) telemetry.Sample {
 	return s
 }
 
-// summarize runs finishInterval for every active node, in parallel when
-// workers allow. Each node writes only its own slot and its own state,
-// so results are independent of the worker count. Goroutines are
-// spawned per tick rather than held in a persistent pool (the cluster
-// layer's design): a DES interval summary sorts a few thousand floats
-// per node, a fraction of the serial event loop's cost, so pool
-// lifecycle machinery would buy nothing measurable here.
+// summarize runs finishInterval for every active node on the worker
+// pool. Each node writes only its own slot and its own state, so
+// results are independent of the worker count; the pool and its cached
+// closure persist across boundaries, so a summary round allocates
+// nothing.
 func (f *Fleet) summarize(t float64) {
-	act := f.nodes[:f.active]
-	if f.workers <= 1 || len(act) <= 1 {
-		for i, n := range act {
-			f.samples[i] = n.finishInterval(t, f.dt)
-		}
-		return
-	}
-	w := f.workers
-	if w > len(act) {
-		w = len(act)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(act) {
-					return
-				}
-				f.samples[i] = act[i].finishInterval(t, f.dt)
-			}
-		}()
-	}
-	wg.Wait()
+	f.sumT = t
+	f.pool.Do(f.active, f.sumFn)
 }
 
 // autoscaleStep runs one scaling decision on the previous interval's
@@ -1945,10 +1987,9 @@ func (f *Fleet) tick() error {
 
 	// Hedge delay for the next interval: the configured quantile of the
 	// interval that just ended (carried forward through empty intervals).
+	// Selection reorders the sojourns, which are discarded below.
 	if f.hedging && len(f.intervalSojourns) > 0 {
-		f.sortScratch = append(f.sortScratch[:0], f.intervalSojourns...)
-		stats.SortFloats(f.sortScratch)
-		if q, err := stats.PercentileSorted(f.sortScratch, f.hedgeQ); err == nil {
+		if q, err := stats.SelectPercentile(f.intervalSojourns, f.hedgeQ); err == nil {
 			f.hedgeWait = q
 		}
 	}
@@ -2052,7 +2093,9 @@ func (f *Fleet) Run(horizon float64) (Result, error) {
 }
 
 // result assembles the run's record, computing the end-to-end latency
-// distribution over every completed request.
+// distribution over every completed request. Selection works on a copy:
+// reordering the live sample would turn the recorder's arrival-order
+// systematic sample into a value-ordered one for a run that continues.
 func (f *Fleet) result() Result {
 	res := Result{
 		Fleet: f.fleet,
@@ -2067,15 +2110,24 @@ func (f *Fleet) result() Result {
 	res.Latency.TimedOut = f.timedOut
 	res.Latency.Lost = f.lost
 	res.Stats.Lost = f.lost
-	if len(f.lat.sample) > 0 {
-		res.Latency.Mean = f.lat.sum / float64(f.lat.seen)
-		stats.SortFloats(f.lat.sample)
-		res.Latency.P50, _ = stats.PercentileSorted(f.lat.sample, 0.50)
-		res.Latency.P90, _ = stats.PercentileSorted(f.lat.sample, 0.90)
-		res.Latency.P95, _ = stats.PercentileSorted(f.lat.sample, 0.95)
-		res.Latency.P99, _ = stats.PercentileSorted(f.lat.sample, 0.99)
-	}
+	res.Latency.fill(append([]float64(nil), f.lat.sample...), f.lat.seen, f.lat.sum)
 	return res
+}
+
+// latencyPercentiles are the end-to-end percentiles a Result reports.
+var latencyPercentiles = [...]float64{0.50, 0.90, 0.95, 0.99}
+
+// fill sets the mean and percentiles from a run's recorder totals and
+// its kept sample, which the caller hands over: selection reorders it.
+func (ls *LatencySummary) fill(sample []float64, seen int64, sum float64) {
+	if len(sample) == 0 {
+		return
+	}
+	ls.Mean = sum / float64(seen)
+	var q [len(latencyPercentiles)]float64
+	if stats.SelectPercentiles(sample, latencyPercentiles[:], q[:]) == nil {
+		ls.P50, ls.P90, ls.P95, ls.P99 = q[0], q[1], q[2], q[3]
+	}
 }
 
 // Uniform builds n identical node definitions over one spec and

@@ -180,7 +180,7 @@ func (f *Fleet) loseNode(l *loop, n *desNode, t float64) {
 		f.discardCopy(l, n, sid, t)
 	}
 	for n.queue.Len() > 0 {
-		f.discardCopy(l, n, n.queue.Pop(), t)
+		f.discardCopy(l, n, l.dequeue(n), t)
 	}
 }
 
@@ -330,7 +330,7 @@ func (f *Fleet) detectStep(t float64) {
 	if !f.predictive {
 		return
 	}
-	f.sortScratch = f.sortScratch[:0]
+	f.selScratch = f.selScratch[:0]
 	for i, n := range f.nodes[:f.active] {
 		if n.down {
 			f.predEwma[n.id] = 0
@@ -339,13 +339,12 @@ func (f *Fleet) detectStep(t float64) {
 		q := f.samples[i].Backlog / n.nominalCap
 		f.predEwma[n.id] = f.predAlpha*q + (1-f.predAlpha)*f.predEwma[n.id]
 		if !n.draining {
-			f.sortScratch = append(f.sortScratch, f.predEwma[n.id])
+			f.selScratch = append(f.selScratch, f.predEwma[n.id])
 		}
 	}
 	med := 0.0
-	if len(f.sortScratch) > 0 {
-		stats.SortFloats(f.sortScratch)
-		med, _ = stats.PercentileSorted(f.sortScratch, 0.5)
+	if len(f.selScratch) > 0 {
+		med, _ = stats.SelectPercentile(f.selScratch, 0.5)
 	}
 	for _, n := range f.nodes[:f.active] {
 		e := f.predEwma[n.id]

@@ -38,12 +38,10 @@ type sharded struct {
 	f       *Fleet
 	domains []*loop
 	domOf   []int32 // node id -> domain index
-	pool    *cluster.Pool
 
-	// Cached fan-out closures so the per-interval hot path does not
-	// allocate; boundaryT is the interval end they read.
+	// Cached fan-out closure for the fleet's pool, so the per-interval
+	// hot path does not allocate; boundaryT is the interval end it reads.
 	stepFn    func(i int)
-	sumFn     func(i int)
 	boundaryT float64
 
 	// Coordinator-side accumulators: latency and sojourns of requests
@@ -66,8 +64,7 @@ func newSharded(f *Fleet, dcount int) *sharded {
 	s := &sharded{
 		f:     f,
 		domOf: make([]int32, len(f.nodes)),
-		pool:  cluster.NewPool(f.workers),
-		lat:   latRecorder{stride: 1},
+		lat:   newLatRecorder(),
 	}
 	for k := 0; k+1 < len(starts); k++ {
 		lo, hi := starts[k], starts[k+1]
@@ -88,16 +85,15 @@ func newSharded(f *Fleet, dcount int) *sharded {
 			routeRNG:    sim.SubRNG(f.opts.Seed+int64(k), "des-route"),
 			svcRNG:      sim.SubRNG(f.opts.Seed+int64(k), "des-service"),
 			retryRNG:    sim.SubRNG(f.opts.Seed+int64(k), "des-retry"),
-			lat:         latRecorder{stride: 1},
-			shares:      make([]float64, hi-lo),
+			lat:         newLatRecorder(),
 		}
+		l.shares, l.cumShares = newShares(hi - lo)
 		for i := lo; i < hi; i++ {
 			s.domOf[i] = int32(k)
 		}
 		s.domains = append(s.domains, l)
 	}
 	s.stepFn = func(i int) { s.domains[i].runInterval(s.boundaryT) }
-	s.sumFn = func(i int) { f.samples[i] = f.nodes[i].finishInterval(s.boundaryT, f.dt) }
 	s.updateActive()
 	return s
 }
@@ -136,7 +132,7 @@ func (s *sharded) run(horizon float64) error {
 	}
 	for f.clock.Now() < horizon {
 		s.boundaryT = f.clock.Now() + f.dt
-		s.pool.Do(len(s.domains), s.stepFn)
+		f.pool.Do(len(s.domains), s.stepFn)
 		if err := s.tick(s.boundaryT); err != nil {
 			return err
 		}
@@ -156,7 +152,7 @@ func (s *sharded) tick(tEnd float64) error {
 			warming++
 		}
 	}
-	s.pool.Do(f.active, s.sumFn)
+	f.summarize(tEnd)
 	// The learning step mirrors the serial loop exactly: strictly
 	// serial, ascending node id, after every domain's summaries are
 	// final and before the fleet merge — the same boundary slot where
@@ -214,14 +210,13 @@ func (s *sharded) tick(tEnd float64) error {
 	// the whole fleet's sojourns — every domain hedges off the same
 	// fleet-wide estimate, exactly like the serial loop.
 	if f.hedging {
-		f.sortScratch = f.sortScratch[:0]
+		f.selScratch = f.selScratch[:0]
 		for _, l := range s.domains {
-			f.sortScratch = append(f.sortScratch, l.intervalSojourns...)
+			f.selScratch = append(f.selScratch, l.intervalSojourns...)
 		}
-		f.sortScratch = append(f.sortScratch, s.coordSojourns...)
-		if len(f.sortScratch) > 0 {
-			stats.SortFloats(f.sortScratch)
-			if q, err := stats.PercentileSorted(f.sortScratch, f.hedgeQ); err == nil {
+		f.selScratch = append(f.selScratch, s.coordSojourns...)
+		if len(f.selScratch) > 0 {
+			if q, err := stats.SelectPercentile(f.selScratch, f.hedgeQ); err == nil {
 				for _, l := range s.domains {
 					l.hedgeWait = q
 				}
@@ -468,13 +463,14 @@ func (l *loop) finishHedgeRef(id int32) {
 // node may rescue a drowning peer in another domain, which is the only
 // moment steals cross a domain boundary.
 //
-// The serial loop rescans the whole roster for the deepest queue on
-// every pull; at a few hundred nodes that scan dominates the boundary.
-// Queues only shrink while the sweep runs (arrivals are mid-interval,
-// hedge placement happened before the kick), so the victim choice can
-// come from a max-heap of queue depths built once per boundary and
-// lazily refreshed — the same argmax the scan computes, in O(log n)
-// per steal.
+// Every idle server of the fleet pulls in turn during the sweep, so a
+// linear scan for the deepest queue on each pull (what loop.steal does
+// inside one domain once any queue there is deep enough) would cost
+// O(fleet) per pull. Queues only shrink while the sweep runs (arrivals
+// are mid-interval, hedge placement happened before the kick), so the
+// victim choice can come from a max-heap of queue depths built once per
+// boundary and lazily refreshed — the same argmax the scan computes, in
+// O(log n) per steal.
 func (s *sharded) boundaryKick(t float64) {
 	f := s.f
 	// Under a partition the heap cannot encode sides, so thieves fall
@@ -673,7 +669,7 @@ func (s *sharded) pullWorkFleet(l *loop, n *desNode, sv int, t float64) {
 					// put the entry back rather than lose it. Without
 					// resilience this is unreachable — extra references
 					// come only from hedging, which excludes stealing.
-					f.nodes[best].queue.Push(id)
+					vl.enqueue(f.nodes[best], id)
 					r.refs++
 				}
 				s.stealRefreshTop()
@@ -997,8 +993,7 @@ func (s *sharded) refreshInterval(t float64) error {
 			if v := l.nodes[i]; v.down || v.draining {
 				sh = 0
 			}
-			l.shares[i] = sh
-			l.shareSum += sh
+			l.setShare(i, sh)
 		}
 		switch {
 		case fleetSum > 0:
@@ -1022,7 +1017,7 @@ func (s *sharded) refreshInterval(t float64) error {
 // result assembles the sharded run's record: the shared fleet trace
 // and stats, plus the latency record merged across domain recorders
 // and the coordinator's (counts and sums add exactly; the systematic
-// samples concatenate, and percentiles sort anyway).
+// samples concatenate into a fresh slice, which selection reorders).
 func (s *sharded) result() Result {
 	f := s.f
 	res := Result{
@@ -1059,13 +1054,6 @@ func (s *sharded) result() Result {
 	res.Latency.TimedOut = timedOut
 	res.Latency.Lost = lost
 	res.Stats.Lost = lost
-	if len(sample) > 0 {
-		res.Latency.Mean = sum / float64(seen)
-		stats.SortFloats(sample)
-		res.Latency.P50, _ = stats.PercentileSorted(sample, 0.50)
-		res.Latency.P90, _ = stats.PercentileSorted(sample, 0.90)
-		res.Latency.P95, _ = stats.PercentileSorted(sample, 0.95)
-		res.Latency.P99, _ = stats.PercentileSorted(sample, 0.99)
-	}
+	res.Latency.fill(sample, seen, sum)
 	return res
 }

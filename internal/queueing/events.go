@@ -33,30 +33,36 @@ func (h *TimeHeap[T]) PeekTime() (t float64, ok bool) {
 	return h.keys[0], true
 }
 
-// Push schedules v at time t, mirroring container/heap.Push.
+// Push schedules v at time t, mirroring container/heap.Push. The sift
+// moves a hole up instead of swapping at each level: every parent that
+// the new key beats shifts down one slot, and the key lands where
+// container/heap's swaps would have left it.
 func (h *TimeHeap[T]) Push(t float64, v T) {
 	h.keys = append(h.keys, t)
 	h.vals = append(h.vals, v)
 	j := len(h.keys) - 1
 	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if !(h.keys[j] < h.keys[i]) {
+		if !(t < h.keys[i]) {
 			break
 		}
-		h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
-		h.vals[i], h.vals[j] = h.vals[j], h.vals[i]
+		h.keys[j] = h.keys[i]
+		h.vals[j] = h.vals[i]
 		j = i
 	}
+	h.keys[j] = t
+	h.vals[j] = v
 }
 
 // Pop removes and returns the earliest event, mirroring
-// container/heap.Pop: swap the root with the last element, sift the new
-// root down over the shortened heap, then detach the old root. Pop on
-// an empty heap panics.
+// container/heap.Pop: the last element replaces the root and sifts
+// down over the shortened heap. The sift moves a hole down from the
+// root, so the array ends exactly as container/heap's swaps leave it.
+// Pop on an empty heap panics.
 func (h *TimeHeap[T]) Pop() (float64, T) {
+	t, v := h.keys[0], h.vals[0]
 	n := len(h.keys) - 1
-	h.keys[0], h.keys[n] = h.keys[n], h.keys[0]
-	h.vals[0], h.vals[n] = h.vals[n], h.vals[0]
+	xk, xv := h.keys[n], h.vals[n]
 	i := 0
 	for {
 		j1 := 2*i + 1
@@ -67,14 +73,15 @@ func (h *TimeHeap[T]) Pop() (float64, T) {
 		if j2 := j1 + 1; j2 < n && h.keys[j2] < h.keys[j1] {
 			j = j2
 		}
-		if !(h.keys[j] < h.keys[i]) {
+		if !(h.keys[j] < xk) {
 			break
 		}
-		h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
-		h.vals[i], h.vals[j] = h.vals[j], h.vals[i]
+		h.keys[i] = h.keys[j]
+		h.vals[i] = h.vals[j]
 		i = j
 	}
-	t, v := h.keys[n], h.vals[n]
+	h.keys[i] = xk
+	h.vals[i] = xv
 	h.keys = h.keys[:n]
 	h.vals = h.vals[:n]
 	return t, v

@@ -33,7 +33,9 @@ func (h *refHeap) Pop() interface{} {
 
 // TestTimeHeapMatchesContainerHeap interleaves pushes and pops on the
 // TimeHeap and the standard-library heap with the same inputs,
-// including duplicate keys, and requires identical pop sequences.
+// including duplicate keys, and requires identical pop sequences and an
+// identical array layout after every operation — the hole sift must
+// leave each slot where container/heap's swaps would.
 func TestTimeHeapMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var th TimeHeap[int]
@@ -44,13 +46,19 @@ func TestTimeHeapMatchesContainerHeap(t *testing.T) {
 			v := op
 			th.Push(k, v)
 			heap.Push(ref, [2]float64{k, float64(v)})
-			continue
+		} else {
+			gotK, gotV := th.Pop()
+			want := heap.Pop(ref).([2]float64)
+			if gotK != want[0] || gotV != int(want[1]) {
+				t.Fatalf("op %d: Pop = (%v, %d), container/heap = (%v, %d)",
+					op, gotK, gotV, want[0], int(want[1]))
+			}
 		}
-		gotK, gotV := th.Pop()
-		want := heap.Pop(ref).([2]float64)
-		if gotK != want[0] || gotV != int(want[1]) {
-			t.Fatalf("op %d: Pop = (%v, %d), container/heap = (%v, %d)",
-				op, gotK, gotV, want[0], int(want[1]))
+		for i := range ref.keys {
+			if th.keys[i] != ref.keys[i] || th.vals[i] != ref.vals[i] {
+				t.Fatalf("op %d: slot %d = (%v, %d), container/heap = (%v, %d)",
+					op, i, th.keys[i], th.vals[i], ref.keys[i], ref.vals[i])
+			}
 		}
 	}
 	if th.Len() != ref.Len() {

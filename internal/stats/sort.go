@@ -13,19 +13,18 @@ const radixSortMin = 512
 
 // SortFloats sorts x ascending, exactly as sort.Float64s would for
 // finite inputs, but in O(n) via an LSD radix sort on the order-
-// preserving integer encoding of float64. The DES latency pipelines
-// sort hundreds of thousands of sojourn samples per run (end-of-run
-// percentiles, per-interval hedge-delay quantiles); at those sizes the
-// radix sort is several times faster than the comparison sort. Inputs
-// must not contain NaN (sort.Float64s's NaN ordering is not
-// reproduced); ±0 are ordered sign-first, which no comparison can
-// observe.
+// preserving integer encoding of float64; on hundreds of thousands of
+// samples it is several times faster than the comparison sort, at 16
+// bytes of key scratch per element from 512 elements up. Callers that
+// only read a few percentiles should use SelectPercentile, which needs
+// neither the full order nor the scratch. Inputs must not contain NaN
+// (sort.Float64s's NaN ordering is not reproduced); ±0 are ordered
+// sign-first, which no comparison can observe.
 func SortFloats(x []float64) {
 	n := len(x)
 	if n < 32 {
-		// The DES calls this once per node per interval on a handful of
-		// sojourns; a branch-free-entry insertion sort beats the
-		// stdlib's generic dispatch at these sizes.
+		// A branch-free-entry insertion sort beats the stdlib's generic
+		// dispatch at these sizes.
 		for i := 1; i < n; i++ {
 			v := x[i]
 			j := i - 1

@@ -246,8 +246,9 @@ var errPercentileRange = errors.New("stats: percentile p out of [0,1]")
 
 // PercentileSorted returns the p-quantile of an ascending-sorted sample
 // with the same closest-rank interpolation as Percentile, without
-// copying or sorting. Callers reading several percentiles from one
-// sample should sort once and use this.
+// copying or sorting. Callers reading a few percentiles from an
+// unsorted sample should use SelectPercentiles, which returns the same
+// values without the sort.
 func PercentileSorted(sorted []float64, p float64) (float64, error) {
 	if len(sorted) == 0 {
 		return 0, ErrEmpty
