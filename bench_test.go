@@ -582,14 +582,16 @@ func BenchmarkClusterDESLearn16Nodes(b *testing.B) {
 // completions leave a node idle and try to steal, yet few queues are
 // deep enough to rob, so the steal path exits on the loop's deep-queue
 // count instead of scanning the fleet, and each arrival routes by a
-// binary search over the running routing shares. The sharded variant
+// binary search over the running routing shares. The "serial" variant
+// runs the default single fleet-wide domain; the sharded variant
 // partitions the roster into 8 routing domains that exchange
 // cross-domain effects only at interval boundaries, each with its own
 // smaller event heap and request table; results stay a pure function
 // of (seed, domain count), and on multi-core hosts the domains also
 // step in parallel on the worker pool. Sub-benchmark names are
 // machine-independent ("serial", "domains=8") because the CI
-// regression gate matches them against the committed baseline.
+// regression gate matches them against the committed baseline, which
+// is why the one-domain variant keeps the name "serial".
 func BenchmarkClusterDES256Nodes(b *testing.B) {
 	spec := platform.JunoR1()
 	for _, bc := range []struct {

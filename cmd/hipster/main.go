@@ -299,7 +299,7 @@ func runCluster(args []string) error {
 		seed         = fs.Int64("seed", 42, "fleet seed (node i uses seed+i)")
 		series       = fs.Bool("series", true, "print sparkline time series")
 		mitigation   = fs.String("mitigation", "none", "DES straggler mitigation: none|hedged|work-stealing|predictive")
-		domains      = fs.Int("domains", 0, "DES routing domains stepped in parallel (0 = serial event loop)")
+		domains      = fs.Int("domains", 0, "DES routing domains stepped in parallel (0 or 1 = one fleet-wide domain)")
 		hedgeQ       = fs.Float64("hedge-quantile", 0.95, "DES hedge delay as a quantile of last interval's latencies, in (0, 1)")
 		retries      = fs.Int("retries", 0, "DES resilience: re-issue a failed attempt up to this many times per request")
 		retryBackoff = fs.String("retry-backoff", "", "DES retry backoff as base,cap,jitter seconds (default 0.05,1,0.1)")

@@ -262,6 +262,20 @@ func TestClusterDomainsValidation(t *testing.T) {
 	}
 }
 
+// TestClusterRejectsNonFiniteLoad checks a NaN pattern load fails the
+// command in both modes with an error naming the load, instead of a DES
+// run reporting no requests at 100% QoS or an interval run reporting
+// NaN fleet energy.
+func TestClusterRejectsNonFiniteLoad(t *testing.T) {
+	for _, mode := range []string{"des", "interval"} {
+		err := runCluster([]string{"-mode", mode, "-nodes", "4",
+			"-pattern", "constant:NaN", "-duration", "2", "-series=false"})
+		if err == nil || !strings.Contains(err.Error(), "load NaN") {
+			t.Errorf("-mode %s: error %v, want one naming the NaN load", mode, err)
+		}
+	}
+}
+
 // TestClusterDESDomainsRun smoke-tests a sharded DES invocation end to
 // end through the CLI path.
 func TestClusterDESDomainsRun(t *testing.T) {

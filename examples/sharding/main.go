@@ -1,13 +1,12 @@
 // Sharding: a 256-node Web-Search fleet served by the request-level
-// cluster DES, first through the classic serial event loop, then
-// sharded into 1, 2, 4 and 8 routing domains. Each domain runs its own
-// event loop between interval boundaries; work stolen across a domain
-// boundary is reconciled in the coordinator's serial section, so the
-// run stays a pure function of (seed, domain count) no matter how many
-// workers step the domains. The one-domain run reproduces the serial
-// loop bit for bit — the guarantee the fleettest harness enforces on
-// every feature combination, demonstrated here on the largest fleet in
-// the repo.
+// cluster DES, first at the default domain count (the "serial" row: one
+// fleet-wide event loop), then sharded into 1, 2, 4 and 8 routing
+// domains. Each domain runs its own event loop between interval
+// boundaries; work stolen across a domain boundary is reconciled in the
+// coordinator's serial section, so the run stays a pure function of
+// (seed, domain count) no matter how many workers step the domains.
+// Domains 0 and 1 both run one fleet-wide domain, so the first two rows
+// agree bit for bit.
 package main
 
 import (

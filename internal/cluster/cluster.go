@@ -310,7 +310,8 @@ func (c *Cluster) Step() (telemetry.FleetSample, error) {
 		return telemetry.FleetSample{}, c.failed
 	}
 	t := c.clock.Now()
-	totalRPS := c.opts.Pattern.LoadAt(t) * c.fleetCap
+	load := c.opts.Pattern.LoadAt(t)
+	totalRPS := load * c.fleetCap
 
 	// The scaling decision sees this interval's demand before the split,
 	// so a burst can be answered by new capacity in the same interval it
@@ -326,26 +327,20 @@ func (c *Cluster) Step() (telemetry.FleetSample, error) {
 	for i, n := range active {
 		states[i] = n.state
 	}
-	shares := c.splitter.Split(SplitContext{
+	shares, err := SplitChecked(c.splitter, load, SplitContext{
 		Interval: c.clock.Steps(),
 		T:        t,
 		TotalRPS: totalRPS,
 		Nodes:    states,
 	})
-	if len(shares) != len(active) {
-		return c.fail(fmt.Errorf("cluster: splitter %q returned %d shares for %d active nodes",
-			c.splitter.Name(), len(shares), len(active)))
+	if err != nil {
+		return c.fail(fmt.Errorf("cluster: %w", err))
 	}
 	for i, n := range active {
-		rps := shares[i]
-		if rps < 0 {
-			return c.fail(fmt.Errorf("cluster: splitter %q returned negative share %v for node %d",
-				c.splitter.Name(), rps, i))
-		}
 		// The feed is a load fraction of this node's own capacity;
 		// overload (> 1) is passed through so routing mistakes surface
 		// as backlog and stragglers rather than silently shed load.
-		n.feed.frac = rps / n.state.CapacityRPS
+		n.feed.frac = shares[i] / n.state.CapacityRPS
 	}
 
 	c.stepNodes()

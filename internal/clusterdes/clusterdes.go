@@ -14,14 +14,18 @@
 // autoscale signal that sees the queue forming instead of waiting for
 // last interval's tail to cross the target.
 //
-// The whole event loop runs serially in event-time order — routing,
-// hedging and stealing decisions happen at deterministic points of one
-// totally ordered event sequence — so a run is a pure function of its
-// seed. Workers only parallelise the per-node interval summaries
-// (tail percentiles, power evaluation) at interval boundaries, where
-// each node's summary is an independent pure computation writing its
-// own slot; results are therefore bit-identical at any worker count,
-// the same two invariants the interval-mode cluster guarantees.
+// The roster is split into routing domains — contiguous node blocks,
+// one fleet-wide domain by default — and each domain runs its own event
+// loop serially in event-time order, so routing, hedging and stealing
+// decisions happen at deterministic points of one totally ordered event
+// sequence per domain. Everything that couples nodes across domains,
+// and every fleet-level decision, runs at interval boundaries in the
+// coordinator's serial section. Workers parallelise only the domain
+// steps between boundaries and the per-node interval summaries (tail
+// percentiles, power evaluation) at them, each writing its own state;
+// a run is therefore a pure function of (seed, domain count) and
+// bit-identical at any worker count, the same two invariants the
+// interval-mode cluster guarantees.
 //
 // With Options.Learn set, the DES additionally closes Hipster's RL
 // loop at request granularity: each node consults a per-node policy
@@ -135,10 +139,8 @@ type Options struct {
 	// worker pool; cross-domain effects — steals, hedge copies landing
 	// in another domain, autoscale roster changes — are exchanged only
 	// at interval boundaries, so the run is a pure function of (Seed,
-	// Domains) at any worker count. 0 runs the classic serial loop;
-	// 1 runs the sharded machinery over a single fleet-wide domain,
-	// which is bit-identical to the serial loop. Must not exceed the
-	// roster size.
+	// Domains) at any worker count. 0 and 1 both run one fleet-wide
+	// domain. Must not exceed the roster size.
 	Domains int
 
 	// IntervalSecs is the monitoring interval (default 1 s).
@@ -230,7 +232,7 @@ type Stats struct {
 	// count the boundary exchanges of a sharded run: hedge copies
 	// placed in another routing domain, steals across a domain
 	// boundary, and scale-down migrations that moved a request between
-	// domains. Always zero in a serial (Domains <= 1) run.
+	// domains. Always zero with one domain (Domains <= 1).
 	CrossDomainHedges, CrossDomainSteals, CrossDomainMigrations int
 	// Migrated counts queued requests re-routed off a deactivating node.
 	Migrated int
@@ -315,16 +317,16 @@ type event struct {
 const hedgeVoid = -2
 
 // hedgeCross marks a request whose hedge copy lives in another routing
-// domain (sharded runs only): the copy is a mirror entry in the target
-// domain's request table, linked through crossDom/crossRef.
+// domain (multi-domain runs only): the copy is a mirror entry in the
+// target domain's request table, linked through crossDom/crossRef.
 const hedgeCross = -3
 
 // request is one in-flight request. A request id is recycled through a
 // free list once every reference to it (queue slots, serving servers,
 // the pending hedge timer) has been released.
 //
-// The cross-domain fields are used only by sharded runs and stay zero
-// in the serial loop. When a hedge copy is placed in another domain,
+// The cross-domain fields are used only by multi-domain runs and stay
+// zero with one domain. When a hedge copy is placed in another domain,
 // both entries of the pair defer their completion record (deferRec) to
 // the coordinator's boundary reconciliation — only there are both
 // domains' completions visible, so only there can the race be decided
@@ -443,19 +445,18 @@ func newLatRecorder() latRecorder { return latRecorder{stride: 1, limit: latSamp
 
 // loop is one routing domain's event loop: the request table, event
 // heap, RNG streams, arrival process and per-interval counters for a
-// contiguous slice of the roster. The serial Fleet embeds a single
-// loop spanning the whole roster (lo = 0, rosterActive = active); a
-// sharded run builds one loop per domain and steps them in parallel,
-// exchanging cross-domain effects only at interval boundaries. All
-// methods on loop touch only the loop's own state, which is exactly
-// what makes the parallel step deterministic.
+// contiguous slice of the roster. The Fleet builds one loop per domain
+// (a single loop spanning the whole roster by default) and steps them
+// in parallel, exchanging cross-domain effects only at interval
+// boundaries. All methods on loop touch only the loop's own state,
+// which is exactly what makes the parallel step deterministic.
 type loop struct {
-	id int // domain id; 0 for the serial fleet
+	id int // domain id
 	lo int // global id of this loop's first node
 
 	nodes        []*desNode
 	active       int // active nodes in this loop (a prefix of nodes)
-	rosterActive int // fleet-wide active count (== active when serial)
+	rosterActive int // fleet-wide active count (== active with one domain)
 
 	// Mitigation, resolved.
 	hedging   bool
@@ -469,9 +470,9 @@ type loop struct {
 	deep int
 
 	// deferCross lets a hedge with no in-domain target park the
-	// re-issue for the coordinator instead of giving up; false in the
-	// serial loop and in single-domain sharded runs, where "no target
-	// in this domain" already means "no target anywhere".
+	// re-issue for the coordinator instead of giving up; false with one
+	// domain, where "no target in this domain" already means "no target
+	// anywhere".
 	deferCross bool
 
 	// resil is the fleet's resolved resilience policy; nil when the
@@ -516,7 +517,8 @@ type loop struct {
 	shareSum  float64
 
 	// Per-interval scratch. dropped and timedOut are cumulative over
-	// the run; the rest reset at every boundary.
+	// the run; the rest reset at every boundary. intervalSojourns, the
+	// hedge delay's input, is collected only when hedging.
 	intervalSojourns []float64
 	hedges           int
 	hedgeWins        int
@@ -531,26 +533,22 @@ type loop struct {
 
 	lat latRecorder
 
-	// Boundary outboxes (sharded runs only): hedge re-issues with no
-	// in-domain target, and completions of cross-domain pairs awaiting
-	// reconciliation.
+	// Boundary outboxes (multi-domain runs only): hedge re-issues with
+	// no in-domain target, and completions of cross-domain pairs
+	// awaiting reconciliation.
 	deferredHedges []int32
 	crossDone      []crossEvent
 }
 
 // node maps a global node id to this loop's slice (a domain owns the
-// contiguous id range starting at lo; the serial loop has lo == 0).
+// contiguous id range starting at lo).
 func (l *loop) node(id int32) *desNode { return l.nodes[int(id)-l.lo] }
 
-// Fleet is the cluster-scale discrete-event simulator. It is not safe
-// for concurrent use.
+// Fleet is the cluster-scale discrete-event simulator: the roster, the
+// fleet-wide settings every domain loop copies, the domain loops, and
+// the coordinator that runs between them at interval boundaries. It is
+// not safe for concurrent use.
 type Fleet struct {
-	// loop is the serial event loop spanning the whole roster. A
-	// sharded run (Options.Domains > 1) leaves it idle — sh owns
-	// per-domain loops instead — but keeps nodes/active current so the
-	// accessors stay truthful either way.
-	loop
-
 	opts     Options
 	splitter cluster.Splitter
 	workers  int
@@ -560,16 +558,49 @@ type Fleet struct {
 
 	hedgeQ float64
 
+	// nodes is the roster; the first active of them are the active set.
+	nodes  []*desNode
+	active int
+
+	// Fleet-wide settings, resolved once and copied into every domain
+	// loop (see loop for their meaning); suspect is shared, not copied.
+	hedging    bool
+	stealing   bool
+	minDepth   int
+	resil      *resilience.Options
+	warmFactor float64
+	suspect    []bool
+
+	// domains are the routing-domain loops in roster order; domOf maps a
+	// node id to its domain's index.
+	domains []*loop
+	domOf   []int32
+
+	// Coordinator-side accumulators: latency and sojourns of requests
+	// reconciled at boundaries (their race outcome is not attributable
+	// to a single domain), and requests dropped or lost in coordinator
+	// hands (cross-pair copies both destroyed).
+	lat           latRecorder
+	coordSojourns []float64
+	coordDropped  int
+	coordLost     int
+	crossScratch  []crossEvent
+
+	// stealCands is the boundary sweep's max-heap of steal victims,
+	// rebuilt each tick; see boundaryKick.
+	stealCands []stealCand
+
 	// selScratch gathers the samples a boundary reads one percentile
-	// from (the sharded hedge delay, the predictive median).
+	// from (the hedge delay, the predictive median).
 	selScratch []float64
 
-	// pool runs the per-node interval summaries (and, in a sharded run,
-	// the domain steps); sumFn is its cached summary closure, reading
-	// the interval end from sumT, so a boundary allocates nothing.
-	pool  *cluster.Pool
-	sumFn func(i int)
-	sumT  float64
+	// pool steps the domains and runs the per-node interval summaries;
+	// stepFn and sumFn are its cached closures, reading the interval end
+	// from tEnd, so neither a step nor a boundary allocates.
+	pool   *cluster.Pool
+	stepFn func(i int)
+	sumFn  func(i int)
+	tEnd   float64
 
 	states  []cluster.NodeState
 	samples []telemetry.Sample
@@ -614,8 +645,6 @@ type Fleet struct {
 	predAlpha, predThresh, predFrac float64
 	predEwma                        []float64
 
-	sh *sharded // non-nil when Options.Domains > 1
-
 	stats  Stats
 	failed error
 }
@@ -641,14 +670,10 @@ func New(opts Options) (*Fleet, error) {
 		return nil, fmt.Errorf("clusterdes: %d domains exceed the %d-node roster", opts.Domains, len(opts.Nodes))
 	}
 	f := &Fleet{
-		loop: loop{
-			hedgeWait:   math.Inf(1),
-			suspectWait: math.Inf(1),
-			lat:         newLatRecorder(),
-		},
 		opts:     opts,
 		splitter: opts.Splitter,
 		workers:  opts.Workers,
+		lat:      newLatRecorder(),
 		fleet:    &telemetry.FleetTrace{},
 	}
 	if f.splitter == nil {
@@ -744,11 +769,6 @@ func New(opts Options) (*Fleet, error) {
 		f.predEwma = make([]float64, len(opts.Nodes))
 	}
 
-	f.arrRNG = sim.SubRNG(opts.Seed, "des-arrival")
-	f.routeRNG = sim.SubRNG(opts.Seed, "des-route")
-	f.svcRNG = sim.SubRNG(opts.Seed, "des-service")
-	f.retryRNG = sim.SubRNG(opts.Seed, "des-retry")
-
 	for i, nc := range opts.Nodes {
 		n, err := newNode(i, nc, opts.MaxQueue, f)
 		if err != nil {
@@ -764,7 +784,6 @@ func New(opts Options) (*Fleet, error) {
 			return nil, err
 		}
 	}
-	f.rosterActive = f.active
 	for i, n := range f.nodes {
 		n.state.Active = i < f.active
 	}
@@ -779,13 +798,49 @@ func New(opts Options) (*Fleet, error) {
 	f.states = make([]cluster.NodeState, len(f.nodes))
 	f.samples = make([]telemetry.Sample, len(f.nodes))
 	f.pool = cluster.NewPool(f.workers)
-	f.sumFn = func(i int) { f.samples[i] = f.nodes[i].finishInterval(f.sumT, f.dt) }
-	if opts.Domains >= 1 {
-		f.sh = newSharded(f, opts.Domains)
-	} else {
-		f.shares, f.cumShares = newShares(len(f.nodes))
-	}
+	f.sumFn = func(i int) { f.samples[i] = f.nodes[i].finishInterval(f.tEnd, f.dt) }
+	f.newDomains(opts.Domains)
 	return f, nil
+}
+
+// newDomains partitions the roster into dcount routing domains (0
+// counts as 1) and builds each one's loop, with RNG streams derived
+// from Seed+domain. With one domain the fleet-wide loop draws from the
+// Seed+0 streams, its λ thinning multiplies by exactly 1 (see
+// refreshInterval), and cross-domain deferral is off, so nothing
+// crosses a domain boundary.
+func (f *Fleet) newDomains(dcount int) {
+	starts := PartitionDomains(len(f.nodes), dcount)
+	f.domOf = make([]int32, len(f.nodes))
+	for k := 0; k+1 < len(starts); k++ {
+		lo, hi := starts[k], starts[k+1]
+		l := &loop{
+			id:          k,
+			lo:          lo,
+			nodes:       f.nodes[lo:hi],
+			hedging:     f.hedging,
+			stealing:    f.stealing,
+			minDepth:    f.minDepth,
+			hedgeWait:   math.Inf(1),
+			suspectWait: math.Inf(1),
+			suspect:     f.suspect,
+			deferCross:  len(starts) > 2,
+			resil:       f.resil,
+			warmFactor:  f.warmFactor,
+			arrRNG:      sim.SubRNG(f.opts.Seed+int64(k), "des-arrival"),
+			routeRNG:    sim.SubRNG(f.opts.Seed+int64(k), "des-route"),
+			svcRNG:      sim.SubRNG(f.opts.Seed+int64(k), "des-service"),
+			retryRNG:    sim.SubRNG(f.opts.Seed+int64(k), "des-retry"),
+			lat:         newLatRecorder(),
+		}
+		l.shares, l.cumShares = newShares(hi - lo)
+		for i := lo; i < hi; i++ {
+			f.domOf[i] = int32(k)
+		}
+		f.domains = append(f.domains, l)
+	}
+	f.stepFn = func(i int) { f.domains[i].runInterval(f.tEnd) }
+	f.updateActive()
 }
 
 // newShares allocates a loop's routing weights and their running sums
@@ -793,6 +848,26 @@ func New(opts Options) (*Fleet, error) {
 func newShares(n int) (shares, cum []float64) {
 	buf := make([]float64, 2*n)
 	return buf[:n:n], buf[n:]
+}
+
+func (f *Fleet) domainOf(id int) *loop { return f.domains[f.domOf[id]] }
+
+// updateActive pushes the fleet-wide active count down into the
+// domains. The active set is a roster prefix and domains are
+// contiguous roster blocks, so each domain's active set is a prefix of
+// its own slice.
+func (f *Fleet) updateActive() {
+	for _, l := range f.domains {
+		a := f.active - l.lo
+		if a < 0 {
+			a = 0
+		}
+		if a > len(l.nodes) {
+			a = len(l.nodes)
+		}
+		l.active = a
+		l.rosterActive = f.active
+	}
 }
 
 func newNode(id int, nc NodeConfig, maxQueue int, f *Fleet) (*desNode, error) {
@@ -912,7 +987,7 @@ func (f *Fleet) NumNodes() int { return len(f.nodes) }
 // ActiveNodes returns the current active-node count.
 func (f *Fleet) ActiveNodes() int { return f.active }
 
-// Workers returns the resolved summary-worker count (never zero).
+// Workers returns the resolved worker count (never zero).
 func (f *Fleet) Workers() int { return f.workers }
 
 // CapacityRPS returns the total roster capacity at the configured
@@ -1135,23 +1210,6 @@ func (l *loop) pullWork(n *desNode, s int, t float64) {
 	n.idle[s] = true
 }
 
-// kickIdle lets node n's idle servers pick up work outside the
-// completion path: after a warm-up expires (the queue built while every
-// server sat idle) and, with stealing on, at interval boundaries so a
-// fully idle node — which sees no completion events — still rescues a
-// drowning peer.
-func (l *loop) kickIdle(n *desNode, t float64) {
-	for s := range n.idle {
-		if !n.idle[s] || !n.enabled[s] {
-			continue
-		}
-		l.pullWork(n, s, t)
-		if n.idle[s] {
-			break // nothing left to pull; further servers won't find work either
-		}
-	}
-}
-
 // routeDraw picks a node by one draw over the interval's routing
 // weights (zero-share nodes — including down and draining ones, whose
 // shares the refresh zeroes — are never selected). The all-zero-weight
@@ -1346,7 +1404,10 @@ func (l *loop) handleCompletion(t float64, ev event) {
 		soj := t - r.arrival
 		n.completed++
 		n.sojourns = append(n.sojourns, soj)
-		l.intervalSojourns = append(l.intervalSojourns, soj)
+		if l.hedging {
+			// Only the next interval's hedge delay reads these.
+			l.intervalSojourns = append(l.intervalSojourns, soj)
+		}
 		l.lat.record(soj)
 		if r.hedgeNode == int32(n.id) {
 			l.hedgeWins++
@@ -1600,55 +1661,83 @@ func (l *loop) runInterval(tTick float64) {
 	}
 }
 
-// refreshInterval recomputes the fleet arrival rate and routing weights
-// for the interval starting at t.
+// refreshInterval sets up the interval starting at t: one fleet-wide
+// splitter call in roster order, then per-domain λ thinning — each
+// domain's arrival rate is the fleet rate scaled by its share of the
+// routing weight, so the fleet-wide arrival process is preserved in
+// expectation while every draw stays inside one domain's RNG stream.
 func (f *Fleet) refreshInterval(t float64) error {
-	f.lambda = f.opts.Pattern.LoadAt(t) * f.fleetCap
-	if f.lambda < 0 {
-		return fmt.Errorf("clusterdes: pattern returned negative load at t=%v", t)
+	load := f.opts.Pattern.LoadAt(t)
+	lambda := load * f.fleetCap
+	fleetServing := 0
+	for _, l := range f.domains {
+		l.servingN = 0
 	}
-	f.servingN = 0
 	for _, n := range f.nodes[:f.active] {
 		if !n.down && !n.draining {
-			f.servingN++
+			f.domainOf(n.id).servingN++
+			fleetServing++
 		}
 	}
-	if f.servingN == 0 {
+	if fleetServing == 0 {
 		// Blackout: every active node is down or draining. No arrivals are
 		// admitted (clients see a dead cluster, not an infinite queue);
 		// pending retries re-probe at the backoff cap until capacity
 		// returns.
-		f.lambda = 0
-	}
-	if f.lambda > 0 && math.IsInf(f.nextArrival, 1) {
-		f.nextArrival = t + f.arrRNG.ExpFloat64()/f.lambda
+		lambda = 0
 	}
 	for i, n := range f.nodes[:f.active] {
 		f.states[i] = n.state
 	}
-	shares := f.splitter.Split(cluster.SplitContext{
+	shares, err := cluster.SplitChecked(f.splitter, load, cluster.SplitContext{
 		Interval: f.clock.Steps(),
 		T:        t,
-		TotalRPS: f.lambda,
+		TotalRPS: lambda,
 		Nodes:    f.states[:f.active],
 	})
-	if len(shares) != f.active {
-		return fmt.Errorf("clusterdes: splitter %q returned %d shares for %d active nodes",
-			f.splitter.Name(), len(shares), f.active)
+	if err != nil {
+		return fmt.Errorf("clusterdes: %w", err)
 	}
-	f.shareSum = 0
-	for i, s := range shares {
-		if s < 0 {
-			return fmt.Errorf("clusterdes: splitter %q returned negative share %v for node %d",
-				f.splitter.Name(), s, i)
-		}
+	var fleetSum float64
+	for i, sh := range shares {
 		// A down or draining node takes no new primaries regardless of
 		// what the splitter assigned it; its share redistributes
 		// implicitly, since routeDraw never picks a zero share.
-		if v := f.nodes[i]; v.down || v.draining {
-			s = 0
+		if v := f.nodes[i]; !v.down && !v.draining {
+			fleetSum += sh
 		}
-		f.setShare(i, s)
+	}
+	for _, l := range f.domains {
+		if l.active == 0 {
+			// A domain with no active nodes generates nothing; a pending
+			// arrival from its active era is void.
+			l.lambda, l.shareSum = 0, 0
+			l.nextArrival = math.Inf(1)
+			continue
+		}
+		l.shareSum = 0
+		for i := 0; i < l.active; i++ {
+			sh := shares[l.lo+i]
+			if v := l.nodes[i]; v.down || v.draining {
+				sh = 0
+			}
+			l.setShare(i, sh)
+		}
+		switch {
+		case fleetSum > 0:
+			// With one domain shareSum == fleetSum, so the ratio is
+			// exactly 1.0 and λ survives bit-identical.
+			l.lambda = lambda * (l.shareSum / fleetSum)
+		case fleetServing > 0:
+			// Zero routing weight everywhere: arrivals fall back to
+			// round-robin over serving nodes; thin by serving share.
+			l.lambda = lambda * float64(l.servingN) / float64(fleetServing)
+		default:
+			l.lambda = 0
+		}
+		if l.lambda > 0 && math.IsInf(l.nextArrival, 1) {
+			l.nextArrival = t + l.arrRNG.ExpFloat64()/l.lambda
+		}
 	}
 	return nil
 }
@@ -1774,19 +1863,20 @@ func (n *desNode) finishInterval(t, dt float64) telemetry.Sample {
 }
 
 // summarize runs finishInterval for every active node on the worker
-// pool. Each node writes only its own slot and its own state, so
-// results are independent of the worker count; the pool and its cached
-// closure persist across boundaries, so a summary round allocates
-// nothing.
-func (f *Fleet) summarize(t float64) {
-	f.sumT = t
+// pool, for the interval ending at tEnd. Each node writes only its own
+// slot and its own state, so results are independent of the worker
+// count; the pool and its cached closure persist across boundaries, so
+// a summary round allocates nothing.
+func (f *Fleet) summarize() {
 	f.pool.Do(f.active, f.sumFn)
 }
 
 // autoscaleStep runs one scaling decision on the previous interval's
 // measurements and applies it. With federation enabled, activating
 // nodes warm-start from the fleet table and departing nodes flush
-// their delta — the same protocol the interval-mode cluster runs.
+// their delta — the same protocol the interval-mode cluster runs. A
+// departing node's queue drains to survivors through migrate, which
+// handles targets in other domains.
 func (f *Fleet) autoscaleStep(t float64, measuredRPS float64) error {
 	for i, n := range f.nodes {
 		f.roster[i] = autoscale.NodeInfo{
@@ -1844,7 +1934,7 @@ func (f *Fleet) autoscaleStep(t float64, measuredRPS float64) error {
 	} else {
 		oldActive := f.active
 		f.active = d.Target // shrink first so migrations only target survivors
-		f.rosterActive = d.Target
+		f.updateActive()
 		for id := d.Target; id < oldActive; id++ {
 			n := f.nodes[id]
 			if f.fed != nil {
@@ -1868,12 +1958,13 @@ func (f *Fleet) autoscaleStep(t float64, measuredRPS float64) error {
 			// its queued requests move to the least-committed surviving
 			// nodes (in FIFO order) rather than vanishing or surfacing
 			// as phantom latency when the node rejoins.
+			victim := f.domainOf(n.id)
 			for {
-				id2 := f.popLocal(n)
+				id2 := victim.popLocal(n)
 				if id2 < 0 {
 					break
 				}
-				f.migrateOne(n, id2, t, false)
+				f.migrate(victim, n, id2, t, false)
 			}
 			n.state.Stepped = false
 			n.state.LastOfferedRPS = 0
@@ -1886,7 +1977,7 @@ func (f *Fleet) autoscaleStep(t float64, measuredRPS float64) error {
 		f.stats.NodesRemoved += oldActive - d.Target
 	}
 	f.active = d.Target
-	f.rosterActive = d.Target
+	f.updateActive()
 	if f.active > f.stats.PeakActive {
 		f.stats.PeakActive = f.active
 	}
@@ -1896,14 +1987,13 @@ func (f *Fleet) autoscaleStep(t float64, measuredRPS float64) error {
 	return nil
 }
 
-// rollResilience is the resilience boundary step, identical in the
-// serial and sharded coordinators: every node's circuit breaker rolls
-// its outcome window (state transitions happen only here, in the
-// serial section — which is why Allow/Record inside the event loop
-// never need to agree across domains mid-interval) and per-node hedge
-// budgets reset for the interval that begins at this boundary.
-// Inactive nodes roll too: an open breaker's countdown must keep
-// ticking while its node sits out an autoscale trough.
+// rollResilience is the resilience boundary step: every node's circuit
+// breaker rolls its outcome window (state transitions happen only
+// here, in the serial section — which is why Allow/Record inside the
+// event loop never need to agree across domains mid-interval) and
+// per-node hedge budgets reset for the interval that begins at this
+// boundary. Inactive nodes roll too: an open breaker's countdown must
+// keep ticking while its node sits out an autoscale trough.
 func (f *Fleet) rollResilience() {
 	if f.resil == nil {
 		return
@@ -1922,36 +2012,28 @@ func (f *Fleet) rollResilience() {
 	}
 }
 
-// harvestResilience folds one interval's resilience counters into the
-// run totals and resets the coordinator's breaker-open count (the
-// per-loop counters are the caller's to reset).
-func (f *Fleet) harvestResilience(retries, timeouts, rateLimited, hedgeCancels int) {
-	f.stats.Retries += retries
-	f.stats.Timeouts += timeouts
-	f.stats.BreakerOpens += f.breakerOpens
-	f.stats.RateLimited += rateLimited
-	f.stats.HedgeCancels += hedgeCancels
-	f.breakerOpens = 0
-}
-
-// tick closes the interval ending at the clock's next boundary:
-// summarise every active node, merge the fleet sample, re-estimate the
-// hedge delay, run the scaling decision, and set up the next interval.
+// tick is the coordinator's serial section at the boundary that closes
+// the interval ending at tEnd. Every domain is quiescent, so this is
+// where everything that couples nodes or domains happens, one step
+// after another in a fixed order — the order ARCHITECTURE.md lists and
+// TestArchitectureBoundaryOrder holds to the calls below. Because each
+// domain's interval is a pure function of its own state and this
+// section is serial, a run is a pure function of (Seed, Domains) at any
+// worker count.
 func (f *Fleet) tick() error {
+	tEnd := f.tEnd
+	winsNow := f.reconcile(tEnd)
 	warming := 0
 	for _, n := range f.nodes[:f.active] {
 		if n.warmLeft > 0 {
 			warming++
 		}
 	}
-	tEnd := f.clock.Now() + f.dt
-	f.summarize(tEnd)
-	// The learning step runs here, in the serial section between the
-	// parallel summaries and the fleet merge: every node's measured
-	// sample for the closing interval is final, no events are in
-	// flight, and the decision order (ascending node id) is fixed — so
-	// learn-enabled runs keep the worker-invariance and seed-
-	// determinism contracts.
+	f.summarize()
+	// The learning step runs between the parallel summaries and the
+	// fleet merge: every node's measured sample for the closing interval
+	// is final, no events are in flight, and the decision order
+	// (ascending node id) is fixed.
 	if err := f.learnStep(tEnd); err != nil {
 		return err
 	}
@@ -1964,67 +2046,71 @@ func (f *Fleet) tick() error {
 		energy += n.lastEnergyJ
 	}
 	fs.EnergyJ = energy
-	fs.Hedges = f.hedges
-	fs.HedgeWins = f.hedgeWins
-	fs.Steals = f.steals
+	hedges, wins, steals, prim := 0, winsNow, 0, 0
+	retries, timeouts, rateLim, hCancels := 0, 0, 0, 0
+	lost := f.coordLost
+	for _, l := range f.domains {
+		hedges += l.hedges
+		wins += l.hedgeWins
+		steals += l.steals
+		prim += l.primaries
+		retries += l.retries
+		timeouts += l.timeouts
+		rateLim += l.rateLimited
+		hCancels += l.hedgeCancels
+		lost += l.lost
+	}
+	fs.Hedges = hedges
+	fs.HedgeWins = wins
+	fs.Steals = steals
 	fs.Warming = warming
-	fs.Retries = f.retries
-	fs.Timeouts = f.timeouts
+	fs.Retries = retries
+	fs.Timeouts = timeouts
 	fs.BreakerOpens = f.breakerOpens
-	fs.RateLimited = f.rateLimited
-	fs.HedgeCancels = f.hedgeCancels
+	fs.RateLimited = rateLim
+	fs.HedgeCancels = hCancels
 	f.annotateLearn(&fs)
-	f.annotateFaults(&fs, f.lost-f.prevLost)
-	f.prevLost = f.lost
+	f.annotateFaults(&fs, lost-f.prevLost)
+	f.prevLost = lost
 	f.fleet.Add(fs)
-	f.stats.Hedges += f.hedges
-	f.stats.HedgeWins += f.hedgeWins
-	f.stats.Steals += f.steals
+	f.stats.Hedges += hedges
+	f.stats.HedgeWins += wins
+	f.stats.Steals += steals
 	f.stats.WarmupIntervals += warming
 	f.stats.NodeIntervals += f.active
-	f.harvestResilience(f.retries, f.timeouts, f.rateLimited, f.hedgeCancels)
-	f.retries, f.timeouts, f.rateLimited, f.hedgeCancels = 0, 0, 0, 0
+	f.stats.Retries += retries
+	f.stats.Timeouts += timeouts
+	f.stats.BreakerOpens += f.breakerOpens
+	f.stats.RateLimited += rateLim
+	f.stats.HedgeCancels += hCancels
+	f.breakerOpens = 0
 
-	// Hedge delay for the next interval: the configured quantile of the
-	// interval that just ended (carried forward through empty intervals).
-	// Selection reorders the sojourns, which are discarded below.
-	if f.hedging && len(f.intervalSojourns) > 0 {
-		if q, err := stats.SelectPercentile(f.intervalSojourns, f.hedgeQ); err == nil {
-			f.hedgeWait = q
-		}
+	f.reestimateHedgeDelay()
+	measuredRPS := float64(prim) / f.dt
+	f.stats.Requests += prim
+	for _, l := range f.domains {
+		l.intervalSojourns = l.intervalSojourns[:0]
+		l.hedges, l.hedgeWins, l.steals, l.primaries = 0, 0, 0, 0
+		l.retries, l.timeouts, l.rateLimited, l.hedgeCancels = 0, 0, 0, 0
 	}
-	measuredRPS := float64(f.primaries) / f.dt
-	f.stats.Requests += f.primaries
-	f.intervalSojourns = f.intervalSojourns[:0]
-	f.hedges, f.hedgeWins, f.steals, f.primaries = 0, 0, 0, 0
-
-	// Warm-up bookkeeping: a node activated at THIS boundary starts its
-	// full warm-up next interval; nodes that just spent an interval
-	// warming count it down here, before the scaling decision.
-	for _, n := range f.nodes[:f.active] {
-		if n.warmLeft > 0 {
-			n.warmLeft--
-		}
-	}
+	f.coordSojourns = f.coordSojourns[:0]
+	f.countDownWarmup()
 
 	f.clock.Tick()
 	t := f.clock.Now()
-	// Services started from here on (migrations, idle kicks) belong to
-	// the interval that begins now.
-	f.tickEnd = t + f.dt
-	// Fault transitions and the predictive detector run here, with the
-	// event loop quiescent and every cross-node effect confined to this
-	// serial section — fault-enabled runs stay a pure function of
-	// (seed, domain count) at any worker count.
+	// Services started from here on (migrations, hedge placements, idle
+	// kicks) belong to the interval that begins now.
+	for _, l := range f.domains {
+		l.tickEnd = t + f.dt
+	}
 	if err := f.faultStep(t); err != nil {
 		return err
 	}
 	f.detectStep(t)
-	// Federation runs in the serial section with the event loop
-	// quiescent, mirroring the interval-mode cluster: reading and
-	// rewriting per-node tables here cannot race with policy decisions,
-	// and results stay independent of the worker count. A partition heal
-	// forces an extra round so accumulated deltas flush immediately.
+	// Federation runs with every domain quiescent, mirroring the
+	// interval-mode cluster: reading and rewriting per-node tables here
+	// cannot race with policy decisions. A partition heal forces an
+	// extra round so accumulated deltas flush immediately.
 	if f.fed != nil && (f.fed.Due(f.clock.Steps()) || f.healPending) {
 		if err := f.fed.Sync(f.clock.Steps(), f.isActiveFn); err != nil {
 			return err
@@ -2037,23 +2123,50 @@ func (f *Fleet) tick() error {
 			return err
 		}
 	}
-	// Idle servers pick up queues outside the completion path: warm-up
-	// expiries, freshly migrated requests, and (with stealing) fully
-	// idle nodes rescuing a deep peer. Down nodes serve nothing;
-	// draining nodes still work their own residual queue.
-	for _, n := range f.nodes[:f.active] {
-		if n.down {
-			continue
-		}
-		if n.warmLeft == 0 || f.warmFactor > 0 {
-			f.kickIdle(n, t)
-		}
-	}
+	f.placeHedges(t)
+	f.boundaryKick(t)
 	return f.refreshInterval(t)
 }
 
+// reestimateHedgeDelay sets the hedge delay for the next interval: the
+// configured quantile over the whole fleet's sojourns of the interval
+// that just ended (carried forward through empty intervals), so every
+// domain hedges off one fleet-wide estimate.
+func (f *Fleet) reestimateHedgeDelay() {
+	if !f.hedging {
+		return
+	}
+	f.selScratch = f.selScratch[:0]
+	for _, l := range f.domains {
+		f.selScratch = append(f.selScratch, l.intervalSojourns...)
+	}
+	f.selScratch = append(f.selScratch, f.coordSojourns...)
+	if len(f.selScratch) == 0 {
+		return
+	}
+	if q, err := stats.SelectPercentile(f.selScratch, f.hedgeQ); err == nil {
+		for _, l := range f.domains {
+			l.hedgeWait = q
+		}
+	}
+}
+
+// countDownWarmup charges the interval just closed to every warming
+// node, before the scaling decision: a node activated at this boundary
+// starts its full warm-up next interval.
+func (f *Fleet) countDownWarmup() {
+	for _, n := range f.nodes[:f.active] {
+		if n.warmLeft > 0 {
+			n.warmLeft--
+		}
+	}
+}
+
 // Run executes the fleet DES for the given horizon (seconds); a zero
-// horizon uses the pattern's natural duration.
+// horizon uses the pattern's natural duration. A run continues from
+// where the previous Run stopped: every domain steps to the next
+// boundary (in parallel when there are several), then the coordinator
+// runs the boundary tick.
 func (f *Fleet) Run(horizon float64) (Result, error) {
 	if f.failed != nil {
 		return Result{}, f.failed
@@ -2071,20 +2184,17 @@ func (f *Fleet) Run(horizon float64) (Result, error) {
 	if err := f.initFaults(horizon); err != nil {
 		return fail(err)
 	}
-	if f.sh != nil {
-		if err := f.sh.run(horizon); err != nil {
-			return fail(err)
-		}
-		return f.sh.result(), nil
-	}
 	if f.clock.Steps() == 0 && f.fleet.Len() == 0 {
-		f.nextArrival = math.Inf(1)
+		for _, l := range f.domains {
+			l.nextArrival = math.Inf(1)
+		}
 		if err := f.refreshInterval(0); err != nil {
 			return fail(err)
 		}
 	}
 	for f.clock.Now() < horizon {
-		f.runInterval(f.clock.Now() + f.dt)
+		f.tEnd = f.clock.Now() + f.dt
+		f.pool.Do(len(f.domains), f.stepFn)
 		if err := f.tick(); err != nil {
 			return fail(err)
 		}
@@ -2092,10 +2202,11 @@ func (f *Fleet) Run(horizon float64) (Result, error) {
 	return f.result(), nil
 }
 
-// result assembles the run's record, computing the end-to-end latency
-// distribution over every completed request. Selection works on a copy:
-// reordering the live sample would turn the recorder's arrival-order
-// systematic sample into a value-ordered one for a run that continues.
+// result assembles the run's record: the fleet trace and stats, plus
+// the latency record merged across the domain recorders and the
+// coordinator's (counts and sums add exactly; the systematic samples
+// concatenate into a fresh slice, so selection never reorders a live
+// sample a continued run would keep decimating).
 func (f *Fleet) result() Result {
 	res := Result{
 		Fleet: f.fleet,
@@ -2105,12 +2216,31 @@ func (f *Fleet) result() Result {
 	for i, n := range f.nodes {
 		res.Nodes[i] = n.trace
 	}
-	res.Latency.Completed = int(f.lat.seen)
-	res.Latency.Dropped = f.dropped
-	res.Latency.TimedOut = f.timedOut
-	res.Latency.Lost = f.lost
-	res.Stats.Lost = f.lost
-	res.Latency.fill(append([]float64(nil), f.lat.sample...), f.lat.seen, f.lat.sum)
+	var seen int64
+	var sum float64
+	dropped, timedOut, lost := f.coordDropped, 0, f.coordLost
+	total := len(f.lat.sample)
+	for _, l := range f.domains {
+		total += len(l.lat.sample)
+	}
+	sample := make([]float64, 0, total)
+	for _, l := range f.domains {
+		seen += l.lat.seen
+		sum += l.lat.sum
+		dropped += l.dropped
+		timedOut += l.timedOut
+		lost += l.lost
+		sample = append(sample, l.lat.sample...)
+	}
+	seen += f.lat.seen
+	sum += f.lat.sum
+	sample = append(sample, f.lat.sample...)
+	res.Latency.Completed = int(seen)
+	res.Latency.Dropped = dropped
+	res.Latency.TimedOut = timedOut
+	res.Latency.Lost = lost
+	res.Stats.Lost = lost
+	res.Latency.fill(sample, seen, sum)
 	return res
 }
 

@@ -140,8 +140,8 @@ func TestProperties(t *testing.T) {
 }
 
 // TestResilienceConservation drives an overload phase through every
-// resilience composition — serial and sharded — and demands exact
-// request bookkeeping once the fleet drains: admitted == completed +
+// resilience composition — at one and at two domains — and demands
+// exact request bookkeeping once the fleet drains: admitted == completed +
 // dropped + timed out, with the resilience machinery demonstrably
 // active (deadlines firing, retries re-issued).
 func TestResilienceConservation(t *testing.T) {

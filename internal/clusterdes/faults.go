@@ -21,8 +21,8 @@ import (
 )
 
 // initFaults draws the run's fault schedule. The draw depends only on
-// (Seed, roster size, horizon) — not on Domains or Workers — which is
-// what keeps sharded and serial runs facing identical fault timelines.
+// (Seed, roster size, horizon) — not on Domains or Workers — so runs at
+// every domain count face identical fault timelines.
 func (f *Fleet) initFaults(horizon float64) error {
 	if f.faultOpts == nil || f.faultsDrawn {
 		return nil
@@ -38,26 +38,22 @@ func (f *Fleet) initFaults(horizon float64) error {
 	return nil
 }
 
-// loopOf returns the loop owning node id: the per-domain loop in a
-// sharded run, the fleet's own in a serial one.
-func (f *Fleet) loopOf(id int) *loop {
-	if f.sh != nil {
-		return f.sh.domainOf(id)
+// setPartition installs (or clears, cut == 0) the partition cut on
+// every domain loop, so mid-interval steal/hedge decisions see it
+// without reaching for shared coordinator state.
+func (f *Fleet) setPartition(cut int) {
+	for _, l := range f.domains {
+		l.partCut = cut
 	}
-	return &f.loop
 }
 
-// setPartition installs (or clears, cut == 0) the partition cut on the
-// fleet and every domain loop, so mid-interval steal/hedge decisions
-// see it without reaching for shared coordinator state.
-func (f *Fleet) setPartition(cut int) {
-	f.loop.partCut = cut
-	if f.sh != nil {
-		for _, l := range f.sh.domains {
-			l.partCut = cut
-		}
-	}
-}
+// partCut returns the current partition cut, 0 without a partition;
+// every domain loop holds the same one.
+func (f *Fleet) partCut() int { return f.domains[0].partCut }
+
+// sameSide reports whether nodes a and b can exchange work under the
+// current partition (always true without one).
+func (f *Fleet) sameSide(a, b int) bool { return f.domains[0].sameSide(a, b) }
 
 // faultStep applies every schedule event due at this boundary.
 func (f *Fleet) faultStep(t float64) error {
@@ -114,7 +110,7 @@ func (f *Fleet) crashNode(id int, t float64, revoked bool) {
 	if !revoked {
 		f.stats.Crashes++
 	}
-	f.loseNode(f.loopOf(id), n, t)
+	f.loseNode(f.domainOf(id), n, t)
 	if ep, ok := n.pol.(policy.Episodic); ok {
 		ep.EndEpisode()
 	}
@@ -202,15 +198,9 @@ func (f *Fleet) discardCopy(l *loop, n *desNode, id int32, t float64) {
 	if r.deferRec {
 		// One side of a cross-domain hedge pair died; the pair resolves
 		// lost only when both copies are gone (the partner may still
-		// complete). Mirrors the scale-down copyGone protocol.
-		r.copyGone = true
-		pl := f.sh.domains[r.crossDom]
-		pr := &pl.reqs[r.crossRef]
-		if pr.copyGone {
-			r.done, pr.done = true, true
-			f.sh.coordLost++
-			l.release(id)
-			pl.release(r.crossRef)
+		// complete), the same protocol as a failed scale-down migration.
+		if f.pairCopyGone(l, id) {
+			f.coordLost++
 		}
 		return
 	}
@@ -235,11 +225,11 @@ func (f *Fleet) eligibleTarget(v *desNode, from int) bool {
 	return f.sameSide(v.id, from)
 }
 
-// drainQueueAny migrates node n's queue to eligible survivors, in both
-// the serial and sharded paths (a revocation notice or a predictive
-// flag, vs. autoscale's deactivation drain which runs inside each
-// path's own step). With no eligible target anywhere it leaves the
-// queue in place — the node still serves it — rather than dropping.
+// drainQueueAny migrates node n's queue to eligible survivors on a
+// revocation notice or a predictive flag (autoscale's deactivation
+// drain runs inside autoscaleStep). With no eligible target anywhere it
+// leaves the queue in place — the node still serves it — rather than
+// dropping.
 func (f *Fleet) drainQueueAny(n *desNode, t float64, pred bool) {
 	has := false
 	for _, v := range f.nodes[:f.active] {
@@ -251,67 +241,13 @@ func (f *Fleet) drainQueueAny(n *desNode, t float64, pred bool) {
 	if !has {
 		return
 	}
-	l := f.loopOf(n.id)
+	l := f.domainOf(n.id)
 	for {
 		id2 := l.popLocal(n)
 		if id2 < 0 {
 			break
 		}
-		if f.sh != nil {
-			f.sh.migrate(l, n, id2, t, pred)
-		} else {
-			f.migrateOne(n, id2, t, pred)
-		}
-	}
-}
-
-// migrateOne re-homes one request popped off node n's queue to the
-// least-committed eligible node, with the same hedge bookkeeping as
-// the sharded migrate's same-domain case. Serial path only.
-func (f *Fleet) migrateOne(n *desNode, id2 int32, t float64, pred bool) {
-	r := &f.reqs[id2]
-	var target *desNode
-	for _, v := range f.nodes[:f.active] {
-		if v == n || !f.eligibleTarget(v, n.id) {
-			continue
-		}
-		if target == nil || v.queue.Len()+v.busyCount < target.queue.Len()+target.busyCount {
-			target = v
-		}
-	}
-	if target != nil && f.dispatch(target, id2, t) {
-		// Track each copy to its new node so a pending hedge timer
-		// keeps avoiding the primary's node and hedge-win attribution
-		// stays honest; the two copies landing on one node voids the
-		// race — a completion there proves nothing about hedging.
-		// (A queued copy is the primary iff it sat on the primary's
-		// node: stolen requests are never re-queued, and stealing
-		// excludes hedging anyway.)
-		if int32(n.id) == r.node {
-			r.node = int32(target.id)
-			if r.hedgeNode == r.node {
-				r.hedgeNode = hedgeVoid
-			}
-		} else if r.hedgeNode == int32(n.id) {
-			if int32(target.id) == r.node {
-				r.hedgeNode = hedgeVoid
-			} else {
-				r.hedgeNode = int32(target.id)
-			}
-		}
-		if pred {
-			f.stats.PredMigrations++
-		} else {
-			f.stats.Migrated++
-		}
-	} else if r.refs == 0 {
-		// No other copy in service and no pending timer: the request
-		// is truly dropped. (With refs > 0 a surviving copy — or a
-		// hedge timer that will re-issue one, or a deadline timer that
-		// will retry it — still resolves it.)
-		r.done = true
-		f.free = append(f.free, id2)
-		f.dropped++
+		f.migrate(l, n, id2, t, pred)
 	}
 }
 
@@ -368,19 +304,13 @@ func (f *Fleet) detectStep(t float64) {
 			f.drainQueueAny(n, t, true)
 		}
 	}
-	hw := f.hedgeWait
-	if f.sh != nil {
-		hw = f.sh.domains[0].hedgeWait
-	}
+	// Every domain hedges off the same fleet-wide delay.
 	w := math.Inf(1)
-	if !math.IsInf(hw, 1) {
+	if hw := f.domains[0].hedgeWait; !math.IsInf(hw, 1) {
 		w = hw * f.predFrac
 	}
-	f.suspectWait = w
-	if f.sh != nil {
-		for _, l := range f.sh.domains {
-			l.suspectWait = w
-		}
+	for _, l := range f.domains {
+		l.suspectWait = w
 	}
 }
 
@@ -392,6 +322,7 @@ func (f *Fleet) annotateFaults(fs *telemetry.FleetSample, lostDelta int) {
 		return
 	}
 	fs.Lost = lostDelta
+	cut := f.partCut()
 	for _, n := range f.nodes[:f.active] {
 		if n.down {
 			fs.DownNodes++
@@ -402,7 +333,7 @@ func (f *Fleet) annotateFaults(fs *telemetry.FleetSample, lostDelta int) {
 		if f.suspect != nil && f.suspect[n.id] {
 			fs.Suspects++
 		}
-		if f.loop.partCut != 0 && n.id >= f.loop.partCut {
+		if cut != 0 && n.id >= cut {
 			fs.Partitioned++
 		}
 	}

@@ -34,7 +34,7 @@ func linearRoute(shares []float64, active int, u float64) int {
 }
 
 // routeLoop builds a loop with one fresh node per share and the given
-// active prefix, its shares set the way both refreshes set them.
+// active prefix, its shares set the way refreshInterval sets them.
 func routeLoop(shares []float64, active int, seed int64) *loop {
 	l := &loop{nodes: make([]*desNode, len(shares)), active: active, routeRNG: rand.New(rand.NewSource(seed))}
 	for i := range l.nodes {
@@ -121,16 +121,12 @@ func (p phasedPolicy) Desired(ctx autoscale.Context) int {
 	return p.full
 }
 
-// assertDeepCounts recounts, for every loop that owns queues, its nodes
-// whose raw queue length is at least minDepth, and returns the total.
+// assertDeepCounts recounts, for every domain loop, its nodes whose raw
+// queue length is at least minDepth, and returns the total.
 func assertDeepCounts(t *testing.T, f *Fleet, step int) int {
 	t.Helper()
-	loops := []*loop{&f.loop}
-	if f.sh != nil {
-		loops = f.sh.domains
-	}
 	total := 0
-	for _, l := range loops {
+	for _, l := range f.domains {
 		want := 0
 		for _, n := range l.nodes {
 			if n.queue.Len() >= l.minDepth {
@@ -148,8 +144,8 @@ func assertDeepCounts(t *testing.T, f *Fleet, step int) int {
 // TestDeepQueueCountMatchesRecount steps work-stealing fleets one
 // boundary at a time and recounts every loop's deep queues at each
 // boundary, across crash, spot-revocation and partition faults,
-// autoscale-down migrations, and the serial, one-domain and
-// four-domain coordinators — every path that changes a queue.
+// autoscale-down migrations, and one and four routing domains — every
+// path that changes a queue.
 func TestDeepQueueCountMatchesRecount(t *testing.T) {
 	scripts := []struct {
 		name string
@@ -178,7 +174,7 @@ func TestDeepQueueCountMatchesRecount(t *testing.T) {
 	const horizon = 24
 	for _, sc := range scripts {
 		for _, scale := range []bool{false, true} {
-			for _, domains := range []int{0, 1, 4} {
+			for _, domains := range []int{1, 4} {
 				name := sc.name
 				if scale {
 					name += "/autoscale-down"
@@ -241,7 +237,7 @@ func TestDeepQueueCountMatchesRecount(t *testing.T) {
 // regression: Constant 0.6, capacity-weighted routing, two workers,
 // with the latency sample's decimation point lowered to limit so a
 // short run decimates many times.
-func memcachedFleet(t *testing.T, domains, limit int) *Fleet {
+func memcachedFleet(t *testing.T, limit int) *Fleet {
 	t.Helper()
 	nodes, err := Uniform(8, platform.JunoR1(), workload.Memcached())
 	if err != nil {
@@ -251,47 +247,40 @@ func memcachedFleet(t *testing.T, domains, limit int) *Fleet {
 		Nodes:   nodes,
 		Pattern: loadgen.Constant{Frac: 0.6},
 		Workers: 2,
-		Domains: domains,
 		Seed:    7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fl.lat.limit = limit
-	if fl.sh != nil {
-		fl.sh.lat.limit = limit
-		for _, l := range fl.sh.domains {
-			l.lat.limit = limit
-		}
+	for _, l := range fl.domains {
+		l.lat.limit = limit
 	}
 	return fl
 }
 
 // TestContinuedRunKeepsLatencySample pins that reading a result leaves
 // the live latency sample alone: a run continued past the decimation
-// point must report exactly the one-shot run's latency summary, on the
-// serial coordinator and on a one-domain sharded one.
+// point must report exactly the one-shot run's latency summary.
 func TestContinuedRunKeepsLatencySample(t *testing.T) {
 	const limit = 1 << 12
-	oneShot, err := memcachedFleet(t, 0, limit).Run(2)
+	oneShot, err := memcachedFleet(t, limit).Run(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if oneShot.Latency.Completed < 8*limit {
 		t.Fatalf("only %d completions: the sample never decimated", oneShot.Latency.Completed)
 	}
-	for _, domains := range []int{0, 1} {
-		fl := memcachedFleet(t, domains, limit)
-		if _, err := fl.Run(1); err != nil {
-			t.Fatal(err)
-		}
-		res, err := fl.Run(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Latency != oneShot.Latency {
-			t.Errorf("domains=%d: continued run reports %+v, one-shot run %+v", domains, res.Latency, oneShot.Latency)
-		}
+	fl := memcachedFleet(t, limit)
+	if _, err := fl.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	res, err := fl.Run(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Latency != oneShot.Latency {
+		t.Errorf("continued run reports %+v, one-shot run %+v", res.Latency, oneShot.Latency)
 	}
 }
 

@@ -23,11 +23,10 @@ import (
 // estimate.
 //
 // Determinism contract: the learning step is strictly serial and visits
-// active nodes in ascending id at every boundary, in both the serial
-// and the sharded (Options.Domains) event loops, so a learn-enabled run
-// remains a pure function of (Seed, Domains) at any worker count —
-// fleettest pins worker-invariance, seed-determinism and
-// Domains=1 ≡ serial with learning on.
+// active nodes in ascending id at every boundary, whatever the domain
+// count, so a learn-enabled run remains a pure function of (Seed,
+// Domains) at any worker count — fleettest pins worker-invariance and
+// seed-determinism with learning on, at one domain and at several.
 type LearnOptions struct {
 	// BuildPolicy returns node i's policy. The default builds a hybrid
 	// heuristic+RL Hipster manager per node, seeded Options.Seed+i, so
@@ -87,15 +86,12 @@ func (f *Fleet) initLearn(lo LearnOptions) error {
 	return nil
 }
 
-// isActive reports whether a node is in the active set (the roster
-// prefix).
-func (f *Fleet) isActive(id int) bool { return id < f.active }
-
 // isSyncable reports whether a node participates in a federation sync
 // round: active, up, and — under a partition — on the coordinator's
 // side (node 0's). A partitioned or down node both misses rounds and
 // keeps accumulating its delta, which flushes at the forced round on
-// heal or recovery. Without faults this is exactly isActive.
+// heal or recovery. Without faults this is exactly membership in the
+// active set (the roster prefix).
 func (f *Fleet) isSyncable(id int) bool {
 	return id < f.active && !f.nodes[id].down && f.sameSide(id, 0)
 }

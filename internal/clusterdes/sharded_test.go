@@ -12,16 +12,15 @@ import (
 	"hipster/internal/workload"
 )
 
-// TestShardedEquivalence pins the sharded engine to the serial loop
-// over every DES feature combination (including every resilience
-// composition): a one-domain sharded run must be bit-identical to the
-// serial loop, and multi-domain runs must be worker-invariant and
-// seed-determined.
+// TestShardedEquivalence checks that multi-domain runs of every DES
+// feature combination (including every resilience composition) are
+// equivalent at every worker count and determined by the seed;
+// TestProperties covers the same combinations at one domain.
 func TestShardedEquivalence(t *testing.T) {
 	for _, v := range desVariants() {
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
-			fleettest.AssertShardedEquivalence(t, v.build, 42, v.horizon)
+			fleettest.AssertShardedDeterminism(t, v.build, 42, v.horizon)
 		})
 	}
 }

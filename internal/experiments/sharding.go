@@ -11,7 +11,7 @@ import (
 
 // ShardingOpts parameterise the routing-domain sharding experiment.
 // The zero value selects the defaults below: a 256-node Web-Search
-// fleet — far past the roster size where the serial event loop's
+// fleet — far past the roster size where one fleet-wide event loop's
 // per-arrival fleet scans dominate — served at a steady 60% of
 // capacity with work stealing on, so the domain decomposition has
 // cross-domain traffic to reconcile, not just independent partitions.
@@ -25,7 +25,7 @@ type ShardingOpts struct {
 	// LoadFrac is the steady offered load (default 0.6 of capacity).
 	LoadFrac float64
 	// Domains lists the domain counts to sweep (default 1, 2, 4, 8);
-	// a serial (unsharded) baseline always runs first.
+	// a baseline at the default Domains 0 always runs first.
 	Domains []int
 }
 
@@ -49,7 +49,8 @@ func (o ShardingOpts) withDefaults() ShardingOpts {
 }
 
 // ShardingRow is one domain-count variant of the sweep. Domains 0 is
-// the serial baseline.
+// the baseline at the default domain count (one fleet-wide domain, the
+// "serial" row of examples/sharding).
 type ShardingRow struct {
 	Domains int
 	// End-to-end request accounting and latency (seconds).
@@ -63,20 +64,19 @@ type ShardingRow struct {
 // ShardingResult is the sweep plus its headline equivalence claim.
 type ShardingResult struct {
 	Rows []ShardingRow
-	// SerialIdentical reports whether the one-domain sharded run
-	// reproduced the serial baseline exactly — same completions, same
-	// drops, same latency quantiles to the last bit, same steal count.
+	// SerialIdentical reports whether the explicit one-domain run
+	// reproduced the Domains 0 baseline exactly — same completions,
+	// same drops, same latency quantiles to the last bit, same steal
+	// count. Both run one fleet-wide domain, so this holds by
+	// construction; the field keeps the example's output stable.
 	SerialIdentical bool
 }
 
-// Sharding runs the same 256-node fleet, load and seed through the
-// serial event loop and through the sharded engine at each domain
-// count: the experiment behind examples/sharding. The one-domain run
-// must reproduce the serial loop bit-for-bit (the sharded engine's
-// core guarantee, enforced here on the largest fleet in the repo), and
-// every multi-domain run is a deterministic function of (seed, domain
-// count) — the rows show how the workload's steals spread across
-// domain boundaries as the partition gets finer.
+// Sharding runs the same 256-node fleet, load and seed at the default
+// domain count and at each swept domain count: the experiment behind
+// examples/sharding. Every run is a deterministic function of (seed,
+// domain count) — the rows show how the workload's steals spread
+// across domain boundaries as the partition gets finer.
 func Sharding(o ShardingOpts) (ShardingResult, error) {
 	o = o.withDefaults()
 	run := func(domains int) (clusterdes.Result, error) {

@@ -5,7 +5,7 @@
 // A schedule is a pure function of (seed, roster size, horizon) — it is
 // drawn up front from its own seeded sub-stream, so fault-enabled runs
 // stay bit-identical at any worker count and the same faults hit the
-// serial and sharded engines alike. The revocation/notice model follows
+// DES at every domain count. The revocation/notice model follows
 // the transient-capacity discipline of CloudCoaster-style bursty
 // schedulers; the slow-node events feed the predictive mitigation of
 // START-style straggler predictors (arXiv:2111.10241).

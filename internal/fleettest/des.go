@@ -89,10 +89,11 @@ func fingerprintDESAt(tb testing.TB, build DESBuildFunc, seed int64, workers int
 }
 
 // AssertDESWorkerInvariance checks that a DES run's every recorded
-// field is bit-identical across WorkerCounts: the interval-summary
-// fan-out may be parallelised arbitrarily without changing results,
-// because every routing/hedging/stealing decision happens in the
-// serial, deterministically-ordered event loop.
+// field is bit-identical across WorkerCounts: the domain steps and the
+// interval-summary fan-out may be parallelised arbitrarily without
+// changing results, because every routing/hedging/stealing decision
+// happens in a domain's deterministically-ordered event loop or in the
+// coordinator's serial section.
 func AssertDESWorkerInvariance(tb testing.TB, build DESBuildFunc, seed int64, horizon float64) {
 	tb.Helper()
 	ref := fingerprintDESAt(tb, build, seed, WorkerCounts[0], horizon)

@@ -57,8 +57,8 @@ func faultyDESFleet(fo faults.Options, mit clusterdes.Mitigation) fleettest.DESB
 }
 
 // TestFaultyDESProperties runs the full property suite — worker
-// invariance, seed determinism, serial≡Domains=1 identity and
-// multi-domain determinism — over every fault class and the soup:
+// invariance and seed determinism at one and at several domains — over
+// every fault class and the soup:
 // fault transitions fire in the coordinator's serial section, so a
 // fault-enabled run must stay a pure function of (seed, domains).
 func TestFaultyDESProperties(t *testing.T) {
@@ -187,10 +187,10 @@ func TestFaultyDESConservation(t *testing.T) {
 	})
 }
 
-// TestFaultyShardedConservation repeats the drained-crash law on the
-// sharded engine at two domains: cross-domain copies destroyed by a
-// crash go through the coordinator's both-copies-gone protocol, which
-// only the sharded path exercises.
+// TestFaultyShardedConservation repeats the drained-crash law at two
+// domains: cross-domain copies destroyed by a crash go through the
+// coordinator's both-copies-gone protocol, which only runs with
+// several domains create.
 func TestFaultyShardedConservation(t *testing.T) {
 	nodes, err := clusterdes.Uniform(4, platform.JunoR1(), workload.WebSearch())
 	if err != nil {

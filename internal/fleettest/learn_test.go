@@ -58,8 +58,7 @@ func learningFederatedDESFleet(seed int64) (clusterdes.Options, error) {
 // TestLearnedDESProperties pins the tentpole invariant: a learn-enabled
 // DES run — policy decisions, RL updates from measured tails,
 // federation rounds, warm-starts and flushes — is a pure function of
-// (seed, domain count) at any worker count, and Domains=1 reproduces
-// the serial loop byte for byte.
+// (seed, domain count) at any worker count.
 func TestLearnedDESProperties(t *testing.T) {
 	t.Run("learning", func(t *testing.T) {
 		t.Parallel()

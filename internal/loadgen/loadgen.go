@@ -15,8 +15,8 @@ import (
 // maximum capacity. Implementations must be deterministic; stochastic
 // jitter is added by the engine from its seeded stream.
 type Pattern interface {
-	// LoadAt returns the load fraction at time t; implementations clamp
-	// to [0, 1].
+	// LoadAt returns the load fraction at time t, which must be finite
+	// and non-negative; the built-in patterns clamp it to [0, 1].
 	LoadAt(t float64) float64
 	// Duration returns the natural horizon of the pattern in seconds
 	// (0 = unbounded).
@@ -172,7 +172,7 @@ func NewTrace(stepSecs float64, samples []float64) (Trace, error) {
 		return Trace{}, errors.New("loadgen: trace needs at least two samples")
 	}
 	for i, s := range samples {
-		if s < 0 || s > 1 {
+		if !(s >= 0 && s <= 1) { // NaN fails both comparisons
 			return Trace{}, fmt.Errorf("loadgen: trace sample %d out of [0,1]: %v", i, s)
 		}
 	}

@@ -145,8 +145,16 @@ func TestTraceValidation(t *testing.T) {
 	if _, err := NewTrace(1, []float64{0.5}); err == nil {
 		t.Error("single sample should fail")
 	}
-	if _, err := NewTrace(1, []float64{0.5, 1.5}); err == nil {
-		t.Error("out-of-range sample should fail")
+	// Every sample outside [0, 1] fails wherever it sits, NaN included
+	// (it fails both range comparisons; a NaN load hangs a DES run).
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1, 1.5} {
+		for pos := 0; pos < 5; pos++ {
+			samples := []float64{0.5, 0.5, 0.5, 0.5, 0.5}
+			samples[pos] = bad
+			if _, err := NewTrace(1, samples); err == nil {
+				t.Errorf("sample %v at position %d accepted", bad, pos)
+			}
+		}
 	}
 	// The trace must copy its input.
 	in := []float64{0.1, 0.2}
