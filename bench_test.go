@@ -676,7 +676,8 @@ func BenchmarkClusterAutoscale(b *testing.B) {
 
 // BenchmarkTuneSmall runs the offline tuner end to end on a small
 // instance — a 4-node fleet, 40-second evaluations, one hill-climbing
-// round of two neighbors with no restarts, one training seed — so CI
+// round of two neighbors from the default point and from one random
+// restart, one training seed — so CI
 // gates the search harness itself (proposal, dedup, candidate fan-out,
 // serial ledger fold) riding on a handful of fleet evaluations.
 // Workers is 1 so the measurement is machine-independent, and the
@@ -699,7 +700,7 @@ func BenchmarkTuneSmall(b *testing.B) {
 			Neighbors: 2,
 			MaxRounds: 1,
 			Patience:  1,
-			Restarts:  0,
+			Restarts:  1,
 			Workers:   1,
 		})
 		if err != nil {

@@ -95,10 +95,13 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
 	"hipster"
+	"hipster/internal/cluster"
+	"hipster/internal/clusterdes"
 	"hipster/internal/names"
 	"hipster/internal/report"
 )
@@ -190,6 +193,9 @@ func (p *profiler) around(f func() error) error {
 }
 
 func run(workloadName, policyName, patternName string, duration float64, seed int64, batchList, csvPath string, series bool) error {
+	if duration < 0 {
+		return fmt.Errorf("-duration %v must not be negative (0 = the pattern's own length)", duration)
+	}
 	spec := hipster.JunoR1()
 
 	wl, err := hipster.WorkloadByName(workloadName)
@@ -214,20 +220,8 @@ func run(workloadName, policyName, patternName string, duration float64, seed in
 		Policy:   pol,
 		Seed:     seed,
 	}
-	if batchList != "" {
-		var progs []hipster.BatchProgram
-		for _, name := range strings.Split(batchList, ",") {
-			p, err := hipster.BatchProgramByName(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			progs = append(progs, p)
-		}
-		runner, err := hipster.NewBatchRunner(progs)
-		if err != nil {
-			return err
-		}
-		opts.Batch = runner
+	if opts.Batch, err = batchRunner(batchList); err != nil {
+		return err
 	}
 
 	sim, err := hipster.NewSimulation(opts)
@@ -284,440 +278,456 @@ func run(workloadName, policyName, patternName string, duration float64, seed in
 	return nil
 }
 
-func runCluster(args []string) error {
-	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
-	var (
-		mode         = fs.String("mode", "interval", "simulation granularity: interval (analytic per-node model) | des (request-level fleet DES)")
-		nodes        = fs.Int("nodes", 16, "number of simulated nodes")
-		workers      = fs.Int("workers", 0, "goroutines stepping nodes in parallel (0 = GOMAXPROCS)")
-		workloadName = fs.String("workload", "memcached", "latency-critical workload on every node: memcached|websearch")
-		policyName   = fs.String("policy", "hipster-in", "per-node policy: hipster-in|hipster-co|octopus-man|hipster-heuristic|static-big|static-small")
-		splitterName = fs.String("splitter", "weighted-by-capacity", "front-end load splitter: round-robin|weighted-by-capacity|least-loaded")
-		patternName  = fs.String("pattern", "diurnal", "datacenter-level load pattern: diurnal|ramp|constant:<frac>|spike")
-		batchList    = fs.String("batch", "", "comma-separated SPEC CPU 2006 programs collocated on every node")
-		duration     = fs.Float64("duration", 1440, "simulated seconds")
-		seed         = fs.Int64("seed", 42, "fleet seed (node i uses seed+i)")
-		series       = fs.Bool("series", true, "print sparkline time series")
-		mitigation   = fs.String("mitigation", "none", "DES straggler mitigation: none|hedged|work-stealing|predictive")
-		domains      = fs.Int("domains", 0, "DES routing domains stepped in parallel (0 or 1 = one fleet-wide domain)")
-		hedgeQ       = fs.Float64("hedge-quantile", 0.95, "DES hedge delay as a quantile of last interval's latencies, in (0, 1)")
-		retries      = fs.Int("retries", 0, "DES resilience: re-issue a failed attempt up to this many times per request")
-		retryBackoff = fs.String("retry-backoff", "", "DES retry backoff as base,cap,jitter seconds (default 0.05,1,0.1)")
-		timeout      = fs.Float64("timeout", 0, "DES per-attempt deadline in seconds; expiry frees the server slot (0 = none)")
-		breakerThr   = fs.Float64("breaker", 0, "DES per-node circuit breaker: open past this windowed failure rate in (0, 1] (0 = off)")
-		rateLimit    = fs.Float64("rate-limit", 0, "DES per-node token-bucket admission in requests/second (0 = off)")
-		hedgeBudget  = fs.Int("hedge-budget", 0, "DES hedges a node may issue per monitoring interval (0 = unbounded)")
-		hedgeCancel  = fs.Bool("hedge-cancel", false, "DES: cancel the losing hedge copy once its sibling wins")
-		warmupIvs    = fs.Int("warmup-intervals", 0, "DES intervals an autoscale-activated node serves nothing while warming")
-		learn        = fs.Bool("learn", false, "DES: close the RL loop — every node's -policy picks its operating point each interval from measured request tails")
-		alpha        = fs.Float64("alpha", 0.6, "learning rate of the RL table update (paper: 0.6)")
-		gamma        = fs.Float64("gamma", 0.9, "discount factor of the RL table update (paper: 0.9)")
-		bucketFrac   = fs.Float64("bucket-frac", 0.05, "load-bucket width of the RL state space (paper sweep optimum: 0.05)")
-		learnSecs    = fs.Float64("learn-secs", 500, "initial learning-phase duration in simulated seconds (paper: 500)")
-		federate     = fs.Bool("federate", false, "share the per-node RL tables: periodically merge them into one fleet table and broadcast it back")
-		syncInterval = fs.Int("sync-interval", 10, "monitoring intervals between federation sync rounds")
-		mergeName    = fs.String("merge", "visit-weighted", "federation merge policy: visit-weighted|max-confidence|newest-wins")
-		staleness    = fs.Int("staleness", 0, "federation staleness bound K: discard a node's deltas older than K intervals (0 = unbounded)")
-		dropout      = fs.Float64("sync-dropout", 0, "deterministic per-node chance of missing a federation sync round (models partitions)")
-		autoScale    = fs.Bool("autoscale", false, "grow/shrink the active node set with load instead of running the whole fleet")
-		minNodes     = fs.Int("min-nodes", 1, "autoscale lower bound on active nodes")
-		maxNodes     = fs.Int("max-nodes", 0, "autoscale upper bound on active nodes (0 = the full fleet)")
-		scalePolicy  = fs.String("scale-policy", "target-utilization", "autoscale policy: target-utilization|qos-headroom|queue-depth")
-		cooldown     = fs.Int("cooldown", 0, "autoscale intervals between a scale event and the next scale-down (0 = default 5)")
-		faultsOn     = fs.Bool("faults", false, "DES: inject a seeded fault schedule — crashes, slow nodes (2% onset rate), partitions, spot revocation")
-		crashRate    = fs.Float64("crash-rate", 0.02, "fault schedule: per-node per-interval crash probability in [0, 1]")
-		slowFactor   = fs.Float64("slow-factor", 0.5, "fault schedule: service-rate multiplier a degraded node drops to, in (0, 1]")
-		partition    = fs.Float64("partition", 0.01, "fault schedule: per-interval network-partition probability in [0, 1]")
-		spotFraction = fs.Float64("spot-fraction", 0, "fault schedule: fraction of the fleet that is revocable spot capacity, in [0, 1]")
-		spotNotice   = fs.Int("spot-notice", 2, "fault schedule: intervals of drain notice before a spot revocation (>= 1)")
-		tunedPath    = fs.String("tuned", "", "DES: replay the winning configuration of a tuning artifact (see the tune subcommand)")
-	)
-	prof := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
+// batchRunner builds a fresh runner over a -batch list of
+// comma-separated SPEC CPU 2006 programs; an empty list means no
+// collocated batch work.
+func batchRunner(list string) (*hipster.BatchRunner, error) {
+	if list == "" {
+		return nil, nil
 	}
-	// The flag variables stay in scope: the profiler wraps the body as
-	// a closure, exactly as main does for the single-node command.
-	return prof.around(func() error {
-		// Feature-dependent flags silently doing nothing would let a typo'd
-		// comparison measure the wrong fleet; surface them.
-		requireFeature := func(enabled bool, feature string, flags ...string) error {
-			if enabled {
-				return nil
-			}
-			var orphaned []string
-			fs.Visit(func(fl *flag.Flag) {
-				for _, name := range flags {
-					if fl.Name == name {
-						orphaned = append(orphaned, "-"+fl.Name)
-					}
-				}
-			})
-			if len(orphaned) > 0 {
-				return fmt.Errorf("%s require(s) %s", strings.Join(orphaned, ", "), feature)
-			}
-			return nil
-		}
-		if *mode != "interval" && *mode != "des" {
-			return fmt.Errorf("unknown -mode %q (want interval or des)", *mode)
-		}
-		if err := requireFeature(*mode == "des", "-mode=des",
-			"mitigation", "hedge-quantile", "warmup-intervals", "domains", "learn",
-			"retries", "retry-backoff", "timeout", "breaker", "rate-limit",
-			"hedge-budget", "hedge-cancel", "faults", "crash-rate", "slow-factor",
-			"partition", "spot-fraction", "spot-notice", "tuned"); err != nil {
-			return err
-		}
-		// A tuning artifact dictates the learning, federation, autoscale
-		// and mitigation knobs; flags that would fight it are rejected
-		// rather than silently ignored — the mirror image of the orphan
-		// checks above.
-		if *tunedPath != "" {
-			set := make(map[string]bool)
-			fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
-			var clashing []string
-			for _, name := range []string{
-				"policy", "splitter", "mitigation", "hedge-quantile", "domains",
-				"learn", "alpha", "gamma", "bucket-frac", "learn-secs",
-				"federate", "sync-interval", "merge", "staleness", "sync-dropout",
-				"autoscale", "max-nodes", "scale-policy", "cooldown", "warmup-intervals",
-				"retries", "retry-backoff", "timeout", "breaker", "rate-limit",
-				"hedge-budget", "hedge-cancel", "faults", "crash-rate", "slow-factor",
-				"partition", "spot-fraction", "spot-notice",
-			} {
-				if set[name] {
-					clashing = append(clashing, "-"+name)
-				}
-			}
-			if len(clashing) > 0 {
-				return fmt.Errorf("%s conflict(s) with -tuned: the artifact dictates those knobs", strings.Join(clashing, ", "))
-			}
-			// Unset fleet flags fall back to the tuner's evaluation
-			// conditions, so a bare replay reruns the fleet the artifact
-			// was tuned on; explicit flags override to probe how the
-			// winner generalises.
-			a := tunedArgs{
-				path: *tunedPath, workers: *workers, seed: *seed, series: *series,
-				nodes: 6, workload: "websearch", duration: 300, minNodes: 2,
-			}
-			if set["nodes"] {
-				a.nodes = *nodes
-			}
-			if set["workload"] {
-				a.workload = *workloadName
-			}
-			if set["pattern"] {
-				a.pattern = *patternName
-			}
-			if set["duration"] {
-				a.duration = *duration
-			}
-			if set["min-nodes"] {
-				a.minNodes = *minNodes
-			}
-			return runTunedReplay(a)
-		}
-		if err := requireFeature(*faultsOn, "-faults",
-			"crash-rate", "slow-factor", "partition", "spot-fraction", "spot-notice"); err != nil {
-			return err
-		}
-		// Policies and federation run in both modes — interval always,
-		// DES once -learn closes the loop; only batch collocation stays
-		// interval-only.
-		learning := *mode == "des" && *learn
-		if err := requireFeature(*mode == "interval", "-mode=interval", "batch"); err != nil {
-			return err
-		}
-		if err := requireFeature(*mode == "interval" || learning, "-mode=interval or -mode=des -learn",
-			"policy", "federate", "sync-interval", "merge", "staleness", "sync-dropout"); err != nil {
-			return err
-		}
-		if err := requireFeature(learning, "-learn", "alpha", "gamma", "bucket-frac", "learn-secs"); err != nil {
-			return err
-		}
-		if err := requireFeature(*federate, "-federate", "sync-interval", "merge", "staleness", "sync-dropout"); err != nil {
-			return err
-		}
-		if err := requireFeature(*autoScale, "-autoscale", "min-nodes", "max-nodes", "scale-policy", "cooldown", "warmup-intervals"); err != nil {
-			return err
-		}
-		if *dropout < 0 || *dropout >= 1 {
-			return fmt.Errorf("-sync-dropout %v out of [0, 1)", *dropout)
-		}
-		// The predictive mitigation hedges too (it layers a detector on
-		// top of Hedged), so the hedge knobs apply to both.
-		hedging := *mitigation == "hedged" || *mitigation == "predictive"
-		if err := requireFeature(hedging, "-mitigation hedged or predictive",
-			"hedge-quantile", "hedge-budget", "hedge-cancel"); err != nil {
-			return err
-		}
-		if err := requireFeature(*retries > 0, "-retries", "retry-backoff"); err != nil {
-			return err
-		}
-		// The engine cannot tell an explicit -hedge-quantile=0 from the
-		// unset zero value (it defaults the latter to 0.95); the CLI can,
-		// so reject out-of-range values here before they default silently.
-		if *hedgeQ <= 0 || *hedgeQ >= 1 {
-			return fmt.Errorf("-hedge-quantile %v out of (0, 1)", *hedgeQ)
-		}
-		// Same boundary discipline for the fault knobs: the engine
-		// defaults an unset SlowFactor (0.5) and SpotNotice (2) from
-		// their zero values, so an explicit zero would silently turn into
-		// the default instead of "no degradation"/"no notice".
-		if *faultsOn {
-			for _, r := range []struct {
-				name string
-				v    float64
-			}{
-				{"-crash-rate", *crashRate},
-				{"-partition", *partition},
-				{"-spot-fraction", *spotFraction},
-			} {
-				if r.v < 0 || r.v > 1 {
-					return fmt.Errorf("%s %v out of [0, 1]", r.name, r.v)
-				}
-			}
-			if *slowFactor <= 0 || *slowFactor > 1 {
-				return fmt.Errorf("-slow-factor %v out of (0, 1]", *slowFactor)
-			}
-			if *spotNotice < 1 {
-				return fmt.Errorf("-spot-notice %d must be at least 1 interval", *spotNotice)
-			}
-		}
-		// Federation is built once and shared by both modes: the interval
-		// cluster syncs at its monitoring boundaries, the learn-enabled
-		// DES at the same boundaries of its serial section.
-		var fedOpts *hipster.FederationOptions
-		if *federate {
-			merge, err := hipster.MergePolicyByName(*mergeName)
-			if err != nil {
-				return err
-			}
-			fedOpts = &hipster.FederationOptions{
-				SyncEvery:          *syncInterval,
-				Merge:              merge,
-				StalenessIntervals: *staleness,
-			}
-			if *dropout > 0 {
-				// A seeded hash of (node, interval) keeps the dropout
-				// pattern deterministic for a given -seed, preserving the
-				// cluster's reproducibility guarantees.
-				p, seedBits := *dropout, uint64(*seed)
-				fedOpts.Participation = func(nodeID, interval int) bool {
-					h := seedBits ^ uint64(nodeID)<<32 ^ uint64(interval)
-					h ^= h >> 30
-					h *= 0xbf58476d1ce4e5b9
-					h ^= h >> 27
-					h *= 0x94d049bb133111eb
-					h ^= h >> 31
-					return float64(h%1000000)/1000000 >= p
-				}
-			}
-		}
-		if *mode == "des" {
-			params := hipster.DefaultParams()
-			params.Alpha, params.Gamma = *alpha, *gamma
-			params.BucketFrac, params.LearnSecs = *bucketFrac, *learnSecs
-			resil, err := buildResilience(*retries, *retryBackoff, *timeout,
-				*breakerThr, *rateLimit, *hedgeBudget, *hedgeCancel)
-			if err != nil {
-				return err
-			}
-			var faultOpts *hipster.FaultOptions
-			if *faultsOn {
-				faultOpts = &hipster.FaultOptions{
-					CrashRate: *crashRate,
-					// The onset rate of slow-node episodes is fixed at the
-					// crash default; -slow-factor tunes how deep they cut.
-					SlowRate:      0.02,
-					SlowFactor:    *slowFactor,
-					PartitionRate: *partition,
-					SpotFraction:  *spotFraction,
-					SpotNotice:    *spotNotice,
-				}
-			}
-			return runClusterDES(desArgs{
-				nodes: *nodes, workers: *workers,
-				workload: *workloadName, splitter: *splitterName, pattern: *patternName,
-				duration: *duration, seed: *seed, series: *series,
-				mitigation: *mitigation, hedgeQuantile: *hedgeQ, domains: *domains,
-				resilience: resil, faults: faultOpts,
-				autoscale: *autoScale, minNodes: *minNodes, maxNodes: *maxNodes,
-				scalePolicy: *scalePolicy, cooldown: *cooldown, warmupIntervals: *warmupIvs,
-				learn: *learn, policy: *policyName, params: params,
-				federation: fedOpts, mergeName: *mergeName,
-			})
-		}
-
-		spec := hipster.JunoR1()
-		wl, err := hipster.WorkloadByName(*workloadName)
+	var progs []hipster.BatchProgram
+	for _, name := range strings.Split(list, ",") {
+		p, err := hipster.BatchProgramByName(strings.TrimSpace(name))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		pattern, err := parsePattern(*patternName)
-		if err != nil {
-			return err
-		}
-		splitter, err := hipster.SplitterByName(*splitterName)
-		if err != nil {
-			return err
-		}
-		defs, err := hipster.UniformClusterNodes(*nodes, spec, wl, func(nodeID int) (hipster.Policy, error) {
-			return buildPolicy(*policyName, spec, *seed+int64(nodeID), hipster.DefaultParams())
-		})
-		if err != nil {
-			return err
-		}
-		if *batchList != "" {
-			var progs []hipster.BatchProgram
-			for _, name := range strings.Split(*batchList, ",") {
-				p, err := hipster.BatchProgramByName(strings.TrimSpace(name))
-				if err != nil {
-					return err
-				}
-				progs = append(progs, p)
-			}
-			for i := range defs {
-				runner, err := hipster.NewBatchRunner(progs)
-				if err != nil {
-					return err
-				}
-				defs[i].Batch = runner
-			}
-		}
-
-		opts := hipster.ClusterOptions{
-			Nodes:    defs,
-			Pattern:  pattern,
-			Splitter: splitter,
-			Workers:  *workers,
-			Seed:     *seed,
-		}
-		opts.Federation = fedOpts
-		if *autoScale {
-			pol, err := hipster.AutoscalePolicyByName(*scalePolicy)
-			if err != nil {
-				return err
-			}
-			opts.Autoscale = &hipster.AutoscaleOptions{
-				Policy:            pol,
-				MinNodes:          *minNodes,
-				MaxNodes:          *maxNodes,
-				CooldownIntervals: *cooldown,
-			}
-		}
-		cl, err := hipster.NewCluster(opts)
-		if err != nil {
-			return err
-		}
-		res, err := cl.Run(*duration)
-		if err != nil {
-			return err
-		}
-
-		sum := res.Summarize()
-		fmt.Printf("cluster nodes=%d workers=%d workload=%s policy=%s splitter=%s pattern=%s duration=%.0fs seed=%d\n",
-			*nodes, cl.Workers(), *workloadName, *policyName, splitter.Name(), *patternName, *duration, *seed)
-		fmt.Printf("  fleet capacity  : %s RPS\n", report.F0(cl.CapacityRPS()))
-		fmt.Printf("  QoS attainment  : %s (%d node-intervals, %d nodes peak, %d intervals)\n",
-			report.Pct(sum.QoSAttainment*100), sum.NodeIntervals, sum.Nodes, sum.Intervals)
-		fmt.Printf("  fleet energy    : %s J (mean %s W)\n", report.F0(sum.TotalEnergyJ), report.F2(sum.MeanPowerW))
-		fmt.Printf("  stragglers      : %d node-intervals (peak %d in one interval)\n",
-			sum.TotalStragglers, sum.PeakStragglers)
-		fmt.Printf("  throughput      : %s RPS offered, %s RPS achieved (mean)\n",
-			report.F0(sum.MeanOfferedRPS), report.F0(sum.MeanAchievedRPS))
-		if st, ok := cl.FederationStats(); ok {
-			fmt.Printf("  federation      : %s merge, %d rounds, %d reports, %d cells merged (%d updates), %d stale deltas dropped\n",
-				*mergeName, st.Rounds, st.Reports, st.MergedCells, st.MergedVisits, st.StaleDropped)
-		}
-		if st, ok := cl.AutoscaleStats(); ok {
-			fmt.Printf("  autoscale       : %s policy, %d-%d active nodes, %d up / %d down events, %d of %d node-intervals consumed\n",
-				*scalePolicy, st.MinActive, st.PeakActive, st.Ups, st.Downs,
-				st.NodeIntervals, *nodes*sum.Intervals)
-			if st.WarmStarts > 0 || st.Flushes > 0 {
-				fmt.Printf("  warm starts     : %d nodes seeded from the fleet table, %d departure deltas flushed\n",
-					st.WarmStarts, st.Flushes)
-			}
-		}
-
-		fleet := res.Fleet
-		if *series && fleet.Len() > 1 {
-			width := 72
-			load := make([]float64, fleet.Len())
-			qos := make([]float64, fleet.Len())
-			strag := make([]float64, fleet.Len())
-			pow := make([]float64, fleet.Len())
-			active := make([]float64, fleet.Len())
-			for i, s := range fleet.Samples {
-				load[i] = s.OfferedRPS
-				qos[i] = s.QoSAttainment()
-				strag[i] = float64(s.Stragglers)
-				pow[i] = s.PowerW
-				active[i] = float64(s.Nodes)
-			}
-			fmt.Printf("  load       %s\n", report.Sparkline(load, width))
-			fmt.Printf("  qos        %s\n", report.Sparkline(qos, width))
-			fmt.Printf("  stragglers %s\n", report.Sparkline(strag, width))
-			fmt.Printf("  power      %s\n", report.Sparkline(pow, width))
-			if _, ok := cl.AutoscaleStats(); ok {
-				fmt.Printf("  active     %s\n", report.Sparkline(active, width))
-			}
-		}
-
-		fmt.Println("  per-node QoS guarantee:")
-		for i, tr := range res.Nodes {
-			fmt.Printf("    node %2d: %s\n", i, report.Pct(tr.QoSGuarantee()*100))
-		}
-		return nil
-	})
+		progs = append(progs, p)
+	}
+	return hipster.NewBatchRunner(progs)
 }
 
-// desArgs carries the cluster flags that apply to -mode=des.
-type desArgs struct {
-	nodes, workers               int
-	workload, splitter, pattern  string
-	duration                     float64
-	seed                         int64
-	series                       bool
-	mitigation                   string
-	hedgeQuantile                float64
-	domains                      int
-	resilience                   *hipster.ResilienceOptions
-	faults                       *hipster.FaultOptions
+// clusterFlags holds every cluster subcommand flag, parsed once; each
+// field is documented by its registration in newClusterFlags. The
+// validation, the interval path, runClusterDES, buildResilience and
+// runTunedReplay all read it directly.
+type clusterFlags struct {
+	mode, workload, policy, splitter, pattern, batch string
+	nodes, workers                                   int
+	duration                                         float64
+	seed                                             int64
+	series                                           bool
+
+	mitigation, retryBackoff              string
+	domains, warmup, retries, hedgeBudget int
+	hedgeQuantile, timeout, breaker, rate float64
+	hedgeCancel                           bool
+
+	learn, federate         bool
+	params                  hipster.Params // -alpha, -gamma, -bucket-frac, -learn-secs
+	syncInterval, staleness int
+	merge                   string
+	syncDropout             float64
+
 	autoscale                    bool
 	minNodes, maxNodes, cooldown int
 	scalePolicy                  string
-	warmupIntervals              int
-	learn                        bool
-	policy                       string
-	params                       hipster.Params
-	federation                   *hipster.FederationOptions
-	mergeName                    string
+
+	faults                                         bool
+	crashRate, slowFactor, partition, spotFraction float64
+	spotNotice                                     int
+
+	tuned string
+	prof  *profiler
+}
+
+// newClusterFlags registers the cluster subcommand's flags on a fresh
+// FlagSet bound to one clusterFlags.
+func newClusterFlags() (*flag.FlagSet, *clusterFlags) {
+	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
+	c := &clusterFlags{params: hipster.DefaultParams(), prof: profileFlags(fs)}
+	fs.StringVar(&c.mode, "mode", "interval", "simulation granularity: interval (analytic per-node model) | des (request-level fleet DES)")
+	fs.IntVar(&c.nodes, "nodes", 16, "number of simulated nodes")
+	fs.IntVar(&c.workers, "workers", 0, "goroutines stepping nodes in parallel (0 = GOMAXPROCS)")
+	fs.StringVar(&c.workload, "workload", "memcached", "latency-critical workload on every node: memcached|websearch")
+	fs.StringVar(&c.policy, "policy", "hipster-in", "per-node policy: hipster-in|hipster-co|octopus-man|hipster-heuristic|static-big|static-small")
+	fs.StringVar(&c.splitter, "splitter", "weighted-by-capacity", "front-end load splitter: round-robin|weighted-by-capacity|least-loaded")
+	fs.StringVar(&c.pattern, "pattern", "diurnal", "datacenter-level load pattern: diurnal|ramp|constant:<frac>|spike")
+	fs.StringVar(&c.batch, "batch", "", "comma-separated SPEC CPU 2006 programs collocated on every node")
+	fs.Float64Var(&c.duration, "duration", 1440, "simulated seconds (0 = the pattern's own length; must be positive under -tuned)")
+	fs.Int64Var(&c.seed, "seed", 42, "fleet seed (node i uses seed+i)")
+	fs.BoolVar(&c.series, "series", true, "print sparkline time series")
+	fs.StringVar(&c.mitigation, "mitigation", "none", "DES straggler mitigation: none|hedged|work-stealing|predictive")
+	fs.IntVar(&c.domains, "domains", 0, "DES routing domains stepped in parallel (0 or 1 = one fleet-wide domain)")
+	fs.Float64Var(&c.hedgeQuantile, "hedge-quantile", clusterdes.DefaultHedgeQuantile, "DES hedge delay as a quantile of last interval's latencies, in (0, 1)")
+	fs.IntVar(&c.retries, "retries", 0, "DES resilience: re-issue a failed attempt up to this many times per request")
+	fs.StringVar(&c.retryBackoff, "retry-backoff", "", "DES retry backoff as base,cap,jitter seconds (default 0.05,1,0.1)")
+	fs.Float64Var(&c.timeout, "timeout", 0, "DES per-attempt deadline in seconds; expiry frees the server slot (0 = none)")
+	fs.Float64Var(&c.breaker, "breaker", 0, "DES per-node circuit breaker: open past this windowed failure rate in (0, 1] (0 = off)")
+	fs.Float64Var(&c.rate, "rate-limit", 0, "DES per-node token-bucket admission in requests/second (0 = off)")
+	fs.IntVar(&c.hedgeBudget, "hedge-budget", 0, "DES hedges a node may issue per monitoring interval (0 = unbounded)")
+	fs.BoolVar(&c.hedgeCancel, "hedge-cancel", false, "DES: cancel the losing hedge copy once its sibling wins")
+	fs.IntVar(&c.warmup, "warmup-intervals", 0, "DES intervals an autoscale-activated node serves nothing while warming")
+	fs.BoolVar(&c.learn, "learn", false, "DES: close the RL loop — every node's -policy picks its operating point each interval from measured request tails")
+	fs.Float64Var(&c.params.Alpha, "alpha", c.params.Alpha, "learning rate of the RL table update; the default is the paper's")
+	fs.Float64Var(&c.params.Gamma, "gamma", c.params.Gamma, "discount factor of the RL table update; the default is the paper's")
+	fs.Float64Var(&c.params.BucketFrac, "bucket-frac", c.params.BucketFrac, "load-bucket width of the RL state space; the default is the paper's sweep optimum")
+	fs.Float64Var(&c.params.LearnSecs, "learn-secs", c.params.LearnSecs, "initial learning-phase duration in simulated seconds; the default is the paper's")
+	fs.BoolVar(&c.federate, "federate", false, "share the per-node RL tables: periodically merge them into one fleet table and broadcast it back")
+	fs.IntVar(&c.syncInterval, "sync-interval", cluster.DefaultSyncInterval, "monitoring intervals between federation sync rounds")
+	fs.StringVar(&c.merge, "merge", "visit-weighted", "federation merge policy: visit-weighted|max-confidence|newest-wins")
+	fs.IntVar(&c.staleness, "staleness", 0, "federation staleness bound K: discard a node's deltas older than K intervals (0 = unbounded)")
+	fs.Float64Var(&c.syncDropout, "sync-dropout", 0, "deterministic per-node chance of missing a federation sync round (models partitions)")
+	fs.BoolVar(&c.autoscale, "autoscale", false, "grow/shrink the active node set with load instead of running the whole fleet")
+	fs.IntVar(&c.minNodes, "min-nodes", 1, "autoscale lower bound on active nodes")
+	fs.IntVar(&c.maxNodes, "max-nodes", 0, "autoscale upper bound on active nodes (0 = the full fleet)")
+	fs.StringVar(&c.scalePolicy, "scale-policy", "target-utilization", "autoscale policy: target-utilization|qos-headroom|queue-depth")
+	fs.IntVar(&c.cooldown, "cooldown", 0, "autoscale intervals between a scale event and the next scale-down (0 = default 5)")
+	fs.BoolVar(&c.faults, "faults", false, "DES: inject a seeded fault schedule — crashes, slow nodes (2% onset rate), partitions, spot revocation")
+	fs.Float64Var(&c.crashRate, "crash-rate", 0.02, "fault schedule: per-node per-interval crash probability in [0, 1]")
+	fs.Float64Var(&c.slowFactor, "slow-factor", 0.5, "fault schedule: service-rate multiplier a degraded node drops to, in (0, 1]")
+	fs.Float64Var(&c.partition, "partition", 0.01, "fault schedule: per-interval network-partition probability in [0, 1]")
+	fs.Float64Var(&c.spotFraction, "spot-fraction", 0, "fault schedule: fraction of the fleet that is revocable spot capacity, in [0, 1]")
+	fs.IntVar(&c.spotNotice, "spot-notice", 2, "fault schedule: intervals of drain notice before a spot revocation (>= 1)")
+	fs.StringVar(&c.tuned, "tuned", "", "DES: replay the winning configuration of a tuning artifact (see the tune subcommand); "+
+		"unset fleet flags take the tuner's default fleet, and only -"+strings.Join(replayFlags, ", -")+" may be set")
+	return fs, c
+}
+
+func runCluster(args []string) error {
+	fs, c := newClusterFlags()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return c.prof.around(func() error {
+		if err := c.validate(fs); err != nil {
+			return err
+		}
+		if c.tuned != "" {
+			return runTunedReplay(c)
+		}
+		fed, err := c.federation()
+		if err != nil {
+			return err
+		}
+		if c.mode == "des" {
+			return runClusterDES(c, fed)
+		}
+		return runClusterInterval(c, fed)
+	})
+}
+
+// validate rejects flag combinations and values the engines would
+// silently ignore or replace with a default, and resolves a -tuned
+// replay's unset fleet flags.
+func (c *clusterFlags) validate(fs *flag.FlagSet) error {
+	set := make(map[string]bool)
+	fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
+	// Feature-dependent flags silently doing nothing would let a typo'd
+	// comparison measure the wrong fleet; surface them.
+	requireFeature := func(enabled bool, feature string, flags ...string) error {
+		var orphaned []string
+		for _, name := range flags {
+			if !enabled && set[name] {
+				orphaned = append(orphaned, "-"+name)
+			}
+		}
+		if len(orphaned) > 0 {
+			return fmt.Errorf("%s require(s) %s", strings.Join(orphaned, ", "), feature)
+		}
+		return nil
+	}
+	if c.mode != "interval" && c.mode != "des" {
+		return fmt.Errorf("unknown -mode %q (want interval or des)", c.mode)
+	}
+	if err := requireFeature(c.mode == "des", "-mode=des",
+		"mitigation", "hedge-quantile", "warmup-intervals", "domains", "learn",
+		"retries", "retry-backoff", "timeout", "breaker", "rate-limit",
+		"hedge-budget", "hedge-cancel", "faults", "crash-rate", "slow-factor",
+		"partition", "spot-fraction", "spot-notice", "tuned"); err != nil {
+		return err
+	}
+	// The engines turn a zero autoscale floor into 1 and a negative
+	// duration into the pattern's whole day, and the tuner's evaluator
+	// turns a zero fleet size or horizon into its own default; refuse
+	// each explicitly. Unset flags always pass, so checking before the
+	// -tuned fallback below is the same as checking after it.
+	switch {
+	case c.nodes < 1:
+		return fmt.Errorf("-nodes %d must be at least 1", c.nodes)
+	case c.minNodes < 1:
+		return fmt.Errorf("-min-nodes %d must be at least 1", c.minNodes)
+	case c.duration < 0:
+		return fmt.Errorf("-duration %v must not be negative (0 = the pattern's own length)", c.duration)
+	case c.duration == 0 && c.tuned != "":
+		return fmt.Errorf("-duration 0 under -tuned: the replay horizon must be positive")
+	}
+	// A tuning artifact dictates every knob but the fleet it replays on;
+	// any flag outside replayFlags would fight it, so it is rejected
+	// rather than silently ignored — the mirror image of the orphan
+	// checks. fs.Visit reports the clashes in lexical order.
+	if c.tuned != "" {
+		var clashing []string
+		fs.Visit(func(fl *flag.Flag) {
+			if !slices.Contains(replayFlags, fl.Name) {
+				clashing = append(clashing, "-"+fl.Name)
+			}
+		})
+		if len(clashing) > 0 {
+			return fmt.Errorf("%s conflict(s) with -tuned: the artifact dictates those knobs", strings.Join(clashing, ", "))
+		}
+		// Unset fleet flags fall back to the tuner's default evaluation
+		// fleet; explicit flags override to probe how the winner
+		// generalises.
+		if !set["nodes"] {
+			c.nodes = tuneFleet.nodes
+		}
+		if !set["workload"] {
+			c.workload = tuneFleet.workload
+		}
+		if !set["pattern"] {
+			c.pattern = tuneFleet.pattern
+		}
+		if !set["duration"] {
+			c.duration = tuneFleet.duration
+		}
+		if !set["min-nodes"] {
+			c.minNodes = tuneFleet.minNodes
+		}
+		return nil
+	}
+	if err := requireFeature(c.faults, "-faults",
+		"crash-rate", "slow-factor", "partition", "spot-fraction", "spot-notice"); err != nil {
+		return err
+	}
+	// Policies and federation run in both modes — interval always, DES
+	// once -learn closes the loop; only batch collocation stays
+	// interval-only.
+	learning := c.mode == "des" && c.learn
+	if err := requireFeature(c.mode == "interval", "-mode=interval", "batch"); err != nil {
+		return err
+	}
+	if err := requireFeature(c.mode == "interval" || learning, "-mode=interval or -mode=des -learn",
+		"policy", "federate", "sync-interval", "merge", "staleness", "sync-dropout"); err != nil {
+		return err
+	}
+	if err := requireFeature(learning, "-learn", "alpha", "gamma", "bucket-frac", "learn-secs"); err != nil {
+		return err
+	}
+	if err := requireFeature(c.federate, "-federate", "sync-interval", "merge", "staleness", "sync-dropout"); err != nil {
+		return err
+	}
+	if err := requireFeature(c.autoscale, "-autoscale", "min-nodes", "max-nodes", "scale-policy", "cooldown", "warmup-intervals"); err != nil {
+		return err
+	}
+	// The predictive mitigation hedges too (it layers a detector on top
+	// of Hedged), so the hedge knobs apply to both.
+	hedging := c.mitigation == "hedged" || c.mitigation == "predictive"
+	if err := requireFeature(hedging, "-mitigation hedged or predictive",
+		"hedge-quantile", "hedge-budget", "hedge-cancel"); err != nil {
+		return err
+	}
+	if err := requireFeature(c.retries > 0, "-retries", "retry-backoff"); err != nil {
+		return err
+	}
+	// The engines cannot tell an explicit zero from the unset zero value
+	// (they replace a zero sync interval or hedge quantile with their
+	// default); the CLI can, so it rejects out-of-range values here
+	// before they default silently.
+	switch {
+	case c.syncInterval < 1:
+		return fmt.Errorf("-sync-interval %d must be at least 1", c.syncInterval)
+	case c.syncDropout < 0 || c.syncDropout >= 1:
+		return fmt.Errorf("-sync-dropout %v out of [0, 1)", c.syncDropout)
+	case c.hedgeQuantile <= 0 || c.hedgeQuantile >= 1:
+		return fmt.Errorf("-hedge-quantile %v out of (0, 1)", c.hedgeQuantile)
+	}
+	// Same boundary discipline for the fault knobs: the engine defaults
+	// an unset SlowFactor (0.5) and SpotNotice (2) from their zero
+	// values, so an explicit zero would silently turn into the default
+	// instead of "no degradation"/"no notice".
+	if c.faults {
+		for _, r := range []struct {
+			name string
+			v    float64
+		}{
+			{"-crash-rate", c.crashRate},
+			{"-partition", c.partition},
+			{"-spot-fraction", c.spotFraction},
+		} {
+			if r.v < 0 || r.v > 1 {
+				return fmt.Errorf("%s %v out of [0, 1]", r.name, r.v)
+			}
+		}
+		if c.slowFactor <= 0 || c.slowFactor > 1 {
+			return fmt.Errorf("-slow-factor %v out of (0, 1]", c.slowFactor)
+		}
+		if c.spotNotice < 1 {
+			return fmt.Errorf("-spot-notice %d must be at least 1 interval", c.spotNotice)
+		}
+	}
+	return nil
+}
+
+// federation builds the -federate options once for both modes — the
+// interval cluster syncs at its monitoring boundaries, the
+// learn-enabled DES at the same boundaries of its serial section — or
+// returns nil when federation is off.
+func (c *clusterFlags) federation() (*hipster.FederationOptions, error) {
+	if !c.federate {
+		return nil, nil
+	}
+	merge, err := hipster.MergePolicyByName(c.merge)
+	if err != nil {
+		return nil, err
+	}
+	fedOpts := &hipster.FederationOptions{
+		SyncEvery:          c.syncInterval,
+		Merge:              merge,
+		StalenessIntervals: c.staleness,
+	}
+	if c.syncDropout > 0 {
+		// A seeded hash of (node, interval) keeps the dropout pattern
+		// deterministic for a given -seed, preserving the cluster's
+		// reproducibility guarantees.
+		p, seedBits := c.syncDropout, uint64(c.seed)
+		fedOpts.Participation = func(nodeID, interval int) bool {
+			h := seedBits ^ uint64(nodeID)<<32 ^ uint64(interval)
+			h ^= h >> 30
+			h *= 0xbf58476d1ce4e5b9
+			h ^= h >> 27
+			h *= 0x94d049bb133111eb
+			h ^= h >> 31
+			return float64(h%1000000)/1000000 >= p
+		}
+	}
+	return fedOpts, nil
+}
+
+// runClusterInterval runs the interval-mode fleet: every node's engine
+// steps analytically through each monitoring interval.
+func runClusterInterval(c *clusterFlags, fed *hipster.FederationOptions) error {
+	spec := hipster.JunoR1()
+	wl, err := hipster.WorkloadByName(c.workload)
+	if err != nil {
+		return err
+	}
+	pattern, err := parsePattern(c.pattern)
+	if err != nil {
+		return err
+	}
+	splitter, err := hipster.SplitterByName(c.splitter)
+	if err != nil {
+		return err
+	}
+	defs, err := hipster.UniformClusterNodes(c.nodes, spec, wl, func(nodeID int) (hipster.Policy, error) {
+		return buildPolicy(c.policy, spec, c.seed+int64(nodeID), c.params)
+	})
+	if err != nil {
+		return err
+	}
+	for i := range defs {
+		if defs[i].Batch, err = batchRunner(c.batch); err != nil {
+			return err
+		}
+	}
+
+	opts := hipster.ClusterOptions{
+		Nodes:      defs,
+		Pattern:    pattern,
+		Splitter:   splitter,
+		Workers:    c.workers,
+		Seed:       c.seed,
+		Federation: fed,
+	}
+	if c.autoscale {
+		pol, err := hipster.AutoscalePolicyByName(c.scalePolicy)
+		if err != nil {
+			return err
+		}
+		opts.Autoscale = &hipster.AutoscaleOptions{
+			Policy:            pol,
+			MinNodes:          c.minNodes,
+			MaxNodes:          c.maxNodes,
+			CooldownIntervals: c.cooldown,
+		}
+	}
+	cl, err := hipster.NewCluster(opts)
+	if err != nil {
+		return err
+	}
+	res, err := cl.Run(c.duration)
+	if err != nil {
+		return err
+	}
+
+	sum := res.Summarize()
+	fmt.Printf("cluster nodes=%d workers=%d workload=%s policy=%s splitter=%s pattern=%s duration=%.0fs seed=%d\n",
+		c.nodes, cl.Workers(), c.workload, c.policy, splitter.Name(), c.pattern, c.duration, c.seed)
+	fmt.Printf("  fleet capacity  : %s RPS\n", report.F0(cl.CapacityRPS()))
+	fmt.Printf("  QoS attainment  : %s (%d node-intervals, %d nodes peak, %d intervals)\n",
+		report.Pct(sum.QoSAttainment*100), sum.NodeIntervals, sum.Nodes, sum.Intervals)
+	fmt.Printf("  fleet energy    : %s J (mean %s W)\n", report.F0(sum.TotalEnergyJ), report.F2(sum.MeanPowerW))
+	fmt.Printf("  stragglers      : %d node-intervals (peak %d in one interval)\n",
+		sum.TotalStragglers, sum.PeakStragglers)
+	fmt.Printf("  throughput      : %s RPS offered, %s RPS achieved (mean)\n",
+		report.F0(sum.MeanOfferedRPS), report.F0(sum.MeanAchievedRPS))
+	if st, ok := cl.FederationStats(); ok {
+		fmt.Printf("  federation      : %s merge, %d rounds, %d reports, %d cells merged (%d updates), %d stale deltas dropped\n",
+			c.merge, st.Rounds, st.Reports, st.MergedCells, st.MergedVisits, st.StaleDropped)
+	}
+	if st, ok := cl.AutoscaleStats(); ok {
+		fmt.Printf("  autoscale       : %s policy, %d-%d active nodes, %d up / %d down events, %d of %d node-intervals consumed\n",
+			c.scalePolicy, st.MinActive, st.PeakActive, st.Ups, st.Downs,
+			st.NodeIntervals, c.nodes*sum.Intervals)
+		if st.WarmStarts > 0 || st.Flushes > 0 {
+			fmt.Printf("  warm starts     : %d nodes seeded from the fleet table, %d departure deltas flushed\n",
+				st.WarmStarts, st.Flushes)
+		}
+	}
+
+	fleet := res.Fleet
+	if c.series && fleet.Len() > 1 {
+		width := 72
+		load := make([]float64, fleet.Len())
+		qos := make([]float64, fleet.Len())
+		strag := make([]float64, fleet.Len())
+		pow := make([]float64, fleet.Len())
+		active := make([]float64, fleet.Len())
+		for i, s := range fleet.Samples {
+			load[i] = s.OfferedRPS
+			qos[i] = s.QoSAttainment()
+			strag[i] = float64(s.Stragglers)
+			pow[i] = s.PowerW
+			active[i] = float64(s.Nodes)
+		}
+		fmt.Printf("  load       %s\n", report.Sparkline(load, width))
+		fmt.Printf("  qos        %s\n", report.Sparkline(qos, width))
+		fmt.Printf("  stragglers %s\n", report.Sparkline(strag, width))
+		fmt.Printf("  power      %s\n", report.Sparkline(pow, width))
+		if _, ok := cl.AutoscaleStats(); ok {
+			fmt.Printf("  active     %s\n", report.Sparkline(active, width))
+		}
+	}
+
+	fmt.Println("  per-node QoS guarantee:")
+	for i, tr := range res.Nodes {
+		fmt.Printf("    node %2d: %s\n", i, report.Pct(tr.QoSGuarantee()*100))
+	}
+	return nil
 }
 
 // buildResilience assembles the DES resilience options from the
 // cluster flags, or returns nil when every resilience knob is at its
 // off default (so plain runs carry no resilience layer at all).
-func buildResilience(retries int, backoff string, timeout, breakerThr, rateLimit float64,
-	hedgeBudget int, hedgeCancel bool) (*hipster.ResilienceOptions, error) {
+func buildResilience(c *clusterFlags) (*hipster.ResilienceOptions, error) {
 	r := &hipster.ResilienceOptions{
-		MaxRetries:   retries,
-		Timeout:      timeout,
-		HedgeBudget:  hedgeBudget,
-		CancelHedges: hedgeCancel,
+		MaxRetries:   c.retries,
+		Timeout:      c.timeout,
+		HedgeBudget:  c.hedgeBudget,
+		CancelHedges: c.hedgeCancel,
 	}
-	if backoff != "" {
-		b, err := parseBackoff(backoff)
+	if c.retryBackoff != "" {
+		b, err := parseBackoff(c.retryBackoff)
 		if err != nil {
 			return nil, err
 		}
 		r.Backoff = b
 	}
-	if breakerThr != 0 {
-		r.Breaker = &hipster.BreakerOptions{FailureThreshold: breakerThr}
+	if c.breaker != 0 {
+		r.Breaker = &hipster.BreakerOptions{FailureThreshold: c.breaker}
 	}
-	if rateLimit != 0 {
-		r.RateLimit = &hipster.RateLimitOptions{RPS: rateLimit}
+	if c.rate != 0 {
+		r.RateLimit = &hipster.RateLimitOptions{RPS: c.rate}
 	}
 	if !r.Enabled() {
 		return nil, nil
@@ -752,31 +762,35 @@ func parseBackoff(s string) (hipster.RetryBackoff, error) {
 // and carry their latency end to end through per-node queues — so the
 // report leads with the end-to-end latency distribution the interval
 // mode cannot produce.
-func runClusterDES(a desArgs) error {
+func runClusterDES(c *clusterFlags, fed *hipster.FederationOptions) error {
+	resil, err := buildResilience(c)
+	if err != nil {
+		return err
+	}
 	spec := hipster.JunoR1()
-	wl, err := hipster.WorkloadByName(a.workload)
+	wl, err := hipster.WorkloadByName(c.workload)
 	if err != nil {
 		return err
 	}
-	pattern, err := parsePattern(a.pattern)
+	pattern, err := parsePattern(c.pattern)
 	if err != nil {
 		return err
 	}
-	splitter, err := hipster.SplitterByName(a.splitter)
+	splitter, err := hipster.SplitterByName(c.splitter)
 	if err != nil {
 		return err
 	}
-	mit, err := hipster.MitigationByName(a.mitigation)
+	mit, err := hipster.MitigationByName(c.mitigation)
 	if err != nil {
 		return err
 	}
-	if a.mitigation == "hedged" {
-		mit = hipster.NewHedgedMitigation(a.hedgeQuantile)
+	if c.mitigation == "hedged" {
+		mit = hipster.NewHedgedMitigation(c.hedgeQuantile)
 	}
-	if a.mitigation == "predictive" {
-		mit = hipster.NewPredictiveMitigation(a.hedgeQuantile)
+	if c.mitigation == "predictive" {
+		mit = hipster.NewPredictiveMitigation(c.hedgeQuantile)
 	}
-	defs, err := hipster.UniformClusterDESNodes(a.nodes, spec, wl)
+	defs, err := hipster.UniformClusterDESNodes(c.nodes, spec, wl)
 	if err != nil {
 		return err
 	}
@@ -785,49 +799,60 @@ func runClusterDES(a desArgs) error {
 		Pattern:    pattern,
 		Splitter:   splitter,
 		Mitigation: mit,
-		Workers:    a.workers,
-		Domains:    a.domains,
-		Seed:       a.seed,
-		Resilience: a.resilience,
-		Faults:     a.faults,
+		Workers:    c.workers,
+		Domains:    c.domains,
+		Seed:       c.seed,
+		Resilience: resil,
 	}
-	if a.autoscale {
-		pol, err := hipster.AutoscalePolicyByName(a.scalePolicy)
+	if c.faults {
+		opts.Faults = &hipster.FaultOptions{
+			CrashRate: c.crashRate,
+			// The onset rate of slow-node episodes is fixed at the crash
+			// default; -slow-factor tunes how deep they cut.
+			SlowRate:      0.02,
+			SlowFactor:    c.slowFactor,
+			PartitionRate: c.partition,
+			SpotFraction:  c.spotFraction,
+			SpotNotice:    c.spotNotice,
+		}
+	}
+	if c.autoscale {
+		pol, err := hipster.AutoscalePolicyByName(c.scalePolicy)
 		if err != nil {
 			return err
 		}
 		opts.Autoscale = &hipster.ClusterDESAutoscale{
 			Policy:            pol,
-			MinNodes:          a.minNodes,
-			MaxNodes:          a.maxNodes,
-			CooldownIntervals: a.cooldown,
-			WarmupIntervals:   a.warmupIntervals,
+			MinNodes:          c.minNodes,
+			MaxNodes:          c.maxNodes,
+			CooldownIntervals: c.cooldown,
+			WarmupIntervals:   c.warmup,
 		}
 	}
-	if a.learn {
+	if c.learn {
 		opts.Learn = &hipster.ClusterDESLearn{
 			BuildPolicy: func(nodeID int) (hipster.Policy, error) {
-				return buildPolicy(a.policy, spec, a.seed+int64(nodeID), a.params)
+				return buildPolicy(c.policy, spec, c.seed+int64(nodeID), c.params)
 			},
-			Federation: a.federation,
+			Federation: fed,
 		}
 	}
 	fl, err := hipster.NewClusterDES(opts)
 	if err != nil {
 		return err
 	}
-	res, err := fl.Run(a.duration)
+	res, err := fl.Run(c.duration)
 	if err != nil {
 		return err
 	}
 
 	sum := res.Summarize()
 	learnTag := ""
-	if a.learn {
-		learnTag = fmt.Sprintf(" learn=%s", a.policy)
+	if c.learn {
+		learnTag = fmt.Sprintf(" learn=%s", c.policy)
 	}
 	fmt.Printf("cluster mode=des%s nodes=%d domains=%d workers=%d workload=%s splitter=%s mitigation=%s pattern=%s duration=%.0fs seed=%d\n",
-		learnTag, a.nodes, a.domains, fl.Workers(), a.workload, splitter.Name(), mit.Name(), a.pattern, a.duration, a.seed)
+		learnTag, c.nodes, c.domains, fl.Workers(), c.workload, splitter.Name(), mit.Name(), c.pattern, c.duration, c.seed)
 	fmt.Printf("  fleet capacity  : %s RPS\n", report.F0(fl.CapacityRPS()))
 	lat := res.Latency
 	fmt.Printf("  requests        : %d completed, %d dropped, %d timed out\n",
@@ -846,17 +871,17 @@ func runClusterDES(a desArgs) error {
 	if st.Steals > 0 {
 		fmt.Printf("  work stealing   : %d requests stolen by idle nodes\n", st.Steals)
 	}
-	if a.resilience != nil {
+	if resil != nil {
 		fmt.Printf("  resilience      : %d retries, %d attempt timeouts, %d breaker opens, %d rate-limited, %d hedge cancels\n",
 			st.Retries, st.Timeouts, st.BreakerOpens, st.RateLimited, st.HedgeCancels)
 	}
-	if a.faults != nil {
+	if c.faults {
 		fmt.Printf("  faults          : %d crashes, %d slow-node episodes, %d partitions, %d spot revocations\n",
 			st.Crashes, st.SlowOnsets, st.Partitions, st.Revocations)
 		fmt.Printf("  fault impact    : %d requests lost with crashed state, %d queued requests migrated off draining nodes\n",
 			lat.Lost, st.Migrated)
 	}
-	if a.mitigation == "predictive" {
+	if c.mitigation == "predictive" {
 		first := "never"
 		if st.FirstPredictInterval >= 0 {
 			first = fmt.Sprintf("at interval %d", st.FirstPredictInterval)
@@ -864,25 +889,25 @@ func runClusterDES(a desArgs) error {
 		fmt.Printf("  predictive      : %d suspect flags, %d queue migrations, first flag %s\n",
 			st.PredFlags, st.PredMigrations, first)
 	}
-	if a.learn {
+	if c.learn {
 		fmt.Printf("  learning        : %s policy, %d decisions, %d core migrations, %d dvfs changes, %d learning-phase intervals\n",
-			a.policy, st.LearnDecisions, st.CoreMigrations, st.DVFSChanges, sum.LearningIntervals)
+			c.policy, st.LearnDecisions, st.CoreMigrations, st.DVFSChanges, sum.LearningIntervals)
 		if fst, ok := fl.FederationStats(); ok {
 			fmt.Printf("  federation      : %s merge, %d rounds, %d reports, %d cells merged (%d updates), %d stale deltas dropped\n",
-				a.mergeName, fst.Rounds, fst.Reports, fst.MergedCells, fst.MergedVisits, fst.StaleDropped)
+				c.merge, fst.Rounds, fst.Reports, fst.MergedCells, fst.MergedVisits, fst.StaleDropped)
 			if st.WarmStarts > 0 || st.Flushes > 0 {
 				fmt.Printf("  warm starts     : %d nodes seeded from the fleet table, %d departure deltas flushed\n",
 					st.WarmStarts, st.Flushes)
 			}
 		}
 	}
-	if a.autoscale {
+	if c.autoscale {
 		firstUp := "never"
 		if st.FirstScaleUpInterval >= 0 {
 			firstUp = fmt.Sprintf("at interval %d", st.FirstScaleUpInterval)
 		}
 		fmt.Printf("  autoscale       : %s policy, %d-%d active nodes, %d up / %d down events, first scale-up %s\n",
-			a.scalePolicy, st.MinActive, st.PeakActive, st.Ups, st.Downs, firstUp)
+			c.scalePolicy, st.MinActive, st.PeakActive, st.Ups, st.Downs, firstUp)
 		if st.WarmupIntervals > 0 || st.Migrated > 0 {
 			fmt.Printf("  warm-up         : %d node-intervals spent warming, %d queued requests migrated off retiring nodes\n",
 				st.WarmupIntervals, st.Migrated)
@@ -890,7 +915,7 @@ func runClusterDES(a desArgs) error {
 	}
 
 	fleet := res.Fleet
-	if a.series && fleet.Len() > 1 {
+	if c.series && fleet.Len() > 1 {
 		width := 72
 		load := make([]float64, fleet.Len())
 		tail := make([]float64, fleet.Len())
@@ -905,7 +930,7 @@ func runClusterDES(a desArgs) error {
 		fmt.Printf("  load       %s\n", report.Sparkline(load, width))
 		fmt.Printf("  worsttail  %s\n", report.Sparkline(tail, width))
 		fmt.Printf("  queues     %s\n", report.Sparkline(depth, width))
-		if a.autoscale {
+		if c.autoscale {
 			fmt.Printf("  active     %s\n", report.Sparkline(active, width))
 		}
 	}

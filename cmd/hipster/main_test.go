@@ -5,9 +5,11 @@ import (
 	"testing"
 )
 
-// TestClusterOrphanFlags pins the guard that refuses feature-dependent
-// flags when their feature is off — a typo'd invocation must fail
-// loudly instead of silently measuring the wrong fleet.
+// TestClusterOrphanFlags pins the guards that refuse what a run would
+// silently ignore or rewrite: feature-dependent flags when their
+// feature is off, and explicit values an engine would replace with its
+// default. A typo'd invocation must fail loudly instead of silently
+// measuring the wrong fleet.
 func TestClusterOrphanFlags(t *testing.T) {
 	cases := []struct {
 		name string
@@ -139,6 +141,22 @@ func TestClusterOrphanFlags(t *testing.T) {
 			args: []string{"-mode", "des", "-mitigation", "work-stealing", "-hedge-quantile", "0.9"},
 			want: []string{"-hedge-quantile", "-mitigation hedged or predictive"},
 		},
+		{
+			name: "sync-interval-zero",
+			args: []string{"-nodes", "2", "-federate", "-sync-interval", "0", "-duration", "2", "-series=false"},
+			want: []string{"-sync-interval", "at least 1"},
+		},
+		{
+			name: "min-nodes-zero-under-des",
+			args: []string{"-mode", "des", "-nodes", "2", "-autoscale", "-min-nodes", "0",
+				"-pattern", "constant:0.5", "-duration", "2", "-series=false"},
+			want: []string{"-min-nodes", "at least 1"},
+		},
+		{
+			name: "duration-negative",
+			args: []string{"-nodes", "2", "-duration", "-5", "-series=false"},
+			want: []string{"-duration", "negative"},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -152,6 +170,15 @@ func TestClusterOrphanFlags(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunRejectsNegativeDuration checks the single-node command refuses
+// a negative horizon instead of simulating the pattern's whole day.
+func TestRunRejectsNegativeDuration(t *testing.T) {
+	err := run("memcached", "hipster-in", "diurnal", -5, 42, "", "", false)
+	if err == nil || !strings.Contains(err.Error(), "-duration") {
+		t.Fatalf("run with -duration -5: error %v, want one naming -duration", err)
 	}
 }
 

@@ -10,6 +10,13 @@ import (
 	"hipster/internal/report"
 )
 
+// tuneFleet is the tuner's default evaluation fleet, written as the
+// cluster flags that describe it: hipster tune searches on it unless
+// its fleet flags say otherwise, and a -tuned replay reruns it for
+// every fleet flag left unset. The empty pattern is the tuner's own
+// bursty training day.
+var tuneFleet = clusterFlags{nodes: 6, workload: "websearch", duration: 300, minNodes: 2}
+
 // runTune implements the tune subcommand: an offline search over the
 // learn-enabled cluster DES that writes its winner plus the full
 // evaluation ledger as a reproducible JSON artifact. The search is
@@ -18,22 +25,23 @@ import (
 // record of how the winner was found.
 func runTune(args []string) error {
 	fs := flag.NewFlagSet("tune", flag.ExitOnError)
+	w := hipster.DefaultTuneWeights()
 	var (
-		nodes        = fs.Int("nodes", 6, "fleet size every candidate is evaluated on")
+		nodes        = fs.Int("nodes", tuneFleet.nodes, "fleet size every candidate is evaluated on")
 		workers      = fs.Int("workers", 0, "parallel candidate evaluations (0 = GOMAXPROCS); never changes the result")
-		workloadName = fs.String("workload", "websearch", "latency-critical workload on every node: memcached|websearch")
-		patternName  = fs.String("pattern", "", "training-day load pattern: diurnal|ramp|constant:<frac>|spike (default: the tuner's bursty day)")
-		duration     = fs.Float64("duration", 300, "simulated seconds per evaluation")
+		workloadName = fs.String("workload", tuneFleet.workload, "latency-critical workload on every node: memcached|websearch")
+		patternName  = fs.String("pattern", tuneFleet.pattern, "training-day load pattern: diurnal|ramp|constant:<frac>|spike (default: the tuner's bursty day)")
+		duration     = fs.Float64("duration", tuneFleet.duration, "simulated seconds per evaluation")
 		seed         = fs.Int64("seed", 42, "search-stream seed; also the base of the default training seeds")
 		trainSeeds   = fs.String("train-seeds", "", "comma-separated training seeds every candidate is scored across (default seed,seed+1)")
 		rounds       = fs.Int("rounds", 12, "hill-climbing rounds per restart")
 		neighbors    = fs.Int("neighbors", 4, "candidates proposed per round")
 		patience     = fs.Int("patience", 2, "rounds without improvement before a climb converges")
 		restarts     = fs.Int("restarts", 3, "random restarts after the default-point climb")
-		minNodes     = fs.Int("min-nodes", 2, "autoscale lower bound of every evaluation fleet")
-		wP99         = fs.Float64("w-p99", 1, "objective weight on a second of p99 tail latency")
-		wQoS         = fs.Float64("w-qos", 5, "objective weight on a whole missed QoS fraction")
-		wPower       = fs.Float64("w-power", 0.1, "objective weight on a watt of fleet mean power")
+		minNodes     = fs.Int("min-nodes", tuneFleet.minNodes, "autoscale lower bound of every evaluation fleet")
+		wP99         = fs.Float64("w-p99", w.P99, "objective weight on a second of p99 tail latency")
+		wQoS         = fs.Float64("w-qos", w.QoSMiss, "objective weight on a whole missed QoS fraction")
+		wPower       = fs.Float64("w-power", w.PowerW, "objective weight on a watt of fleet mean power")
 		powerCap     = fs.Float64("power-cap", -1, "soft energy budget in watts; above it draw is priced steeply (-1 = measure the untuned config, 0 = no budget)")
 		out          = fs.String("out", "tuning_result.json", "path the tuning artifact is written to")
 	)
@@ -45,6 +53,8 @@ func runTune(args []string) error {
 		switch {
 		case *nodes < 2:
 			return fmt.Errorf("-nodes %d: tuning needs at least 2 nodes", *nodes)
+		case *minNodes < 1:
+			return fmt.Errorf("-min-nodes %d must be at least 1", *minNodes)
 		case *duration <= 0:
 			return fmt.Errorf("-duration %v must be positive", *duration)
 		case *rounds < 1:
@@ -57,6 +67,10 @@ func runTune(args []string) error {
 			return fmt.Errorf("-restarts %d must not be negative", *restarts)
 		case *wP99 < 0 || *wQoS < 0 || *wPower < 0:
 			return fmt.Errorf("objective weights must not be negative (got -w-p99 %v -w-qos %v -w-power %v)", *wP99, *wQoS, *wPower)
+		case *wP99 == 0 && *wQoS == 0 && *wPower == 0:
+			// The tuner reads an all-zero objective as unset and would
+			// silently search the default weights instead.
+			return fmt.Errorf("-w-p99, -w-qos and -w-power are all 0: the objective must price something")
 		case *out == "":
 			return fmt.Errorf("-out must name a file")
 		}
@@ -137,28 +151,19 @@ func runTune(args []string) error {
 		fmt.Printf("  winner score    : %s (%s better)\n", report.F4(res.Winner.Score),
 			report.Pct((1-res.Winner.Score/res.DefaultEval.Score)*100))
 		fmt.Println("  winner config   :")
-		for _, s := range res.Winner.Settings {
-			if s.Value != "" {
-				fmt.Printf("    %-15s %s\n", s.Name, s.Value)
-			} else {
-				fmt.Printf("    %-15s %s\n", s.Name, strconv.FormatFloat(s.Number, 'g', 6, 64))
-			}
-		}
+		printSettings(res.Winner.Settings)
 		fmt.Printf("  artifact        : %s (replay with: hipster cluster -mode des -tuned %s)\n", *out, *out)
 		return nil
 	})
 }
 
-// tunedArgs carries the cluster flags that apply to -tuned replay.
-type tunedArgs struct {
-	path              string
-	nodes, workers    int
-	workload, pattern string
-	duration          float64
-	seed              int64
-	series            bool
-	minNodes          int
-}
+// replayFlags are the cluster flags a -tuned replay honours: the
+// fleet the winner reruns on, the seed, and the run's plumbing. The
+// artifact dictates every other knob, so any other flag set alongside
+// -tuned is a conflict — a flag added later included, until it is
+// marked honoured here.
+var replayFlags = []string{"mode", "tuned", "nodes", "workload", "pattern", "duration",
+	"min-nodes", "seed", "workers", "series", "cpuprofile", "memprofile"}
 
 // runTunedReplay reruns a tuning artifact's winning configuration as a
 // cluster DES: the artifact's own space and winner settings rebuild
@@ -166,48 +171,42 @@ type tunedArgs struct {
 // used, so a replay under a training seed reproduces the ledger's
 // numbers and a replay under a fresh seed grades the winner on a day
 // it never saw.
-func runTunedReplay(a tunedArgs) error {
-	res, err := hipster.ReadTuneResult(a.path)
+func runTunedReplay(c *clusterFlags) error {
+	res, err := hipster.ReadTuneResult(c.tuned)
 	if err != nil {
 		return err
 	}
-	wl, err := hipster.WorkloadByName(a.workload)
+	wl, err := hipster.WorkloadByName(c.workload)
 	if err != nil {
 		return err
 	}
 	var pattern hipster.Pattern
-	if a.pattern != "" {
-		if pattern, err = parsePattern(a.pattern); err != nil {
+	if c.pattern != "" {
+		if pattern, err = parsePattern(c.pattern); err != nil {
 			return err
 		}
 	}
 	ev := hipster.TuneFleetEvaluator{
-		Nodes:    a.nodes,
+		Nodes:    c.nodes,
 		Workload: wl,
 		Pattern:  pattern,
-		Horizon:  a.duration,
-		MinNodes: a.minNodes,
+		Horizon:  c.duration,
+		MinNodes: c.minNodes,
 	}
-	opts, err := ev.FleetOptions(res.Space, res.WinnerPoint(), a.seed)
+	opts, err := ev.FleetOptions(res.Space, res.WinnerPoint(), c.seed)
 	if err != nil {
 		return err
 	}
-	opts.Workers = a.workers
-	m, err := hipster.EvaluateClusterDES(opts, a.duration)
+	opts.Workers = c.workers
+	m, err := hipster.EvaluateClusterDES(opts, c.duration)
 	if err != nil {
 		return err
 	}
 
 	fmt.Printf("cluster mode=des tuned=%s nodes=%d workload=%s duration=%.0fs seed=%d\n",
-		a.path, a.nodes, a.workload, a.duration, a.seed)
+		c.tuned, c.nodes, c.workload, c.duration, c.seed)
 	fmt.Println("  tuned config    :")
-	for _, s := range res.Winner.Settings {
-		if s.Value != "" {
-			fmt.Printf("    %-15s %s\n", s.Name, s.Value)
-		} else {
-			fmt.Printf("    %-15s %s\n", s.Name, strconv.FormatFloat(s.Number, 'g', 6, 64))
-		}
-	}
+	printSettings(res.Winner.Settings)
 	fmt.Printf("  requests        : %d issued, %d completed\n", m.Requests, m.Completed)
 	fmt.Printf("  latency         : p99 %s ms (end to end)\n", report.F2(m.P99*1000))
 	fmt.Printf("  QoS attainment  : %s\n", report.Pct(m.QoSAttainment*100))
@@ -215,6 +214,17 @@ func runTunedReplay(a tunedArgs) error {
 	fmt.Printf("  objective score : %s (artifact weights; winner scored %s on the training seeds)\n",
 		report.F4(res.Weights.Score(m)), report.F4(res.Winner.Score))
 	return nil
+}
+
+// printSettings prints a tuned configuration, one setting per line.
+func printSettings(settings []hipster.TuneSetting) {
+	for _, s := range settings {
+		v := s.Value
+		if v == "" {
+			v = strconv.FormatFloat(s.Number, 'g', 6, 64)
+		}
+		fmt.Printf("    %-15s %s\n", s.Name, v)
+	}
 }
 
 // parseTrainSeeds parses the -train-seeds list, defaulting to

@@ -1,9 +1,15 @@
 package main
 
 import (
+	"flag"
+	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"hipster/internal/tuning"
 )
 
 // TestTuneFlagValidation pins the tune subcommand's CLI-boundary
@@ -70,6 +76,21 @@ func TestTuneFlagValidation(t *testing.T) {
 			args: []string{"-pattern", "sawtooth"},
 			want: []string{"sawtooth"},
 		},
+		{
+			// The tuner reads an all-zero objective as unset; a tiny
+			// budget keeps the run short should the guard ever lapse.
+			name: "all-zero-weights",
+			args: []string{"-w-p99", "0", "-w-qos", "0", "-w-power", "0", "-nodes", "2", "-duration", "5",
+				"-rounds", "1", "-neighbors", "1", "-patience", "1", "-restarts", "0", "-out", os.DevNull},
+			want: []string{"-w-p99", "-w-qos", "-w-power"},
+		},
+		{
+			// The evaluator turns a zero autoscale floor into 2.
+			name: "min-nodes-zero",
+			args: []string{"-min-nodes", "0", "-nodes", "2", "-duration", "5",
+				"-rounds", "1", "-neighbors", "1", "-patience", "1", "-restarts", "0", "-out", os.DevNull},
+			want: []string{"-min-nodes", "at least 1"},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -135,6 +156,31 @@ func TestTunedFlagGuards(t *testing.T) {
 			args: []string{"-mode", "des", "-tuned", "x.json", "-faults"},
 			want: []string{"-faults", "conflict", "-tuned"},
 		},
+		{
+			name: "tuned-with-batch",
+			args: []string{"-mode", "des", "-tuned", "x.json", "-batch", "nosuchprog"},
+			want: []string{"-batch", "conflict", "-tuned"},
+		},
+		{
+			name: "tuned-conflicts-in-lexical-order",
+			args: []string{"-mode", "des", "-tuned", "x.json", "-timeout", "0.5", "-batch", "calculix", "-alpha", "0.5"},
+			want: []string{"-alpha, -batch, -timeout conflict(s) with -tuned"},
+		},
+		{
+			name: "tuned-with-zero-nodes",
+			args: []string{"-mode", "des", "-tuned", "x.json", "-nodes", "0"},
+			want: []string{"-nodes", "at least 1"},
+		},
+		{
+			name: "tuned-with-zero-min-nodes",
+			args: []string{"-mode", "des", "-tuned", "x.json", "-min-nodes", "0"},
+			want: []string{"-min-nodes", "at least 1"},
+		},
+		{
+			name: "tuned-with-zero-duration",
+			args: []string{"-mode", "des", "-tuned", "x.json", "-duration", "0"},
+			want: []string{"-duration", "-tuned"},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -148,6 +194,59 @@ func TestTunedFlagGuards(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTunedRejectsEveryUnhonouredFlag sets each cluster flag outside
+// the replay set alongside -tuned and expects a conflict, so a flag
+// added later is refused under -tuned until it is marked honoured.
+func TestTunedRejectsEveryUnhonouredFlag(t *testing.T) {
+	fs, _ := newClusterFlags()
+	fs.VisitAll(func(fl *flag.Flag) {
+		if slices.Contains(replayFlags, fl.Name) {
+			return
+		}
+		err := runCluster([]string{"-mode", "des", "-tuned", "x.json", "-" + fl.Name + "=" + fl.DefValue})
+		if err == nil || !strings.Contains(err.Error(), "-"+fl.Name+" conflict") {
+			t.Errorf("-%s with -tuned: error %v, want a conflict naming it", fl.Name, err)
+		}
+	})
+}
+
+// TestTunerDefaultsMatchFlags pins that the tuner's untuned point is
+// the CLI's untuned run: every DefaultSpace dimension that shares a
+// name with a cluster flag has that flag's default. domains is the one
+// exception — the tuner's 1 and the flag's 0 both mean one fleet-wide
+// domain.
+func TestTunerDefaultsMatchFlags(t *testing.T) {
+	fs, _ := newClusterFlags()
+	space, err := tuning.DefaultSpace(tuneFleet.nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := 0
+	for _, d := range space.Dims {
+		fl := fs.Lookup(d.Name)
+		if fl == nil {
+			continue
+		}
+		shared++
+		want := strconv.FormatFloat(d.Default, 'g', -1, 64)
+		switch {
+		case d.Kind == tuning.Categorical:
+			want = d.Values[int(d.Default)]
+		case d.Name == tuning.DimDomains:
+			if d.Default != 1 || fl.DefValue != "0" {
+				t.Errorf("domains: tuner default %v, flag default %s; want 1 and 0 (one fleet-wide domain)", d.Default, fl.DefValue)
+			}
+			continue
+		}
+		if fl.DefValue != want {
+			t.Errorf("dimension %s defaults to %s, flag -%s to %s", d.Name, want, d.Name, fl.DefValue)
+		}
+	}
+	if shared != 8 {
+		t.Errorf("%d DefaultSpace dimensions share a cluster flag name, want 8", shared)
 	}
 }
 

@@ -102,9 +102,13 @@ type Policy interface {
 // load-following autoscaler.
 type TargetUtilization struct {
 	// Target is the desired demand / active-capacity ratio in (0, 1]
-	// (default 0.7).
+	// (default DefaultTargetUtilization).
 	Target float64
 }
+
+// DefaultTargetUtilization is the demand / active-capacity ratio
+// TargetUtilization aims for when Target is unset or out of range.
+const DefaultTargetUtilization = 0.7
 
 // Name implements Policy.
 func (TargetUtilization) Name() string { return "target-utilization" }
@@ -113,7 +117,7 @@ func (TargetUtilization) Name() string { return "target-utilization" }
 func (p TargetUtilization) Desired(ctx Context) int {
 	target := p.Target
 	if target <= 0 || target > 1 {
-		target = 0.7
+		target = DefaultTargetUtilization
 	}
 	return ctx.nodesFor(ctx.OfferedRPS, target)
 }

@@ -18,7 +18,7 @@ import (
 // remain bit-identical for any worker count.
 type FederationOptions struct {
 	// SyncEvery is the number of monitoring intervals between sync
-	// rounds (default 10).
+	// rounds (default DefaultSyncInterval).
 	SyncEvery int
 	// Merge selects the table merge policy (default
 	// federation.VisitWeighted).
@@ -40,6 +40,10 @@ type FederationOptions struct {
 	// its arguments, or runs lose reproducibility.
 	Participation func(nodeID, interval int) bool
 }
+
+// DefaultSyncInterval is the number of monitoring intervals between
+// federation sync rounds when FederationOptions.SyncEvery is unset.
+const DefaultSyncInterval = 10
 
 // Federation is the coordinator-side federation machinery shared by the
 // interval-mode cluster and the request-level DES: the federation
@@ -65,7 +69,7 @@ type Federation struct {
 func NewFederation(opts FederationOptions, pols []policy.Policy) (*Federation, error) {
 	f := &Federation{syncEvery: opts.SyncEvery, participate: opts.Participation}
 	if f.syncEvery == 0 {
-		f.syncEvery = 10
+		f.syncEvery = DefaultSyncInterval
 	}
 	if f.syncEvery < 0 {
 		return nil, errors.New("cluster: negative federation sync interval")

@@ -696,7 +696,7 @@ func New(opts Options) (*Fleet, error) {
 	case Hedged:
 		q := m.Quantile
 		if q == 0 {
-			q = 0.95
+			q = DefaultHedgeQuantile
 		}
 		if q <= 0 || q >= 1 {
 			return nil, fmt.Errorf("clusterdes: hedge quantile %v out of (0, 1)", m.Quantile)
@@ -715,7 +715,7 @@ func New(opts Options) (*Fleet, error) {
 	case Predictive:
 		q := m.Quantile
 		if q == 0 {
-			q = 0.95
+			q = DefaultHedgeQuantile
 		}
 		if q <= 0 || q >= 1 {
 			return nil, fmt.Errorf("clusterdes: hedge quantile %v out of (0, 1)", m.Quantile)

@@ -30,9 +30,14 @@ func (None) Name() string { return "none" }
 // slowest ~(1-Quantile) of requests spawn a copy.
 type Hedged struct {
 	// Quantile of the previous interval's latency distribution used as
-	// the hedge delay, in (0, 1) (default 0.95).
+	// the hedge delay, in (0, 1) (default DefaultHedgeQuantile).
 	Quantile float64
 }
+
+// DefaultHedgeQuantile is the hedge delay quantile Hedged and
+// Predictive use when Quantile is unset: only the slowest ~5% of
+// requests spawn a copy in a healthy fleet.
+const DefaultHedgeQuantile = 0.95
 
 // Name implements Mitigation.
 func (Hedged) Name() string { return "hedged" }
@@ -65,7 +70,7 @@ func (WorkStealing) Name() string { return "work-stealing" }
 // predict-then-mitigate discipline of START, arXiv:2111.10241).
 type Predictive struct {
 	// Quantile is the reactive hedge quantile inherited from Hedged, in
-	// (0, 1) (default 0.95).
+	// (0, 1) (default DefaultHedgeQuantile).
 	Quantile float64
 	// Alpha is the EWMA smoothing factor in (0, 1] (default 0.4);
 	// larger values react faster but flap more.

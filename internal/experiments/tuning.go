@@ -22,7 +22,8 @@ type TuningOpts struct {
 	// TrainSeeds override the training seeds (default {Seed, Seed+1}).
 	TrainSeeds []int64
 	// Rounds, Neighbors, Patience and Restarts bound the search
-	// (defaults: the tuning package's — 8, 4, 2, 1).
+	// (defaults: 12 rounds and 3 restarts; Neighbors and Patience take
+	// the tuning package's 4 and 2).
 	Rounds, Neighbors, Patience, Restarts int
 	// Workers parallelises candidate evaluation; 0 means GOMAXPROCS.
 	// The result does not depend on it.

@@ -30,10 +30,15 @@ const (
 // Hipster's RL hyperparameters (alpha, gamma, bucket-frac,
 // learn-secs), the hedge quantile, the routing-domain count, the
 // federation sync interval, the autoscaler's utilisation target, and
-// the mitigation policy itself. Defaults are the CLI/paper defaults,
-// so the default Point IS the configuration an untuned run uses.
-// nodes caps the domain dimension (a fleet cannot shard past its
-// roster) and must be at least 2.
+// the mitigation policy itself. Each default is read from the engine
+// package that applies it — core.DefaultParams, DefaultHedgeQuantile
+// in clusterdes, DefaultSyncInterval in cluster, and
+// DefaultTargetUtilization in autoscale — the same place the CLI flags
+// read theirs, so the default Point IS the configuration an untuned
+// run uses. The bounds are a search policy, not validity ranges: they
+// keep the climb in the region worth exploring. nodes caps the domain
+// dimension (a fleet cannot shard past its roster) and must be at
+// least 2.
 func DefaultSpace(nodes int) (Space, error) {
 	if nodes < 2 {
 		return Space{}, fmt.Errorf("tuning: default space needs at least 2 nodes, got %d", nodes)
@@ -42,15 +47,16 @@ func DefaultSpace(nodes int) (Space, error) {
 	if nodes < maxDomains {
 		maxDomains = nodes
 	}
+	params := core.DefaultParams()
 	s := Space{Dims: []Dimension{
-		{Name: DimAlpha, Kind: Continuous, Min: 0.1, Max: 1.0, Default: 0.6},
-		{Name: DimGamma, Kind: Continuous, Min: 0.0, Max: 0.98, Default: 0.9},
-		{Name: DimBucketFrac, Kind: Continuous, Min: 0.02, Max: 0.25, Default: 0.05},
-		{Name: DimLearnSecs, Kind: Continuous, Min: 30, Max: 500, Default: 500, Step: 120},
-		{Name: DimHedgeQuantile, Kind: Continuous, Min: 0.55, Max: 0.99, Default: 0.95},
+		{Name: DimAlpha, Kind: Continuous, Min: 0.1, Max: 1.0, Default: params.Alpha},
+		{Name: DimGamma, Kind: Continuous, Min: 0.0, Max: 0.98, Default: params.Gamma},
+		{Name: DimBucketFrac, Kind: Continuous, Min: 0.02, Max: 0.25, Default: params.BucketFrac},
+		{Name: DimLearnSecs, Kind: Continuous, Min: 30, Max: 500, Default: params.LearnSecs, Step: 120},
+		{Name: DimHedgeQuantile, Kind: Continuous, Min: 0.55, Max: 0.99, Default: clusterdes.DefaultHedgeQuantile},
 		{Name: DimDomains, Kind: Discrete, Min: 1, Max: float64(maxDomains), Default: 1},
-		{Name: DimSyncInterval, Kind: Discrete, Min: 2, Max: 20, Default: 10, Step: 3},
-		{Name: DimScaleTarget, Kind: Continuous, Min: 0.5, Max: 0.95, Default: 0.7, Step: 0.12},
+		{Name: DimSyncInterval, Kind: Discrete, Min: 2, Max: 20, Default: cluster.DefaultSyncInterval, Step: 3},
+		{Name: DimScaleTarget, Kind: Continuous, Min: 0.5, Max: 0.95, Default: autoscale.DefaultTargetUtilization, Step: 0.12},
 		{Name: DimMitigation, Kind: Categorical, Default: 0,
 			Values: []string{"none", "hedged", "work-stealing", "predictive"}},
 	}}

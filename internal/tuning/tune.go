@@ -43,11 +43,15 @@ type Weights struct {
 // budget).
 func DefaultWeights() Weights { return Weights{P99: 1, QoSMiss: 5, PowerW: 0.1} }
 
-// withDefaults fills unset weights; an explicit all-zero objective is
-// rejected by Options.validate before this runs.
+// withDefaults fills unset weights: an objective with all three
+// prices zero (the zero value) takes DefaultWeights' prices and keeps
+// its energy budget, and a budget without CapW gets the steep default.
+// Options.validate cannot tell an explicit all-zero objective from the
+// unset one, so callers that can (hipster tune) reject it themselves.
 func (w Weights) withDefaults() Weights {
 	if w.P99 == 0 && w.QoSMiss == 0 && w.PowerW == 0 {
-		w = DefaultWeights()
+		d := DefaultWeights()
+		w.P99, w.QoSMiss, w.PowerW = d.P99, d.QoSMiss, d.PowerW
 	}
 	if w.PowerCapW > 0 && w.CapW == 0 {
 		w.CapW = 10
@@ -87,7 +91,7 @@ type Options struct {
 
 	// Seed drives the search's own decisions (neighbor proposals,
 	// restart points) on a dedicated stream, independent of the
-	// evaluation seeds (default 0.7).
+	// evaluation seeds. It is taken as given: 0 is a seed like any other.
 	Seed int64
 
 	// Neighbors is the candidate batch proposed per hill-climbing round
@@ -102,7 +106,7 @@ type Options struct {
 	Patience int
 
 	// Restarts is how many random restarts follow the default-point
-	// climb (default 0.7).
+	// climb; 0 runs the default-point climb alone.
 	Restarts int
 
 	// Workers parallelises candidate×seed evaluations on a cluster
@@ -118,9 +122,6 @@ func (o Options) withDefaults() Options {
 	if len(o.Seeds) == 0 {
 		o.Seeds = []int64{42, 43}
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
 	if o.Neighbors == 0 {
 		o.Neighbors = 4
 	}
@@ -129,9 +130,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Patience == 0 {
 		o.Patience = 2
-	}
-	if o.Restarts == 0 {
-		o.Restarts = 1
 	}
 	o.Weights = o.Weights.withDefaults()
 	return o

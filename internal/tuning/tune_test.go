@@ -42,6 +42,38 @@ func tuneOpts(t *testing.T) Options {
 		Evaluate: bowlEvaluator(s),
 		Seeds:    []int64{42, 43, 44},
 		Seed:     9,
+		Restarts: 1,
+	}
+}
+
+// TestTuneTakesZeroSeed pins that 0 is a legal search seed: it may not
+// be silently rewritten, or the artifact would record a search stream
+// other than the one asked for.
+func TestTuneTakesZeroSeed(t *testing.T) {
+	o := tuneOpts(t)
+	o.Seed = 0
+	res, err := Tune(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SearchSeed != 0 {
+		t.Fatalf("SearchSeed = %d, want the 0 that was asked for", res.SearchSeed)
+	}
+}
+
+// TestTuneTakesZeroRestarts pins that Restarts 0 runs the default-point
+// climb alone instead of silently adding a random restart.
+func TestTuneTakesZeroRestarts(t *testing.T) {
+	o := tuneOpts(t)
+	o.Restarts = 0
+	res, err := Tune(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range res.Evaluations {
+		if e.Restart != 0 {
+			t.Fatalf("ledger entry %d comes from restart %d under Restarts 0", e.ID, e.Restart)
+		}
 	}
 }
 
@@ -277,6 +309,17 @@ func TestWeightsScore(t *testing.T) {
 	explicit := Weights{P99: 2}.withDefaults()
 	if explicit != (Weights{P99: 2}) {
 		t.Fatalf("explicit weights mutated: %+v", explicit)
+	}
+}
+
+// TestWeightsZeroPricesKeepBudget pins that defaulting the three prices
+// of an unset objective leaves an explicit energy budget in place.
+func TestWeightsZeroPricesKeepBudget(t *testing.T) {
+	got := Weights{PowerCapW: 50}.withDefaults()
+	want := DefaultWeights()
+	want.PowerCapW, want.CapW = 50, 10
+	if got != want {
+		t.Fatalf("budget-only weights default to %+v, want %+v", got, want)
 	}
 }
 
