@@ -292,9 +292,13 @@ type Result struct {
 // Summarize computes the fleet's headline metrics.
 func (r Result) Summarize() telemetry.FleetSummary { return r.Fleet.Summarize() }
 
-// Event kinds of the fleet event loop. Fleet arrivals and interval
-// ticks are not heap events — each is a single strictly increasing
-// scalar next-time, merged into the loop by comparison.
+// Event kinds of the fleet event loop. Completions and retries are heap
+// events. Deadline (evTimeout) and hedge timers ride in the loop's two
+// FIFO timer lanes, and reach the heap only when their lane refuses
+// them (see eventQueue.arm). Fleet arrivals and interval ticks are not
+// queued at all — each is a single strictly increasing scalar
+// next-time. runInterval merges the heap top, the two lane heads and
+// the next arrival by comparison.
 const (
 	evCompletion = iota // node a, server b, service sequence c
 	evHedge             // request a
@@ -309,6 +313,109 @@ type event struct {
 	// the slot's sequence, stranding any completion event issued for
 	// the abandoned service — the heap needs no deletions.
 	c int32
+}
+
+// Sources of a loop's next queued event, in tie order: at equal times
+// the heap top goes first, then the deadline lane, then the hedge lane.
+// (The pending arrival goes after all three; see runInterval.)
+const (
+	srcHeap = iota
+	srcDeadline
+	srcHedge
+)
+
+// timer is one pending deadline or hedge timer in a lane.
+type timer struct {
+	t  float64
+	id int32 // request
+}
+
+// timerLane is a FIFO of timers whose due times never decrease, so its
+// head is its earliest timer.
+type timerLane struct {
+	ring queueing.Ring[timer]
+	tail float64 // due time of the last timer appended; -Inf before the first
+	// spilled counts the timers the lane refused, which arm put on the
+	// heap instead. Nothing in the model reads it.
+	spilled int
+}
+
+// eventQueue holds a loop's pending events: completions and retries on
+// a heap, deadline and hedge timers in two FIFO lanes beside it. A
+// deadline is armed at now + the run's constant timeout and a hedge at
+// now + the interval's hedge delay, and the loop clock never goes
+// backwards, so each lane's due times arrive in order except where a
+// delay shrank; arm sends exactly those timers to the heap. The pop
+// order is therefore exact time order whatever the delays do — they
+// only decide how many timers pay the heap's log n — and the many
+// timers that are stale by the time they fire skip the sift.
+type eventQueue struct {
+	heap      queueing.TimeHeap[event]
+	deadlines timerLane
+	hedges    timerLane
+	// timerNext is the earliest due time in either lane, +Inf when both
+	// are empty, and timerSrc the lane holding it (the deadline lane on
+	// a tie), so next weighs both lanes with one comparison.
+	timerNext float64
+	timerSrc  int
+}
+
+// newEventQueue returns an empty queue.
+func newEventQueue() eventQueue {
+	return eventQueue{
+		deadlines: timerLane{tail: math.Inf(-1)},
+		hedges:    timerLane{tail: math.Inf(-1)},
+		timerNext: math.Inf(1),
+	}
+}
+
+// arm schedules request id's evTimeout or evHedge timer at t. A timer
+// due no earlier than its lane's tail is appended to the lane; any
+// other goes on the heap with its kind, so each lane stays sorted.
+func (q *eventQueue) arm(t float64, kind int8, id int32) {
+	lane, src := &q.hedges, srcHedge
+	if kind == evTimeout {
+		lane, src = &q.deadlines, srcDeadline
+	}
+	if !(t >= lane.tail) {
+		lane.spilled++
+		q.heap.Push(t, event{kind: kind, a: id})
+		return
+	}
+	lane.ring.Push(timer{t: t, id: id})
+	lane.tail = t
+	if t < q.timerNext || t == q.timerNext && src == srcDeadline {
+		q.timerNext, q.timerSrc = t, src
+	}
+}
+
+// next returns the source of the earliest queued event — the heap top
+// or a lane head, the heap on a tie — and its time, +Inf when nothing
+// is queued. It is small enough to inline into the event loop.
+func (q *eventQueue) next() (src int, t float64) {
+	src, t = q.timerSrc, q.timerNext
+	if ht, ok := q.heap.PeekTime(); ok && ht <= t {
+		src, t = srcHeap, ht
+	}
+	return src, t
+}
+
+// popTimer removes the earliest lane timer, the one next reported, and
+// returns it as the event the heap would have held.
+func (q *eventQueue) popTimer() (float64, event) {
+	lane, kind := &q.deadlines, int8(evTimeout)
+	if q.timerSrc == srcHedge {
+		lane, kind = &q.hedges, evHedge
+	}
+	tm := lane.ring.Pop()
+	q.timerNext, q.timerSrc = math.Inf(1), srcHedge
+	if q.deadlines.ring.Len() > 0 {
+		q.timerNext, q.timerSrc = q.deadlines.ring.Peek().t, srcDeadline
+	}
+	if q.hedges.ring.Len() > 0 && q.hedges.ring.Peek().t < q.timerNext {
+		q.timerNext, q.timerSrc = q.hedges.ring.Peek().t, srcHedge
+	}
+	return tm.t, event{kind: kind, a: tm.id}
 }
 
 // hedgeVoid marks a request whose hedge race lost its meaning — a
@@ -444,7 +551,7 @@ type latRecorder struct {
 func newLatRecorder() latRecorder { return latRecorder{stride: 1, limit: latSampleCap} }
 
 // loop is one routing domain's event loop: the request table, event
-// heap, RNG streams, arrival process and per-interval counters for a
+// queue, RNG streams, arrival process and per-interval counters for a
 // contiguous slice of the roster. The Fleet builds one loop per domain
 // (a single loop spanning the whole roster by default) and steps them
 // in parallel, exchanging cross-domain effects only at interval
@@ -502,7 +609,7 @@ type loop struct {
 	svcRNG   *rand.Rand
 	retryRNG *rand.Rand // backoff jitter; its own stream so retries do not shift the others
 
-	events queueing.TimeHeap[event]
+	events eventQueue
 	reqs   []request
 	free   []int32
 
@@ -831,6 +938,7 @@ func (f *Fleet) newDomains(dcount int) {
 			routeRNG:    sim.SubRNG(f.opts.Seed+int64(k), "des-route"),
 			svcRNG:      sim.SubRNG(f.opts.Seed+int64(k), "des-service"),
 			retryRNG:    sim.SubRNG(f.opts.Seed+int64(k), "des-retry"),
+			events:      newEventQueue(),
 			lat:         newLatRecorder(),
 		}
 		l.shares, l.cumShares = newShares(hi - lo)
@@ -1047,7 +1155,7 @@ func (l *loop) startService(n *desNode, s int, id int32, t float64) {
 	end := t + d
 	n.busyUntil[s] = end
 	n.busy[s] += math.Min(end, l.tickEnd) - t
-	l.events.Push(end, event{kind: evCompletion, a: int32(n.id), b: int32(s), c: n.svcSeq[s]})
+	l.events.heap.Push(end, event{kind: evCompletion, a: int32(n.id), b: int32(s), c: n.svcSeq[s]})
 }
 
 // cancelService abandons the service in flight on server s of node n at
@@ -1297,7 +1405,7 @@ func (l *loop) armDeadline(id int32, t float64) {
 		return
 	}
 	l.reqs[id].refs++
-	l.events.Push(t+l.resil.Timeout, event{kind: evTimeout, a: id})
+	l.events.arm(t+l.resil.Timeout, evTimeout, id)
 }
 
 // failAttempt resolves a failed delivery attempt (admission refusal or
@@ -1311,7 +1419,7 @@ func (l *loop) failAttempt(id int32, t float64) {
 		r.attempts++
 		r.refs++
 		l.retries++
-		l.events.Push(t+d, event{kind: evRetry, a: id})
+		l.events.heap.Push(t+d, event{kind: evRetry, a: id})
 		return
 	}
 	r.done = true
@@ -1371,7 +1479,7 @@ func (l *loop) handleArrival() {
 			wait = l.suspectWait
 		}
 		l.reqs[id].refs++
-		l.events.Push(t+wait, event{kind: evHedge, a: id})
+		l.events.arm(t+wait, evHedge, id)
 	}
 }
 
@@ -1496,7 +1604,7 @@ func (l *loop) handleRetry(t float64, ev event) {
 		// revocations) while the retry waited; look again once the
 		// backoff cap has passed — the roster can regrow or recover.
 		r.refs++
-		l.events.Push(t+l.resil.Backoff.Cap, event{kind: evRetry, a: id})
+		l.events.heap.Push(t+l.resil.Backoff.Cap, event{kind: evRetry, a: id})
 		return
 	}
 	n := l.routeDraw()
@@ -1625,38 +1733,46 @@ func (lr *latRecorder) record(soj float64) {
 	}
 }
 
-// runInterval drains the loop's event heap and arrival process up to
-// the interval boundary tTick, in event-time order. This is the whole
-// of a domain's work between two boundaries: it reads and writes only
-// the loop's own state, which is what lets a sharded run step every
-// domain in parallel.
+// runInterval drains the loop's events and arrival process up to the
+// interval boundary tTick, in event-time order. Three sources feed it:
+// the event heap, the deadline and hedge timer lanes, and the next
+// arrival. eventQueue.next picks the earliest queued event, and the
+// arrival goes first only when strictly earlier, so equal times go to
+// the heap top, then the deadline lane, then the hedge lane, and the
+// arrival last. (Comparing the arrival here, not inside next, keeps
+// one data-dependent branch per event.) This is the whole of a
+// domain's work between two boundaries: it reads and writes only the
+// loop's own state, which is what lets a sharded run step every domain
+// in parallel.
 func (l *loop) runInterval(tTick float64) {
 	l.tickEnd = tTick
 	for {
-		tEv := math.Inf(1)
-		if et, ok := l.events.PeekTime(); ok {
-			tEv = et
-		}
-		if tEv <= l.nextArrival {
-			if tEv >= tTick {
-				return
-			}
-			t, ev := l.events.Pop()
-			switch ev.kind {
-			case evCompletion:
-				l.handleCompletion(t, ev)
-			case evHedge:
-				l.handleHedge(t, ev)
-			case evTimeout:
-				l.handleTimeout(t, ev)
-			default:
-				l.handleRetry(t, ev)
-			}
-		} else {
+		src, t := l.events.next()
+		if l.nextArrival < t {
 			if l.nextArrival >= tTick {
 				return
 			}
 			l.handleArrival()
+			continue
+		}
+		if t >= tTick {
+			return
+		}
+		var ev event
+		if src == srcHeap {
+			t, ev = l.events.heap.Pop()
+		} else {
+			t, ev = l.events.popTimer()
+		}
+		switch ev.kind {
+		case evCompletion:
+			l.handleCompletion(t, ev)
+		case evHedge:
+			l.handleHedge(t, ev)
+		case evTimeout:
+			l.handleTimeout(t, ev)
+		default:
+			l.handleRetry(t, ev)
 		}
 	}
 }

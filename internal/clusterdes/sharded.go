@@ -80,7 +80,7 @@ func (f *Fleet) reconcile(tEnd float64) int {
 				if rt < tEnd {
 					rt = tEnd
 				}
-				origin.events.Push(rt, event{kind: evRetry, a: nid})
+				origin.events.heap.Push(rt, event{kind: evRetry, a: nid})
 			} else {
 				origin.timedOut++
 			}

@@ -3,13 +3,13 @@ package queueing
 // TimeHeap is a generic binary min-heap on float64 event times with an
 // arbitrary payload, for discrete-event simulations whose events carry
 // more than a completing-server index (the cluster-scale DES schedules
-// completions and hedge timers through one heap; its arrivals and
-// interval ticks are scalar next-times merged by comparison). It
-// replicates container/heap's sift order exactly — ties on
-// the key keep the order the standard library would produce — so
-// simulations built on it are bit-reproducible for a given insertion
-// sequence. The zero value is ready to use; a TimeHeap is not safe for
-// concurrent use.
+// completions, retries and the timers its FIFO timer lanes refuse
+// through one heap; its arrivals, interval ticks and lane heads are
+// merged with the heap top by comparison). It replicates
+// container/heap's sift order exactly — ties on the key keep the order
+// the standard library would produce — so simulations built on it are
+// bit-reproducible for a given insertion sequence. The zero value is
+// ready to use; a TimeHeap is not safe for concurrent use.
 type TimeHeap[T any] struct {
 	keys []float64
 	vals []T
@@ -91,8 +91,9 @@ func (h *TimeHeap[T]) Pop() (float64, T) {
 // Simulator's arrival queue: push to the tail, pop from the head,
 // power-of-two storage grown on demand. The cluster-scale DES keeps one
 // per node holding queued request ids, which work stealing also pops
-// from. The zero value is ready to use; a Ring is not safe for
-// concurrent use.
+// from, and two per domain loop as its deadline and hedge timer lanes.
+// The zero value is ready to use; a Ring is not safe for concurrent
+// use.
 type Ring[T any] struct {
 	buf  []T
 	head int
@@ -124,6 +125,15 @@ func (r *Ring[T]) Pop() T {
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return v
+}
+
+// Peek returns the oldest element without removing it. Peek on an
+// empty ring panics, as Pop does.
+func (r *Ring[T]) Peek() T {
+	if r.n == 0 {
+		panic("queueing: Peek on empty ring")
+	}
+	return r.buf[r.head]
 }
 
 // grow doubles the storage, linearizing the live window so the

@@ -77,35 +77,51 @@ func TestTimeHeapMatchesContainerHeap(t *testing.T) {
 }
 
 // TestRingFIFO drives the ring against a plain slice queue across
-// growth boundaries.
+// growth boundaries; Peek must name the element the next Pop returns.
 func TestRingFIFO(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var r Ring[int]
 	var ref []int
+	grew := 0
 	for op := 0; op < 4000; op++ {
 		if len(ref) == 0 || rng.Float64() < 0.55 {
+			c := len(r.buf)
 			r.Push(op)
 			ref = append(ref, op)
+			if len(r.buf) != c {
+				grew++
+			}
+			if got := r.Peek(); got != ref[0] {
+				t.Fatalf("op %d: Peek after Push = %d, want %d", op, got, ref[0])
+			}
 			continue
 		}
+		peek := r.Peek()
 		got := r.Pop()
 		want := ref[0]
 		ref = ref[1:]
-		if got != want {
-			t.Fatalf("op %d: Pop = %d, want %d", op, got, want)
+		if got != want || peek != want {
+			t.Fatalf("op %d: Peek = %d, Pop = %d, want %d", op, peek, got, want)
 		}
 		if r.Len() != len(ref) {
 			t.Fatalf("op %d: Len = %d, want %d", op, r.Len(), len(ref))
 		}
 	}
+	if grew < 3 {
+		t.Fatalf("ring grew %d times; the walk must cross several growth boundaries", grew)
+	}
 	r.Reset()
 	if r.Len() != 0 {
 		t.Fatal("Reset left elements behind")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Pop on empty ring did not panic")
-		}
-	}()
-	r.Pop()
+	for name, f := range map[string]func(){"Pop": func() { r.Pop() }, "Peek": func() { r.Peek() }} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s on empty ring did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
