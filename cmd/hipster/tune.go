@@ -10,12 +10,15 @@ import (
 	"hipster/internal/report"
 )
 
-// tuneFleet is the tuner's default evaluation fleet, written as the
-// cluster flags that describe it: hipster tune searches on it unless
-// its fleet flags say otherwise, and a -tuned replay reruns it for
-// every fleet flag left unset. The empty pattern is the tuner's own
-// bursty training day.
-var tuneFleet = clusterFlags{nodes: 6, workload: "websearch", duration: 300, minNodes: 2}
+// tuneFleet is the tuner's default evaluation fleet
+// (hipster.DefaultTuneFleet), written as the cluster flags that
+// describe it: hipster tune searches on it unless its fleet flags say
+// otherwise, and a -tuned replay reruns it for every fleet flag left
+// unset. The empty pattern is the tuner's own bursty training day.
+var tuneFleet = func() clusterFlags {
+	d := hipster.DefaultTuneFleet()
+	return clusterFlags{nodes: d.Nodes, workload: d.Workload.Name, duration: d.Horizon, minNodes: d.MinNodes}
+}()
 
 // runTune implements the tune subcommand: an offline search over the
 // learn-enabled cluster DES that writes its winner plus the full

@@ -441,6 +441,11 @@ func DefaultParamSpace(nodes int) (ParamSpace, error) { return tuning.DefaultSpa
 // energy budget).
 func DefaultTuneWeights() TuneWeights { return tuning.DefaultWeights() }
 
+// DefaultTuneFleet returns the tuner's default evaluation fleet (6
+// Web-Search nodes, 300-s evaluations, autoscale floor 2, the bursty
+// training day); a TuneFleetEvaluator fills its unset fields from it.
+func DefaultTuneFleet() TuneFleetEvaluator { return tuning.DefaultFleet() }
+
 // ReadTuneResult loads a tuning artifact written by TuneResult's
 // WriteFile, validating its space and winner.
 func ReadTuneResult(path string) (TuneResult, error) { return tuning.ReadFile(path) }

@@ -1,11 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-
-	"hipster/internal/autoscale"
-	"hipster/internal/federation"
-)
+import "hipster/internal/autoscale"
 
 // AutoscaleOptions enable elastic fleet sizing: every monitoring
 // interval, before the load is split, the coordinator asks a scaling
@@ -47,60 +42,15 @@ type AutoscaleOptions struct {
 	DownAfterIntervals int
 }
 
-// asState is the cluster's autoscaling machinery: the controller, the
-// reusable roster scratch handed to the policy, and the activity
-// counters.
-type asState struct {
-	ctl    *autoscale.Controller
-	roster []autoscale.NodeInfo
-	stats  autoscale.Stats
-}
-
-// newAsState resolves the options against an n-node roster, returning
-// the machinery and the initial active count.
-func newAsState(opts AutoscaleOptions, n int) (*asState, int, error) {
-	pol := opts.Policy
-	if pol == nil {
-		pol = autoscale.TargetUtilization{}
-	}
-	lo := opts.MinNodes
-	if lo == 0 {
-		lo = 1
-	}
-	hi := opts.MaxNodes
-	if hi == 0 {
-		hi = n
-	}
-	if hi > n {
-		return nil, 0, fmt.Errorf("cluster: autoscale max nodes %d exceeds the %d-node roster", hi, n)
-	}
-	initial := opts.InitialNodes
-	if initial == 0 {
-		initial = lo
-	}
-	ctl, err := autoscale.NewController(autoscale.Config{
-		Policy:             pol,
-		Min:                lo,
-		Max:                hi,
-		CooldownIntervals:  opts.CooldownIntervals,
-		DownAfterIntervals: opts.DownAfterIntervals,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	if initial < lo || initial > hi {
-		return nil, 0, fmt.Errorf("cluster: autoscale initial nodes %d outside [%d, %d]", initial, lo, hi)
-	}
-	a := &asState{ctl: ctl, roster: make([]autoscale.NodeInfo, n)}
-	a.stats.PeakActive, a.stats.MinActive = initial, initial
-	return a, initial, nil
-}
-
-// context assembles the scaling policy's view of the fleet.
-func (a *asState) context(c *Cluster, t, totalRPS float64) autoscale.Context {
+// autoscaleStep fills the scaler's roster, runs one scaling decision
+// and applies it. Runs in the coordinator's serial section, before the
+// interval's load is split, so the new active set serves the demand
+// that triggered it.
+func (c *Cluster) autoscaleStep(t, totalRPS float64) error {
+	roster := c.scaler.Roster()
 	for i, n := range c.nodes {
 		st := n.state
-		a.roster[i] = autoscale.NodeInfo{
+		roster[i] = autoscale.NodeInfo{
 			ID:              i,
 			CapacityRPS:     st.CapacityRPS,
 			Active:          st.Active,
@@ -114,92 +64,51 @@ func (a *asState) context(c *Cluster, t, totalRPS float64) autoscale.Context {
 			LastQueueDepth: st.LastBacklog,
 		}
 	}
-	return autoscale.Context{
-		Interval:   c.clock.Steps(),
-		T:          t,
-		OfferedRPS: totalRPS,
-		Nodes:      a.roster,
-		Active:     c.active,
-	}
-}
-
-// autoscaleStep runs one scaling decision and applies it: activations
-// warm-start from the federation fleet table, deactivations flush the
-// departing node's delta first. Runs in the coordinator's serial
-// section, before the interval's load is split, so the new active set
-// serves the demand that triggered it.
-func (c *Cluster) autoscaleStep(t, totalRPS float64) error {
-	d := c.as.ctl.Decide(c.as.context(c, t, totalRPS))
+	interval := c.clock.Steps()
+	d := c.scaler.Decide(interval, t, totalRPS, c.active)
 	if !d.Scaled {
 		return nil
 	}
-	interval := c.clock.Steps()
-	if d.Target > c.active {
-		// One fleet-table copy serves every activation of this event.
-		var bc federation.Broadcast
-		for id := c.active; id < d.Target; id++ {
-			if c.fed != nil {
-				warmed, err := c.fed.WarmStart(id, interval, &bc)
-				if err != nil {
-					return fmt.Errorf("cluster: autoscale warm-start of node %d: %w", id, err)
-				}
-				if warmed {
-					c.as.stats.WarmStarts++
-				}
-			}
-			c.nodes[id].state.Active = true
-		}
-		c.as.stats.Ups++
-		c.as.stats.NodesAdded += d.Target - c.active
-	} else {
-		for id := d.Target; id < c.active; id++ {
-			if c.fed != nil {
-				flushed, err := c.fed.Flush(id, interval)
-				if err != nil {
-					return fmt.Errorf("cluster: autoscale flush of node %d: %w", id, err)
-				}
-				if flushed {
-					c.as.stats.Flushes++
-				}
-			}
-			n := c.nodes[id]
-			n.state.Active = false
-			// A powered-off node does not keep a request queue alive:
-			// whatever backlog it was draining is abandoned now rather
-			// than resurfacing as a phantom latency spike (and a
-			// spurious QoS violation) when the node rejoins.
-			n.eng.DropBacklog()
-			// Clear the feedback fields: when the node rejoins, its
-			// last interval is arbitrarily old, and splitters and
-			// scaling policies must treat it as fresh rather than act
-			// on stale load or QoS readings.
-			n.state.Stepped = false
-			n.state.LastOfferedRPS = 0
-			n.state.LastAchievedRPS = 0
-			n.state.LastBacklog = 0
-			n.state.LastTailLatency = 0
-			n.state.LastTarget = 0
-		}
-		c.as.stats.Downs++
-		c.as.stats.NodesRemoved += c.active - d.Target
-	}
+	from := c.active
 	c.active = d.Target
-	if c.active > c.as.stats.PeakActive {
-		c.as.stats.PeakActive = c.active
-	}
-	if c.active < c.as.stats.MinActive {
-		c.as.stats.MinActive = c.active
-	}
-	return nil
+	return c.scaler.Apply(from, d.Target, interval, c.fed, c.join, c.leave)
+}
+
+// join is interval mode's per-node half of an activation; Scaler.Apply
+// calls it after the node's warm-start.
+func (c *Cluster) join(id int) { c.nodes[id].state.Active = true }
+
+// leave is interval mode's per-node half of a deactivation; Scaler.Apply
+// calls it after the node's flush.
+func (c *Cluster) leave(id int) {
+	n := c.nodes[id]
+	n.state.Active = false
+	// A powered-off node does not keep a request queue alive: whatever
+	// backlog it was draining is abandoned now rather than resurfacing
+	// as a phantom latency spike (and a spurious QoS violation) when
+	// the node rejoins.
+	n.eng.DropBacklog()
+	// Clear the feedback fields: when the node rejoins, its last
+	// interval is arbitrarily old, and splitters and scaling policies
+	// must treat it as fresh rather than act on stale load or QoS
+	// readings.
+	n.state.Stepped = false
+	n.state.LastOfferedRPS = 0
+	n.state.LastAchievedRPS = 0
+	n.state.LastBacklog = 0
+	n.state.LastTailLatency = 0
+	n.state.LastTarget = 0
 }
 
 // AutoscaleStats returns the autoscaler's activity counters; ok is
 // false when autoscaling is disabled.
 func (c *Cluster) AutoscaleStats() (stats autoscale.Stats, ok bool) {
-	if c.as == nil {
+	if c.scaler == nil {
 		return autoscale.Stats{}, false
 	}
-	return c.as.stats, true
+	stats = c.scaler.Stats()
+	stats.NodeIntervals = c.nodeIntervals
+	return stats, true
 }
 
 // ActiveNodes returns the current active-node count (the full roster

@@ -138,12 +138,14 @@ type Cluster struct {
 	fleet  *telemetry.FleetTrace
 	merger telemetry.Merger
 	fed    *Federation
-	as     *asState
+	scaler *Scaler
 
 	// active is the active-node count: the active set is always the
 	// roster prefix nodes[:active] (the whole roster without
 	// autoscaling).
 	active int
+	// nodeIntervals counts the active node-intervals stepped so far.
+	nodeIntervals int
 
 	// failed latches the first Step error: some engines may already
 	// have stepped and recorded that interval, so the fleet is
@@ -261,11 +263,11 @@ func New(opts Options) (*Cluster, error) {
 	}
 	c.active = len(c.nodes)
 	if opts.Autoscale != nil {
-		as, initial, err := newAsState(*opts.Autoscale, len(c.nodes))
+		scaler, initial, err := NewScaler(*opts.Autoscale, len(c.nodes))
 		if err != nil {
 			return nil, err
 		}
-		c.as = as
+		c.scaler = scaler
 		c.active = initial
 	}
 	for i, n := range c.nodes {
@@ -316,7 +318,7 @@ func (c *Cluster) Step() (telemetry.FleetSample, error) {
 	// The scaling decision sees this interval's demand before the split,
 	// so a burst can be answered by new capacity in the same interval it
 	// arrives.
-	if c.as != nil {
+	if c.scaler != nil {
 		if err := c.autoscaleStep(t, totalRPS); err != nil {
 			return c.fail(err)
 		}
@@ -387,9 +389,7 @@ func (c *Cluster) Step() (telemetry.FleetSample, error) {
 		energy += n.lastEnergyJ
 	}
 	fs.EnergyJ = energy
-	if c.as != nil {
-		c.as.stats.NodeIntervals += c.active
-	}
+	c.nodeIntervals += c.active
 	c.fleet.Add(fs)
 	return fs, nil
 }

@@ -49,7 +49,6 @@ import (
 	"hipster/internal/autoscale"
 	"hipster/internal/cluster"
 	"hipster/internal/faults"
-	"hipster/internal/federation"
 	"hipster/internal/loadgen"
 	"hipster/internal/platform"
 	"hipster/internal/policy"
@@ -77,18 +76,20 @@ type NodeConfig struct {
 	Config *platform.Config
 }
 
-// AutoscaleOptions enable elastic sizing of the DES fleet, reusing the
-// interval mode's controller (bounds, cooldown, hysteresis) and scaling
-// policies. Two things differ from the interval mode, both only
-// expressible at request granularity. First, the policy's OfferedRPS is
-// the MEASURED arrival rate of the previous interval, not the pattern's
-// demand for the coming one — the DES autoscaler is an observer, not
+// AutoscaleOptions enable elastic sizing of the DES fleet. Scale
+// events run through the interval mode's cluster.Scaler: the same
+// option resolution, controller (bounds, cooldown, hysteresis),
+// scaling policies, federation warm-start/flush and counters. Two
+// things differ from the interval mode, both only expressible at
+// request granularity. First, the policy's OfferedRPS is the MEASURED
+// arrival rate of the previous interval, not the pattern's demand for
+// the coming one — the DES autoscaler is an observer, not
 // clairvoyant. Second, activation is not free: a woken node spends
 // WarmupIntervals intervals degraded to WarmupFactor of its service
-// rate (0 = serves nothing) while the splitter, which routes by nominal
-// capacity, keeps sending it traffic — the queue that builds is the
-// transient CloudCoaster-style schedulers plan around, and mitigation
-// policies act on.
+// rate (0 = serves nothing) while the splitter, which routes by
+// nominal capacity, keeps sending it traffic — the queue that builds
+// is the transient CloudCoaster-style schedulers plan around, and
+// mitigation policies act on.
 type AutoscaleOptions struct {
 	// Policy proposes the desired active count each interval (default
 	// autoscale.TargetUtilization{}).
@@ -714,8 +715,7 @@ type Fleet struct {
 	fleet   *telemetry.FleetTrace
 	merger  telemetry.Merger
 
-	ctl       *autoscale.Controller
-	roster    []autoscale.NodeInfo
+	scaler    *cluster.Scaler
 	warmupIvs int
 
 	// breakerOpens counts the interval's breaker open transitions;
@@ -801,15 +801,9 @@ func New(opts Options) (*Fleet, error) {
 	switch m := opts.Mitigation.(type) {
 	case nil, None:
 	case Hedged:
-		q := m.Quantile
-		if q == 0 {
-			q = DefaultHedgeQuantile
+		if err := f.enableHedging(m.Quantile); err != nil {
+			return nil, err
 		}
-		if q <= 0 || q >= 1 {
-			return nil, fmt.Errorf("clusterdes: hedge quantile %v out of (0, 1)", m.Quantile)
-		}
-		f.hedging = true
-		f.hedgeQ = q
 	case WorkStealing:
 		if m.MinDepth < 0 {
 			return nil, fmt.Errorf("clusterdes: negative work-stealing min depth %d", m.MinDepth)
@@ -820,12 +814,8 @@ func New(opts Options) (*Fleet, error) {
 			f.minDepth = 2
 		}
 	case Predictive:
-		q := m.Quantile
-		if q == 0 {
-			q = DefaultHedgeQuantile
-		}
-		if q <= 0 || q >= 1 {
-			return nil, fmt.Errorf("clusterdes: hedge quantile %v out of (0, 1)", m.Quantile)
+		if err := f.enableHedging(m.Quantile); err != nil {
+			return nil, err
 		}
 		a := m.Alpha
 		if a == 0 {
@@ -848,8 +838,6 @@ func New(opts Options) (*Fleet, error) {
 		if hf <= 0 || hf > 1 {
 			return nil, fmt.Errorf("clusterdes: predictive hedge fraction %v out of (0, 1]", m.HedgeFraction)
 		}
-		f.hedging = true
-		f.hedgeQ = q
 		f.predictive = true
 		f.predAlpha, f.predThresh, f.predFrac = a, th, hf
 	default:
@@ -908,6 +896,21 @@ func New(opts Options) (*Fleet, error) {
 	f.sumFn = func(i int) { f.samples[i] = f.nodes[i].finishInterval(f.tEnd, f.dt) }
 	f.newDomains(opts.Domains)
 	return f, nil
+}
+
+// enableHedging turns hedging on at quantile q of the previous
+// interval's sojourns: 0 selects DefaultHedgeQuantile, anything else
+// must lie in (0, 1). Hedged and Predictive share it.
+func (f *Fleet) enableHedging(q float64) error {
+	if q == 0 {
+		q = DefaultHedgeQuantile
+	}
+	if q <= 0 || q >= 1 {
+		return fmt.Errorf("clusterdes: hedge quantile %v out of (0, 1)", q)
+	}
+	f.hedging = true
+	f.hedgeQ = q
+	return nil
 }
 
 // newDomains partitions the roster into dcount routing domains (0
@@ -1042,38 +1045,19 @@ func newNode(id int, nc NodeConfig, maxQueue int, f *Fleet) (*desNode, error) {
 	return n, nil
 }
 
+// initAutoscale builds the shared scaler from the options' controller
+// fields and validates the warm-up, which only the DES models.
 func (f *Fleet) initAutoscale(opts AutoscaleOptions) error {
-	pol := opts.Policy
-	if pol == nil {
-		pol = autoscale.TargetUtilization{}
-	}
-	lo := opts.MinNodes
-	if lo == 0 {
-		lo = 1
-	}
-	hi := opts.MaxNodes
-	if hi == 0 {
-		hi = len(f.nodes)
-	}
-	if hi > len(f.nodes) {
-		return fmt.Errorf("clusterdes: autoscale max nodes %d exceeds the %d-node roster", hi, len(f.nodes))
-	}
-	initial := opts.InitialNodes
-	if initial == 0 {
-		initial = lo
-	}
-	ctl, err := autoscale.NewController(autoscale.Config{
-		Policy:             pol,
-		Min:                lo,
-		Max:                hi,
+	scaler, initial, err := cluster.NewScaler(cluster.AutoscaleOptions{
+		Policy:             opts.Policy,
+		MinNodes:           opts.MinNodes,
+		MaxNodes:           opts.MaxNodes,
+		InitialNodes:       opts.InitialNodes,
 		CooldownIntervals:  opts.CooldownIntervals,
 		DownAfterIntervals: opts.DownAfterIntervals,
-	})
+	}, len(f.nodes))
 	if err != nil {
 		return err
-	}
-	if initial < lo || initial > hi {
-		return fmt.Errorf("clusterdes: autoscale initial nodes %d outside [%d, %d]", initial, lo, hi)
 	}
 	if opts.WarmupIntervals < 0 {
 		return fmt.Errorf("clusterdes: negative warm-up %d", opts.WarmupIntervals)
@@ -1081,8 +1065,7 @@ func (f *Fleet) initAutoscale(opts AutoscaleOptions) error {
 	if opts.WarmupFactor < 0 || opts.WarmupFactor >= 1 {
 		return fmt.Errorf("clusterdes: warm-up factor %v out of [0, 1)", opts.WarmupFactor)
 	}
-	f.ctl = ctl
-	f.roster = make([]autoscale.NodeInfo, len(f.nodes))
+	f.scaler = scaler
 	f.warmupIvs = opts.WarmupIntervals
 	f.warmFactor = opts.WarmupFactor
 	f.active = initial
@@ -1987,15 +1970,16 @@ func (f *Fleet) summarize() {
 	f.pool.Do(f.active, f.sumFn)
 }
 
-// autoscaleStep runs one scaling decision on the previous interval's
-// measurements and applies it. With federation enabled, activating
-// nodes warm-start from the fleet table and departing nodes flush
-// their delta — the same protocol the interval-mode cluster runs. A
-// departing node's queue drains to survivors through migrate, which
-// handles targets in other domains.
+// autoscaleStep fills the scaler's roster from the previous interval's
+// measurements, runs one scaling decision and applies it through the
+// shared Scaler, which warm-starts and flushes federated nodes exactly
+// as the interval-mode cluster does. The active set shrinks before the
+// leave hooks run, so a departing node's queue migrates only to
+// survivors (across domains if need be).
 func (f *Fleet) autoscaleStep(t float64, measuredRPS float64) error {
+	roster := f.scaler.Roster()
 	for i, n := range f.nodes {
-		f.roster[i] = autoscale.NodeInfo{
+		roster[i] = autoscale.NodeInfo{
 			ID:              i,
 			CapacityRPS:     n.nominalCap,
 			Active:          n.state.Active && !n.down,
@@ -2006,101 +1990,80 @@ func (f *Fleet) autoscaleStep(t float64, measuredRPS float64) error {
 			LastQueueDepth:  float64(n.queue.Len()),
 		}
 	}
-	d := f.ctl.Decide(autoscale.Context{
-		Interval:   f.clock.Steps(),
-		T:          t,
-		OfferedRPS: measuredRPS,
-		Nodes:      f.roster,
-		Active:     f.active,
-	})
+	interval := f.clock.Steps()
+	d := f.scaler.Decide(interval, t, measuredRPS, f.active)
 	if !d.Scaled {
 		return nil
 	}
-	if d.Target > f.active {
-		// One fleet-table copy serves every activation of this event.
-		var bc federation.Broadcast
-		for id := f.active; id < d.Target; id++ {
-			n := f.nodes[id]
-			if f.fed != nil {
-				warmed, err := f.fed.WarmStart(id, f.clock.Steps(), &bc)
-				if err != nil {
-					return fmt.Errorf("clusterdes: autoscale warm-start of node %d: %w", id, err)
-				}
-				if warmed {
-					f.stats.WarmStarts++
-				}
-			}
-			n.state.Active = true
-			n.warmLeft = f.warmupIvs
-			// Discard interval residue from the node's deactivation era:
-			// requests that were in service when it powered down
-			// completed into these accumulators with nobody to report
-			// them, and must not pollute the first interval back.
-			n.arrived, n.completed = 0, 0
-			n.sojourns = n.sojourns[:0]
-			for i := range n.busy {
-				n.busy[i] = 0
-			}
-		}
-		if f.stats.FirstScaleUpInterval < 0 {
-			f.stats.FirstScaleUpInterval = f.clock.Steps()
-		}
-		f.stats.Ups++
-		f.stats.NodesAdded += d.Target - f.active
-	} else {
-		oldActive := f.active
-		f.active = d.Target // shrink first so migrations only target survivors
-		f.updateActive()
-		for id := d.Target; id < oldActive; id++ {
-			n := f.nodes[id]
-			if f.fed != nil {
-				flushed, err := f.fed.Flush(id, f.clock.Steps())
-				if err != nil {
-					return fmt.Errorf("clusterdes: autoscale flush of node %d: %w", id, err)
-				}
-				if flushed {
-					f.stats.Flushes++
-				}
-			}
-			// A dormant node's TD chain is cut: its next decision after
-			// reactivation must not bridge the gap with a reward computed
-			// from its first interval back.
-			if ep, ok := n.pol.(policy.Episodic); ok {
-				ep.EndEpisode()
-			}
-			n.state.Active = false
-			n.warmLeft = 0
-			// A powered-off node does not keep a request queue alive:
-			// its queued requests move to the least-committed surviving
-			// nodes (in FIFO order) rather than vanishing or surfacing
-			// as phantom latency when the node rejoins.
-			victim := f.domainOf(n.id)
-			for {
-				id2 := victim.popLocal(n)
-				if id2 < 0 {
-					break
-				}
-				f.migrate(victim, n, id2, t, false)
-			}
-			n.state.Stepped = false
-			n.state.LastOfferedRPS = 0
-			n.state.LastAchievedRPS = 0
-			n.state.LastBacklog = 0
-			n.state.LastTailLatency = 0
-			n.state.LastTarget = 0
-		}
-		f.stats.Downs++
-		f.stats.NodesRemoved += oldActive - d.Target
+	from := f.active
+	if d.Target > from && f.stats.FirstScaleUpInterval < 0 {
+		f.stats.FirstScaleUpInterval = interval
 	}
 	f.active = d.Target
 	f.updateActive()
-	if f.active > f.stats.PeakActive {
-		f.stats.PeakActive = f.active
+	return f.scaler.Apply(from, d.Target, interval, f.fed, f.join, func(id int) { f.leave(id, t) })
+}
+
+// join is the DES's per-node half of an activation; Scaler.Apply calls
+// it after the node's warm-start. The node starts its warm-up with a
+// clean interval record.
+func (f *Fleet) join(id int) {
+	n := f.nodes[id]
+	n.state.Active = true
+	n.warmLeft = f.warmupIvs
+	n.discardResidue()
+}
+
+// leave is the DES's per-node half of a deactivation at boundary time
+// t; Scaler.Apply calls it after the node's flush.
+func (f *Fleet) leave(id int, t float64) {
+	n := f.nodes[id]
+	// A dormant node's TD chain is cut: its next decision after
+	// reactivation must not bridge the gap with a reward computed from
+	// its first interval back.
+	if ep, ok := n.pol.(policy.Episodic); ok {
+		ep.EndEpisode()
 	}
-	if f.active < f.stats.MinActive {
-		f.stats.MinActive = f.active
+	n.state.Active = false
+	n.warmLeft = 0
+	// A powered-off node does not keep a request queue alive: its
+	// queued requests move to the least-committed surviving nodes (in
+	// FIFO order) rather than vanishing or surfacing as phantom latency
+	// when the node rejoins.
+	victim := f.domainOf(n.id)
+	for {
+		id2 := victim.popLocal(n)
+		if id2 < 0 {
+			break
+		}
+		f.migrate(victim, n, id2, t, false)
 	}
-	return nil
+	n.clearFeedback()
+}
+
+// discardResidue drops the interval counts a node gathered while it
+// was away: requests that were in service when it powered down or
+// crashed completed into these accumulators with nobody to report
+// them, and must not pollute its first interval back.
+func (n *desNode) discardResidue() {
+	n.arrived, n.completed = 0, 0
+	n.sojourns = n.sojourns[:0]
+	for i := range n.busy {
+		n.busy[i] = 0
+	}
+}
+
+// clearFeedback forgets the node's last interval: by the time it
+// serves again that interval is arbitrarily old, and splitters and
+// scaling policies must treat the node as fresh rather than act on
+// stale load or QoS readings.
+func (n *desNode) clearFeedback() {
+	n.state.Stepped = false
+	n.state.LastOfferedRPS = 0
+	n.state.LastAchievedRPS = 0
+	n.state.LastBacklog = 0
+	n.state.LastTailLatency = 0
+	n.state.LastTarget = 0
 }
 
 // rollResilience is the resilience boundary step: every node's circuit
@@ -2234,7 +2197,7 @@ func (f *Fleet) tick() error {
 		f.stats.SyncRounds++
 	}
 	f.healPending = false
-	if f.ctl != nil {
+	if f.scaler != nil {
 		if err := f.autoscaleStep(t, measuredRPS); err != nil {
 			return err
 		}
@@ -2328,6 +2291,15 @@ func (f *Fleet) result() Result {
 		Fleet: f.fleet,
 		Nodes: make([]*telemetry.Trace, len(f.nodes)),
 		Stats: f.stats,
+	}
+	if f.scaler != nil {
+		st := f.scaler.Stats()
+		res.Stats.Ups, res.Stats.Downs = st.Ups, st.Downs
+		res.Stats.NodesAdded, res.Stats.NodesRemoved = st.NodesAdded, st.NodesRemoved
+		res.Stats.PeakActive, res.Stats.MinActive = st.PeakActive, st.MinActive
+		// Fault revivals warm-start outside the scaler.
+		res.Stats.WarmStarts += st.WarmStarts
+		res.Stats.Flushes = st.Flushes
 	}
 	for i, n := range f.nodes {
 		res.Nodes[i] = n.trace

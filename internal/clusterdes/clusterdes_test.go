@@ -383,6 +383,18 @@ func TestValidation(t *testing.T) {
 		{"negative steal depth", func(o *clusterdes.Options) {
 			o.Mitigation = clusterdes.WorkStealing{MinDepth: -1}
 		}},
+		{"bad predictive quantile", func(o *clusterdes.Options) {
+			o.Mitigation = clusterdes.Predictive{Quantile: 1}
+		}},
+		{"bad predictive alpha", func(o *clusterdes.Options) {
+			o.Mitigation = clusterdes.Predictive{Alpha: 1.5}
+		}},
+		{"bad predictive threshold", func(o *clusterdes.Options) {
+			o.Mitigation = clusterdes.Predictive{Threshold: 1}
+		}},
+		{"bad predictive hedge fraction", func(o *clusterdes.Options) {
+			o.Mitigation = clusterdes.Predictive{HedgeFraction: -0.5}
+		}},
 		{"negative retries", func(o *clusterdes.Options) {
 			o.Resilience = &resilience.Options{MaxRetries: -1}
 		}},
@@ -414,6 +426,18 @@ func TestValidation(t *testing.T) {
 		}},
 		{"initial outside bounds", func(o *clusterdes.Options) {
 			o.Autoscale = &clusterdes.AutoscaleOptions{MinNodes: 2, InitialNodes: 1}
+		}},
+		{"inverted autoscale bounds", func(o *clusterdes.Options) {
+			o.Autoscale = &clusterdes.AutoscaleOptions{MinNodes: 2, MaxNodes: 1}
+		}},
+		{"negative autoscale min", func(o *clusterdes.Options) {
+			o.Autoscale = &clusterdes.AutoscaleOptions{MinNodes: -1}
+		}},
+		{"negative cooldown", func(o *clusterdes.Options) {
+			o.Autoscale = &clusterdes.AutoscaleOptions{CooldownIntervals: -1}
+		}},
+		{"negative hysteresis", func(o *clusterdes.Options) {
+			o.Autoscale = &clusterdes.AutoscaleOptions{DownAfterIntervals: -1}
 		}},
 	}
 	for _, tc := range cases {

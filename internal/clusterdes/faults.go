@@ -114,12 +114,7 @@ func (f *Fleet) crashNode(id int, t float64, revoked bool) {
 	if ep, ok := n.pol.(policy.Episodic); ok {
 		ep.EndEpisode()
 	}
-	n.state.Stepped = false
-	n.state.LastOfferedRPS = 0
-	n.state.LastAchievedRPS = 0
-	n.state.LastBacklog = 0
-	n.state.LastTailLatency = 0
-	n.state.LastTarget = 0
+	n.clearFeedback()
 	if f.predictive {
 		f.predEwma[id] = 0
 		f.suspect[id] = false
@@ -145,13 +140,7 @@ func (f *Fleet) reviveNode(id int) error {
 			f.stats.WarmStarts++
 		}
 	}
-	// Discard interval residue from the outage, exactly like an
-	// autoscale reactivation.
-	n.arrived, n.completed = 0, 0
-	n.sojourns = n.sojourns[:0]
-	for i := range n.busy {
-		n.busy[i] = 0
-	}
+	n.discardResidue()
 	return nil
 }
 

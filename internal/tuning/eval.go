@@ -67,44 +67,57 @@ func DefaultSpace(nodes int) (Space, error) {
 // learn-enabled cluster DES run: a uniform fleet training on a bursty
 // day with federation, elastic autoscaling and the Point's mitigation,
 // every knob of the Point bound to the corresponding engine option.
-// The zero value selects the documented defaults.
+// Unset fields take DefaultFleet's values.
 type FleetEvaluator struct {
-	// Nodes is the fleet size (default 6).
+	// Nodes is the fleet size.
 	Nodes int
-	// Spec is the per-node platform (default platform.JunoR1).
+	// Spec is the per-node platform.
 	Spec *platform.Spec
-	// Workload is the latency-critical workload (default WebSearch).
+	// Workload is the latency-critical workload.
 	Workload *workload.Model
-	// Pattern is the training day (default a bursty spike pattern:
-	// 0.35 base, 0.75 peak every 100 s for 30 s — the transients where
-	// tuned knobs separate from defaults).
+	// Pattern is the training day (nil: a bursty spike pattern over
+	// Horizon, 0.35 base, 0.75 peak every 100 s for 30 s — the
+	// transients where tuned knobs separate from defaults).
 	Pattern loadgen.Pattern
-	// Horizon is the simulated seconds per evaluation (default 300).
+	// Horizon is the simulated seconds per evaluation.
 	Horizon float64
-	// MinNodes is the autoscaler's lower bound (default 2); the fleet
-	// starts full and may shed down to it.
+	// MinNodes is the autoscaler's lower bound; the fleet starts full
+	// and may shed down to it.
 	MinNodes int
 }
 
-// withDefaults fills unset fields.
+// DefaultFleet returns the tuner's default evaluation fleet: 6
+// Web-Search nodes on Juno R1, 300 simulated seconds per evaluation,
+// an autoscale floor of 2, and the bursty training day (nil Pattern).
+func DefaultFleet() FleetEvaluator {
+	return FleetEvaluator{Nodes: 6, Spec: platform.JunoR1(), Workload: workload.WebSearch(), Horizon: 300, MinNodes: 2}
+}
+
+// withDefaults fills unset fields from DefaultFleet. A resolved
+// evaluator comes back as is, so the FleetOptions call made per
+// evaluation builds no default spec or workload.
 func (e FleetEvaluator) withDefaults() FleetEvaluator {
+	if e.Nodes != 0 && e.Spec != nil && e.Workload != nil && e.Horizon != 0 && e.Pattern != nil && e.MinNodes != 0 {
+		return e
+	}
+	d := DefaultFleet()
 	if e.Nodes == 0 {
-		e.Nodes = 6
+		e.Nodes = d.Nodes
 	}
 	if e.Spec == nil {
-		e.Spec = platform.JunoR1()
+		e.Spec = d.Spec
 	}
 	if e.Workload == nil {
-		e.Workload = workload.WebSearch()
+		e.Workload = d.Workload
 	}
 	if e.Horizon == 0 {
-		e.Horizon = 300
+		e.Horizon = d.Horizon
 	}
 	if e.Pattern == nil {
 		e.Pattern = loadgen.Spike{Base: 0.35, Peak: 0.75, EverySecs: 100, SpikeSecs: 30, Horizon: e.Horizon}
 	}
 	if e.MinNodes == 0 {
-		e.MinNodes = 2
+		e.MinNodes = d.MinNodes
 	}
 	return e
 }
