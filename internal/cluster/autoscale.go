@@ -49,20 +49,7 @@ type AutoscaleOptions struct {
 func (c *Cluster) autoscaleStep(t, totalRPS float64) error {
 	roster := c.scaler.Roster()
 	for i, n := range c.nodes {
-		st := n.state
-		roster[i] = autoscale.NodeInfo{
-			ID:              i,
-			CapacityRPS:     st.CapacityRPS,
-			Active:          st.Active,
-			Stepped:         st.Stepped,
-			LastOfferedRPS:  st.LastOfferedRPS,
-			LastTailLatency: st.LastTailLatency,
-			LastTarget:      st.LastTarget,
-			// The interval model has no per-request queue; the carried
-			// backlog is its queue-depth analogue, so the queue-depth
-			// scaling policy degrades gracefully outside DES mode.
-			LastQueueDepth: st.LastBacklog,
-		}
+		roster[i] = n.state.ScaleInfo(n.state.LastBacklog)
 	}
 	interval := c.clock.Steps()
 	d := c.scaler.Decide(interval, t, totalRPS, c.active)
@@ -88,16 +75,7 @@ func (c *Cluster) leave(id int) {
 	// as a phantom latency spike (and a spurious QoS violation) when
 	// the node rejoins.
 	n.eng.DropBacklog()
-	// Clear the feedback fields: when the node rejoins, its last
-	// interval is arbitrarily old, and splitters and scaling policies
-	// must treat it as fresh rather than act on stale load or QoS
-	// readings.
-	n.state.Stepped = false
-	n.state.LastOfferedRPS = 0
-	n.state.LastAchievedRPS = 0
-	n.state.LastBacklog = 0
-	n.state.LastTailLatency = 0
-	n.state.LastTarget = 0
+	n.state.Forget()
 }
 
 // AutoscaleStats returns the autoscaler's activity counters; ok is

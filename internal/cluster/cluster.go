@@ -354,14 +354,8 @@ func (c *Cluster) Step() (telemetry.FleetSample, error) {
 
 	c.clock.Tick()
 	for i, n := range active {
-		s := c.samples[i]
-		n.state.Stepped = true
-		n.state.LastOfferedRPS = s.OfferedRPS
-		n.state.LastAchievedRPS = s.AchievedRPS
-		n.state.LastBacklog = s.Backlog
-		n.state.LastTailLatency = s.TailLatency
-		n.state.LastTarget = s.Target
-		n.lastEnergyJ = s.EnergyJ
+		n.state.Observe(c.samples[i])
+		n.lastEnergyJ = c.samples[i].EnergyJ
 	}
 	// Federation runs in the serial section, after every node finished
 	// its step: the worker pool is quiescent, so reading and rewriting

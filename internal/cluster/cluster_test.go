@@ -232,7 +232,7 @@ func TestClusterOverloadSurfaces(t *testing.T) {
 	if last.QoSMet() {
 		t.Fatal("an overloaded node must violate QoS")
 	}
-	if res.Fleet.TotalStragglers() == 0 {
+	if res.Summarize().TotalStragglers == 0 {
 		t.Fatal("overload produced no stragglers")
 	}
 	for _, s := range ws.Samples {

@@ -4,14 +4,17 @@ import (
 	"fmt"
 	"math"
 
+	"hipster/internal/autoscale"
 	"hipster/internal/names"
+	"hipster/internal/telemetry"
 )
 
 // NodeState is the per-node feedback a splitter may consult when carving
 // the fleet-level load. All fields describe the previous interval; they
 // are zero (with Stepped false) before the first interval, and are
 // cleared when an autoscaled node is deactivated, so a node rejoining
-// the fleet reads as fresh rather than reporting stale load.
+// the fleet reads as fresh rather than reporting stale load. Both
+// fleets write them through Observe and clear them through Forget.
 type NodeState struct {
 	ID          int
 	CapacityRPS float64 // node capacity at 100% load
@@ -23,6 +26,44 @@ type NodeState struct {
 	LastBacklog     float64
 	LastTailLatency float64
 	LastTarget      float64
+}
+
+// Observe records the sample of the interval the node just ran as its
+// feedback for the next: both fleets call it for every node they
+// stepped, the cluster DES also for a down node's dead sample.
+func (n *NodeState) Observe(s telemetry.Sample) {
+	n.Stepped = true
+	n.LastOfferedRPS = s.OfferedRPS
+	n.LastAchievedRPS = s.AchievedRPS
+	n.LastBacklog = s.Backlog
+	n.LastTailLatency = s.TailLatency
+	n.LastTarget = s.Target
+}
+
+// Forget clears the feedback Observe wrote, when a node leaves the
+// fleet or crashes: by the time it serves again its last interval is
+// arbitrarily old, and splitters and scaling policies must treat it as
+// fresh rather than act on stale load or QoS readings.
+func (n *NodeState) Forget() {
+	*n = NodeState{ID: n.ID, CapacityRPS: n.CapacityRPS, Active: n.Active}
+}
+
+// ScaleInfo returns the node as a scaling policy sees it, with
+// queueDepth as its queue-depth signal: the cluster DES passes its
+// live queue length, and interval mode, which has no per-request
+// queue, its carried backlog — the analogue that lets the queue-depth
+// policy degrade gracefully outside DES mode.
+func (n NodeState) ScaleInfo(queueDepth float64) autoscale.NodeInfo {
+	return autoscale.NodeInfo{
+		ID:              n.ID,
+		CapacityRPS:     n.CapacityRPS,
+		Active:          n.Active,
+		Stepped:         n.Stepped,
+		LastOfferedRPS:  n.LastOfferedRPS,
+		LastTailLatency: n.LastTailLatency,
+		LastTarget:      n.LastTarget,
+		LastQueueDepth:  queueDepth,
+	}
 }
 
 // Overloaded reports whether the node violated its QoS target in the

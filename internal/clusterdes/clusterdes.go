@@ -310,7 +310,7 @@ const (
 type event struct {
 	kind int8
 	a, b int32
-	// c carries an evCompletion's service sequence: cancelService bumps
+	// c carries an evCompletion's service sequence: stopService bumps
 	// the slot's sequence, stranding any completion event issued for
 	// the abandoned service — the heap needs no deletions.
 	c int32
@@ -484,20 +484,19 @@ type desNode struct {
 	// time and then stops pulling work, so no heap event is ever
 	// invalidated and fixed-configuration runs are bit-identical to the
 	// pre-slot layout.
-	servers    []queueing.Server
-	dists      []stats.LogNormal
-	enabled    []bool
-	bigSlots   int
-	idle       []bool
-	serving    []int32
-	svcSeq     []int32   // per-slot service sequence; bumped by cancelService
-	busy       []float64 // busy seconds attributed to this interval
-	busyUntil  []float64 // absolute end time of each server's current service
-	busyCount  int
-	queue      queueing.Ring[int32]
-	capacity   float64 // total enabled service rate under the current config
-	nominalCap float64 // capacity of the construction-time config (routing weight)
-	maxQueue   int
+	servers   []queueing.Server
+	dists     []stats.LogNormal
+	enabled   []bool
+	bigSlots  int
+	idle      []bool
+	serving   []int32
+	svcSeq    []int32   // per-slot service sequence; bumped by stopService
+	busy      []float64 // busy seconds attributed to this interval
+	busyUntil []float64 // absolute end time of each server's current service
+	busyCount int
+	queue     queueing.Ring[int32]
+	capacity  float64 // total enabled service rate under the current config
+	maxQueue  int
 
 	pol policy.Policy // per-node operating-point policy; nil unless Options.Learn
 
@@ -551,6 +550,26 @@ type latRecorder struct {
 // newLatRecorder returns an empty exact recorder.
 func newLatRecorder() latRecorder { return latRecorder{stride: 1, limit: latSampleCap} }
 
+// settings are the fleet-wide settings, resolved once in New and
+// embedded in the Fleet and in every domain loop, so a loop reads them
+// without reaching for coordinator state.
+type settings struct {
+	// Mitigation, resolved: hedging, and stealing from queues at least
+	// minDepth deep.
+	hedging  bool
+	stealing bool
+	minDepth int
+	// resil is the fleet's resolved resilience policy; nil when the
+	// layer is off, in which case none of its event kinds exist.
+	resil *resilience.Options
+	// warmFactor is the service-rate fraction a warming node retains.
+	warmFactor float64
+	// suspect is the fleet-shared predictive flag vector, indexed by
+	// global node id and written only at boundaries (nil without the
+	// Predictive mitigation). Copies of settings share it.
+	suspect []bool
+}
+
 // loop is one routing domain's event loop: the request table, event
 // queue, RNG streams, arrival process and per-interval counters for a
 // contiguous slice of the roster. The Fleet builds one loop per domain
@@ -566,10 +585,7 @@ type loop struct {
 	active       int // active nodes in this loop (a prefix of nodes)
 	rosterActive int // fleet-wide active count (== active with one domain)
 
-	// Mitigation, resolved.
-	hedging   bool
-	stealing  bool
-	minDepth  int
+	settings
 	hedgeWait float64 // current hedge delay; +Inf until first estimate
 
 	// deep counts this loop's nodes whose raw queue length is at least
@@ -583,25 +599,17 @@ type loop struct {
 	// anywhere".
 	deferCross bool
 
-	// resil is the fleet's resolved resilience policy; nil when the
-	// layer is off, in which case none of the new event kinds exist.
-	resil *resilience.Options
-
-	warmFactor float64
-
 	// Fault-layer state, updated only in the coordinator's serial
-	// section (all zero / nil without Options.Faults or the Predictive
+	// section (all zero without Options.Faults or the Predictive
 	// mitigation). partCut != 0 splits the roster into sides [0, cut)
-	// and [cut, n) that exchange no steals, hedges or migrations.
-	// servingN counts active-prefix nodes that are neither down nor
-	// draining. suspect is the fleet-shared predictive flag vector
-	// (indexed by global node id, read-only mid-interval), and
-	// suspectWait the shortened hedge delay for requests routed to a
-	// flagged node. lost counts requests destroyed on this loop's
-	// crashed nodes, cumulative over the run like dropped.
+	// and [cut, n) that exchange no steals, hedges or migrations; every
+	// loop holds the same cut. servingN counts active-prefix nodes that
+	// are neither down nor draining. suspectWait is the shortened hedge
+	// delay for requests routed to a flagged node. lost counts requests
+	// destroyed on this loop's crashed nodes, cumulative over the run
+	// like dropped.
 	partCut     int
 	servingN    int
-	suspect     []bool
 	suspectWait float64
 	lost        int
 
@@ -670,14 +678,8 @@ type Fleet struct {
 	nodes  []*desNode
 	active int
 
-	// Fleet-wide settings, resolved once and copied into every domain
-	// loop (see loop for their meaning); suspect is shared, not copied.
-	hedging    bool
-	stealing   bool
-	minDepth   int
-	resil      *resilience.Options
-	warmFactor float64
-	suspect    []bool
+	// settings are resolved once and copied into every domain loop.
+	settings
 
 	// domains are the routing-domain loops in roster order; domOf maps a
 	// node id to its domain's index.
@@ -928,15 +930,10 @@ func (f *Fleet) newDomains(dcount int) {
 			id:          k,
 			lo:          lo,
 			nodes:       f.nodes[lo:hi],
-			hedging:     f.hedging,
-			stealing:    f.stealing,
-			minDepth:    f.minDepth,
+			settings:    f.settings,
 			hedgeWait:   math.Inf(1),
 			suspectWait: math.Inf(1),
-			suspect:     f.suspect,
 			deferCross:  len(starts) > 2,
-			resil:       f.resil,
-			warmFactor:  f.warmFactor,
 			arrRNG:      sim.SubRNG(f.opts.Seed+int64(k), "des-arrival"),
 			routeRNG:    sim.SubRNG(f.opts.Seed+int64(k), "des-route"),
 			svcRNG:      sim.SubRNG(f.opts.Seed+int64(k), "des-service"),
@@ -1015,7 +1012,6 @@ func newNode(id int, nc NodeConfig, maxQueue int, f *Fleet) (*desNode, error) {
 	bools := make([]bool, 2*slots)
 	n.enabled, n.idle = bools[:slots:slots], bools[slots:]
 	f.svScratch = n.applyConfig(cfg, f.svScratch)
-	n.nominalCap = n.capacity
 	for i := range n.idle {
 		n.idle[i] = true
 	}
@@ -1142,11 +1138,19 @@ func (l *loop) startService(n *desNode, s int, id int32, t float64) {
 }
 
 // cancelService abandons the service in flight on server s of node n at
-// time t: the already-scheduled completion event is stranded by bumping
-// the slot's service sequence, the interval's busy charge is trimmed
-// back to the time actually served, and the freed server immediately
-// pulls its next request.
+// time t and lets the freed server pull its next request.
 func (l *loop) cancelService(n *desNode, s int, t float64) {
+	l.release(l.stopService(n, s, t))
+	l.pullWork(n, s, t)
+}
+
+// stopService tears down the service in flight on server s of node n
+// at time t: the already-scheduled completion event is stranded by
+// bumping the slot's service sequence (the heap needs no deletions),
+// and the interval's busy charge is trimmed back to the time actually
+// served. It returns the request the slot was serving; the caller
+// releases the slot's reference.
+func (l *loop) stopService(n *desNode, s int, t float64) int32 {
 	id := n.serving[s]
 	n.serving[s] = -1
 	n.svcSeq[s]++
@@ -1155,8 +1159,7 @@ func (l *loop) cancelService(n *desNode, s int, t float64) {
 		n.busy[s] -= over
 	}
 	n.busyUntil[s] = t
-	l.release(id)
-	l.pullWork(n, s, t)
+	return id
 }
 
 // cancelCopy cancels request id's in-service copy on node n, if one
@@ -1227,16 +1230,29 @@ func (l *loop) dequeue(n *desNode) int32 {
 	return n.queue.Pop()
 }
 
-// popLocal pops the oldest live request off n's queue, lazily
-// discarding entries whose request already completed elsewhere (a won
-// hedge race or a steal). Returns -1 on an empty queue.
+// popLocal pops the oldest live request off n's queue (see liveHead).
+// Returns -1 when no live request is queued.
 func (l *loop) popLocal(n *desNode) int32 {
-	for n.queue.Len() > 0 {
-		id := l.dequeue(n)
+	id := l.liveHead(n)
+	if id >= 0 {
+		l.dequeue(n)
 		l.release(id)
+	}
+	return id
+}
+
+// liveHead returns the oldest live request on n's queue without
+// popping it, after lazily discarding the entries at the head whose
+// request already completed elsewhere (a won hedge race, a steal or a
+// deadline expiry). Returns -1 when no live request is queued.
+func (l *loop) liveHead(n *desNode) int32 {
+	for n.queue.Len() > 0 {
+		id := n.queue.Peek()
 		if !l.reqs[id].done {
 			return id
 		}
+		l.dequeue(n)
+		l.release(id)
 	}
 	return -1
 }
@@ -1253,21 +1269,31 @@ func (l *loop) steal(thief *desNode) int32 {
 	if l.deep == 0 {
 		return -1
 	}
-	best := -1
+	if v := l.deepest(l.nodes[:l.active], thief); v != nil {
+		return l.popLocal(v)
+	}
+	return -1
+}
+
+// deepest returns the steal victim for thief among cands: the deepest
+// queue of at least minDepth, skipping the thief and down or draining
+// nodes and staying on the thief's side of any partition; on a tie the
+// first in candidate order (the smallest id) wins. nil when no queue
+// qualifies. loop.steal scans its domain; the boundary sweep scans the
+// fleet while a partition rules out its steal heap.
+func (l *loop) deepest(cands []*desNode, thief *desNode) *desNode {
+	var best *desNode
 	depth := l.minDepth - 1
-	for _, v := range l.nodes[:l.active] {
+	for _, v := range cands {
 		if v == thief || v.down || v.draining || !l.sameSide(v.id, thief.id) {
 			continue
 		}
 		if v.queue.Len() > depth {
 			depth = v.queue.Len()
-			best = v.id
+			best = v
 		}
 	}
-	if best < 0 {
-		return -1
-	}
-	return l.popLocal(l.node(int32(best)))
+	return best
 }
 
 // pullWork hands server s of node n its next request after a
@@ -1278,27 +1304,44 @@ func (l *loop) steal(thief *desNode) int32 {
 // fleet-wide roster — node ids are global and the active set is a
 // roster prefix.)
 func (l *loop) pullWork(n *desNode, s int, t float64) {
-	// A draining (spot-notice) node still serves its own residual queue
-	// — the notice window exists to finish work — but never steals.
-	serving := n.enabled[s] && n.id < l.rosterActive && !n.down &&
-		(n.warmLeft == 0 || l.warmFactor > 0)
-	if serving {
+	if l.mayServe(n, s) {
 		if id := l.popLocal(n); id >= 0 {
 			l.startService(n, s, id, t)
 			return
 		}
-		if l.stealing && n.warmLeft == 0 && !n.draining {
+		if l.maySteal(n) {
 			if id := l.steal(n); id >= 0 {
-				l.steals++
-				// The thief owns the copy now; a later deadline expiry
-				// must cancel the service where it actually runs.
-				l.reqs[id].node = int32(n.id)
-				l.startService(n, s, id, t)
+				l.startStolen(n, s, id, t)
 				return
 			}
 		}
 	}
 	n.idle[s] = true
+}
+
+// mayServe reports whether server s of node n may pull work: its slot
+// is enabled, the node is active and up, and it is not warming at a
+// zero warm-up factor. A draining (spot-notice) node still serves its
+// own residual queue — the notice window exists to finish work.
+func (l *loop) mayServe(n *desNode, s int) bool {
+	return n.enabled[s] && n.id < l.rosterActive && !n.down &&
+		(n.warmLeft == 0 || l.warmFactor > 0)
+}
+
+// maySteal reports whether node n, serving but with its own queue empty,
+// may steal: stealing is on and n is neither warming nor draining.
+func (l *loop) maySteal(n *desNode) bool {
+	return l.stealing && n.warmLeft == 0 && !n.draining
+}
+
+// startStolen starts request id, stolen from a node of this loop, on
+// server s of thief n and counts the steal. The thief owns the copy
+// now; a later deadline expiry must cancel the service where it
+// actually runs.
+func (l *loop) startStolen(n *desNode, s int, id int32, t float64) {
+	l.steals++
+	l.reqs[id].node = int32(n.id)
+	l.startService(n, s, id, t)
 }
 
 // routeDraw picks a node by one draw over the interval's routing
@@ -1616,36 +1659,27 @@ func (l *loop) handleHedge(t float64, ev event) {
 	id := ev.a
 	r := &l.reqs[id]
 	if !r.done && r.hedgeNode == -1 {
-		var target *desNode
-		bestLoad := 0
-		for _, v := range l.nodes[:l.active] {
-			if !l.hedgeTargetOK(v, r) {
-				continue
-			}
-			load := v.queue.Len() + v.busyCount
-			if target == nil || load < bestLoad {
-				target, bestLoad = v, load
-			}
-		}
-		if target != nil {
-			r.hedgeNode = int32(target.id)
-			if l.dispatch(target, id, t) {
-				target.arrived++
-				l.hedges++
-				l.spendHedgeBudget(target)
-			}
+		if target := l.hedgeTarget(l.nodes[:l.active], r); target != nil {
+			l.issueHedge(target, id, t)
 		} else if l.deferCross {
 			// The timer's reference rides along into the outbox.
 			l.deferredHedges = append(l.deferredHedges, id)
 			return
 		}
 	}
+	l.finishHedgeRef(id)
+}
+
+// finishHedgeRef releases request id's hedge-timer reference, after
+// the timer fired or its parked re-issue was placed at a boundary. The
+// timer can be a request's last reference: a scale-down migration that
+// failed re-dispatch leaves the request alive only for this re-issue
+// (see migrate). If the re-issue also failed — no eligible second
+// node, or its queue full — the request is truly lost and must be
+// counted and recycled, not leaked.
+func (l *loop) finishHedgeRef(id int32) {
+	r := &l.reqs[id]
 	l.release(id)
-	// The timer can be a request's last reference: a scale-down
-	// migration that failed re-dispatch leaves the request alive only
-	// for this re-issue (see autoscaleStep). If the re-issue also
-	// failed — no eligible second node, or its queue full — the request
-	// is truly lost and must be counted and recycled, not leaked.
 	if r.refs == 0 && !r.done {
 		r.done = true
 		l.dropped++
@@ -1653,22 +1687,59 @@ func (l *loop) handleHedge(t float64, ev event) {
 	}
 }
 
+// hedgeTarget returns the least-committed node among cands (queue
+// plus busy servers; the first minimum in candidate order wins) that
+// may take request r's hedge copy, nil when none may. handleHedge
+// scans its domain's active nodes, placeHedges the fleet's.
+func (l *loop) hedgeTarget(cands []*desNode, r *request) *desNode {
+	var target *desNode
+	bestLoad := 0
+	for _, v := range cands {
+		if !l.hedgeTargetOK(v, r) {
+			continue
+		}
+		load := v.queue.Len() + v.busyCount
+		if target == nil || load < bestLoad {
+			target, bestLoad = v, load
+		}
+	}
+	return target
+}
+
+// issueHedge sends request id's hedge copy to target, a node of this
+// loop, and counts it when the copy lands.
+func (l *loop) issueHedge(target *desNode, id int32, t float64) {
+	l.reqs[id].hedgeNode = int32(target.id)
+	if l.dispatch(target, id, t) {
+		target.arrived++
+		l.hedges++
+		l.spendHedgeBudget(target)
+	}
+}
+
 // hedgeTargetOK reports whether node v may receive request r's hedge
-// copy: not the primary's node, not warming, not down or draining, not
-// a predictive suspect, on the primary's side of any partition, and
-// eligible under the resilience policy. Without faults or the
-// predictive detector this reduces to the pre-fault condition.
+// copy: not the primary's node, not warming, eligible to take work
+// from the primary's node, and eligible under the resilience policy.
+// Without faults or the predictive detector this reduces to the
+// pre-fault condition.
 func (l *loop) hedgeTargetOK(v *desNode, r *request) bool {
-	if int32(v.id) == r.node || v.warmLeft > 0 || v.down || v.draining {
+	return int32(v.id) != r.node && v.warmLeft == 0 &&
+		l.eligible(v, int(r.node)) && l.hedgeEligible(v)
+}
+
+// eligible reports whether node v may receive work originating on node
+// from — a hedge copy, a migrated or re-homed request: up, not
+// draining, not a predictive suspect, and on from's side of any
+// partition. Without faults or the predictive detector it is always
+// true.
+func (l *loop) eligible(v *desNode, from int) bool {
+	if v.down || v.draining {
 		return false
 	}
 	if l.suspect != nil && l.suspect[v.id] {
 		return false
 	}
-	if !l.sameSide(v.id, int(r.node)) {
-		return false
-	}
-	return l.hedgeEligible(v)
+	return l.sameSide(v.id, from)
 }
 
 // hedgeEligible reports whether node v may receive a hedge copy under
@@ -1861,17 +1932,8 @@ func (n *desNode) finishInterval(t, dt float64) telemetry.Sample {
 			EnergyJ:     n.meter.TotalJ(),
 		}
 		n.trace.Add(s)
-		n.state.Stepped = true
-		n.state.LastOfferedRPS = 0
-		n.state.LastAchievedRPS = 0
-		n.state.LastBacklog = 0
-		n.state.LastTailLatency = s.TailLatency
-		n.state.LastTarget = s.Target
-		n.arrived, n.completed = 0, 0
-		n.sojourns = n.sojourns[:0]
-		for i := range n.busy {
-			n.busy[i] = 0
-		}
+		n.state.Observe(s)
+		n.discardResidue()
 		return s
 	}
 	tail := 0.0
@@ -1939,13 +2001,7 @@ func (n *desNode) finishInterval(t, dt float64) telemetry.Sample {
 		EnergyJ:     n.meter.TotalJ(),
 	}
 	n.trace.Add(s)
-
-	n.state.Stepped = true
-	n.state.LastOfferedRPS = s.OfferedRPS
-	n.state.LastAchievedRPS = s.AchievedRPS
-	n.state.LastBacklog = s.Backlog
-	n.state.LastTailLatency = s.TailLatency
-	n.state.LastTarget = s.Target
+	n.state.Observe(s)
 
 	n.arrived, n.completed = 0, 0
 	n.sojourns = n.sojourns[:0]
@@ -1979,16 +2035,8 @@ func (f *Fleet) summarize() {
 func (f *Fleet) autoscaleStep(t float64, measuredRPS float64) error {
 	roster := f.scaler.Roster()
 	for i, n := range f.nodes {
-		roster[i] = autoscale.NodeInfo{
-			ID:              i,
-			CapacityRPS:     n.nominalCap,
-			Active:          n.state.Active && !n.down,
-			Stepped:         n.state.Stepped,
-			LastOfferedRPS:  n.state.LastOfferedRPS,
-			LastTailLatency: n.state.LastTailLatency,
-			LastTarget:      n.state.LastTarget,
-			LastQueueDepth:  float64(n.queue.Len()),
-		}
+		roster[i] = n.state.ScaleInfo(float64(n.queue.Len()))
+		roster[i].Active = n.state.Active && !n.down
 	}
 	interval := f.clock.Steps()
 	d := f.scaler.Decide(interval, t, measuredRPS, f.active)
@@ -2030,15 +2078,8 @@ func (f *Fleet) leave(id int, t float64) {
 	// queued requests move to the least-committed surviving nodes (in
 	// FIFO order) rather than vanishing or surfacing as phantom latency
 	// when the node rejoins.
-	victim := f.domainOf(n.id)
-	for {
-		id2 := victim.popLocal(n)
-		if id2 < 0 {
-			break
-		}
-		f.migrate(victim, n, id2, t, false)
-	}
-	n.clearFeedback()
+	f.drainQueue(n, t, false)
+	n.state.Forget()
 }
 
 // discardResidue drops the interval counts a node gathered while it
@@ -2051,19 +2092,6 @@ func (n *desNode) discardResidue() {
 	for i := range n.busy {
 		n.busy[i] = 0
 	}
-}
-
-// clearFeedback forgets the node's last interval: by the time it
-// serves again that interval is arbitrarily old, and splitters and
-// scaling policies must treat the node as fresh rather than act on
-// stale load or QoS readings.
-func (n *desNode) clearFeedback() {
-	n.state.Stepped = false
-	n.state.LastOfferedRPS = 0
-	n.state.LastAchievedRPS = 0
-	n.state.LastBacklog = 0
-	n.state.LastTailLatency = 0
-	n.state.LastTarget = 0
 }
 
 // rollResilience is the resilience boundary step: every node's circuit

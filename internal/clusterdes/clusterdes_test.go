@@ -300,9 +300,9 @@ func TestWarmupDegradesService(t *testing.T) {
 		t.Errorf("warm-up P99 %.4fs not worse than instant activation %.4fs",
 			warmed.Latency.P99, instant.Latency.P99)
 	}
-	if warmed.Fleet.WarmupIntervals() != warmed.Stats.WarmupIntervals {
+	if got := warmed.Summarize().WarmupIntervals; got != warmed.Stats.WarmupIntervals {
 		t.Errorf("fleet trace warm-up intervals %d != stats %d",
-			warmed.Fleet.WarmupIntervals(), warmed.Stats.WarmupIntervals)
+			got, warmed.Stats.WarmupIntervals)
 	}
 }
 
@@ -473,8 +473,7 @@ func TestFleetCounters(t *testing.T) {
 		t.Errorf("summary hedges %d/%d != stats %d/%d",
 			sum.Hedges, sum.HedgeWins, res.Stats.Hedges, res.Stats.HedgeWins)
 	}
-	ti, tw := res.Fleet.TotalHedges()
-	if ti != hedges || tw != wins {
-		t.Errorf("TotalHedges() = %d/%d, want %d/%d", ti, tw, hedges, wins)
+	if sum.Hedges != hedges || sum.HedgeWins != wins {
+		t.Errorf("summary hedges %d/%d, samples sum to %d/%d", sum.Hedges, sum.HedgeWins, hedges, wins)
 	}
 }

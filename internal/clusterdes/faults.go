@@ -114,7 +114,7 @@ func (f *Fleet) crashNode(id int, t float64, revoked bool) {
 	if ep, ok := n.pol.(policy.Episodic); ok {
 		ep.EndEpisode()
 	}
-	n.clearFeedback()
+	n.state.Forget()
 	if f.predictive {
 		f.predEwma[id] = 0
 		f.suspect[id] = false
@@ -144,23 +144,15 @@ func (f *Fleet) reviveNode(id int) error {
 	return nil
 }
 
-// loseNode destroys node n's queued and in-flight work at time t. Each
-// serving slot strands its scheduled completion by bumping the service
-// sequence (the heap needs no deletions) and trims the interval's busy
-// charge, mirroring cancelService — except nothing pulls new work onto
-// a dead node.
+// loseNode destroys node n's queued and in-flight work at time t.
+// Each serving slot stops its service and goes idle; nothing pulls new
+// work onto a dead node.
 func (f *Fleet) loseNode(l *loop, n *desNode, t float64) {
 	for s, sid := range n.serving {
 		if sid < 0 {
 			continue
 		}
-		n.serving[s] = -1
-		n.svcSeq[s]++
-		n.busyCount--
-		if over := math.Min(n.busyUntil[s], l.tickEnd) - t; over > 0 {
-			n.busy[s] -= over
-		}
-		n.busyUntil[s] = t
+		l.stopService(n, s, t)
 		n.idle[s] = true
 		f.discardCopy(l, n, sid, t)
 	}
@@ -200,43 +192,32 @@ func (f *Fleet) discardCopy(l *loop, n *desNode, id int32, t float64) {
 	}
 }
 
-// eligibleTarget reports whether node v may receive migrated or
-// re-homed work originating on node from: up, not draining, not a
-// predictive suspect, and on from's side of any partition. Without
-// faults or the predictive detector it is always true.
-func (f *Fleet) eligibleTarget(v *desNode, from int) bool {
-	if v.down || v.draining {
-		return false
+// drainQueueAny migrates node n's queue to eligible survivors on a
+// revocation notice or a predictive flag. With no eligible target
+// anywhere it leaves the queue in place — the node still serves it —
+// rather than dropping. (Autoscale's leave drains unconditionally: a
+// powered-off node keeps no queue.)
+func (f *Fleet) drainQueueAny(n *desNode, t float64, pred bool) {
+	l := f.domainOf(n.id)
+	for _, v := range f.nodes[:f.active] {
+		if v != n && l.eligible(v, n.id) {
+			f.drainQueue(n, t, pred)
+			return
+		}
 	}
-	if f.suspect != nil && f.suspect[v.id] {
-		return false
-	}
-	return f.sameSide(v.id, from)
 }
 
-// drainQueueAny migrates node n's queue to eligible survivors on a
-// revocation notice or a predictive flag (autoscale's deactivation
-// drain runs inside autoscaleStep). With no eligible target anywhere it
-// leaves the queue in place — the node still serves it — rather than
-// dropping.
-func (f *Fleet) drainQueueAny(n *desNode, t float64, pred bool) {
-	has := false
-	for _, v := range f.nodes[:f.active] {
-		if v != n && f.eligibleTarget(v, n.id) {
-			has = true
-			break
-		}
-	}
-	if !has {
-		return
-	}
+// drainQueue migrates node n's queue at time t, oldest request first,
+// to the least-committed eligible survivors (see migrate); pred counts
+// the moves as predictive.
+func (f *Fleet) drainQueue(n *desNode, t float64, pred bool) {
 	l := f.domainOf(n.id)
 	for {
-		id2 := l.popLocal(n)
-		if id2 < 0 {
-			break
+		id := l.popLocal(n)
+		if id < 0 {
+			return
 		}
-		f.migrate(l, n, id2, t, pred)
+		f.migrate(l, n, id, t, pred)
 	}
 }
 
@@ -261,7 +242,7 @@ func (f *Fleet) detectStep(t float64) {
 			f.predEwma[n.id] = 0
 			continue
 		}
-		q := f.samples[i].Backlog / n.nominalCap
+		q := f.samples[i].Backlog / n.state.CapacityRPS
 		f.predEwma[n.id] = f.predAlpha*q + (1-f.predAlpha)*f.predEwma[n.id]
 		if !n.draining {
 			f.selScratch = append(f.selScratch, f.predEwma[n.id])

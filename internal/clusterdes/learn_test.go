@@ -97,11 +97,15 @@ func TestLearnDecidesAndReconfigures(t *testing.T) {
 	if len(configs) < 2 {
 		t.Errorf("node 0 trace records %d distinct configurations, want >= 2", len(configs))
 	}
-	if res.Fleet.LearningIntervals() == 0 {
+	learning := 0
+	for _, s := range res.Fleet.Samples {
+		learning += s.Learning
+	}
+	if learning == 0 {
 		t.Error("no learning-phase intervals recorded in the fleet trace")
 	}
-	if got := res.Summarize().LearningIntervals; got == 0 {
-		t.Error("summary lost the learning-interval count")
+	if got := res.Summarize().LearningIntervals; got != learning {
+		t.Errorf("summary learning intervals %d, trace samples sum to %d", got, learning)
 	}
 }
 

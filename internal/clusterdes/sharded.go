@@ -128,32 +128,18 @@ func (f *Fleet) placeHedges(t float64) {
 				l.finishHedgeRef(id)
 				continue
 			}
-			var target *desNode
-			bestLoad := 0
-			for _, v := range f.nodes[:f.active] {
-				if !l.hedgeTargetOK(v, r) {
-					continue
-				}
-				load := v.queue.Len() + v.busyCount
-				if target == nil || load < bestLoad {
-					target, bestLoad = v, load
-				}
-			}
+			target := l.hedgeTarget(f.nodes[:f.active], r)
 			if target == nil {
 				l.finishHedgeRef(id)
 				continue
 			}
 			tl := f.domainOf(target.id)
-			r.hedgeNode = int32(target.id)
 			if tl == l {
-				if l.dispatch(target, id, t) {
-					target.arrived++
-					l.hedges++
-					l.spendHedgeBudget(target)
-				}
+				l.issueHedge(target, id, t)
 				l.finishHedgeRef(id)
 				continue
 			}
+			r.hedgeNode = int32(target.id)
 			nid := tl.alloc(r.arrival, int32(target.id))
 			if !tl.dispatch(target, nid, t) {
 				// Target queue full: no copy placed. hedgeNode stays set
@@ -182,19 +168,6 @@ func (f *Fleet) placeHedges(t float64) {
 	}
 }
 
-// finishHedgeRef releases a parked hedge-timer reference and recycles
-// a request left with no live copy — the outbox mirror of
-// handleHedge's tail.
-func (l *loop) finishHedgeRef(id int32) {
-	r := &l.reqs[id]
-	l.release(id)
-	if r.refs == 0 && !r.done {
-		r.done = true
-		l.dropped++
-		l.free = append(l.free, id)
-	}
-}
-
 // boundaryKick lets idle servers pick up queues outside the completion
 // path: warm-up expiries (the queue built while every server sat idle),
 // freshly migrated requests and, with stealing on, fully idle nodes —
@@ -214,8 +187,8 @@ func (l *loop) finishHedgeRef(id int32) {
 // O(log n) per steal.
 func (f *Fleet) boundaryKick(t float64) {
 	// Under a partition the heap cannot encode sides, so thieves fall
-	// back to a per-pull linear scan (stealBestFor); the heap stays
-	// empty and its refresh calls become no-ops.
+	// back to a per-pull linear scan (loop.deepest over the fleet); the
+	// heap stays empty and its refresh calls become no-ops.
 	f.stealCands = f.stealCands[:0]
 	if f.stealing && f.partCut() == 0 {
 		for _, v := range f.nodes[:f.active] {
@@ -240,23 +213,6 @@ func (f *Fleet) boundaryKick(t float64) {
 			f.kickIdleFleet(n, t)
 		}
 	}
-}
-
-// stealBestFor is the partition-aware victim scan: loop.steal's linear
-// argmax over the whole active roster, restricted to the thief's side.
-// Only used while a partition is active.
-func (f *Fleet) stealBestFor(n *desNode) int {
-	best, depth := -1, f.minDepth-1
-	for _, v := range f.nodes[:f.active] {
-		if v == n || v.down || v.draining || !f.sameSide(v.id, n.id) {
-			continue
-		}
-		if v.queue.Len() > depth {
-			depth = v.queue.Len()
-			best = v.id
-		}
-	}
-	return best
 }
 
 // stealCand is one boundary steal candidate: a node and the queue
@@ -302,30 +258,23 @@ func (f *Fleet) stealPopTop() {
 }
 
 // stealBest returns the node a linear scan would steal from — the
-// deepest queue of at least minDepth, smallest id on ties — or -1.
+// deepest queue of at least minDepth, smallest id on ties — or nil.
 // The winning entry stays at the heap root; the caller must call
 // stealRefreshTop after mutating that node's queue.
-func (f *Fleet) stealBest() int {
+func (f *Fleet) stealBest() *desNode {
 	for len(f.stealCands) > 0 {
-		top := &f.stealCands[0]
-		cur := f.nodes[top.id].queue.Len()
-		if cur == top.depth {
-			return top.id
+		top := f.stealCands[0]
+		if v := f.nodes[top.id]; v.queue.Len() == top.depth {
+			return v
 		}
-		if cur >= f.minDepth {
-			// Stale depth: refresh in place. A root whose key only
-			// changed keeps the heap valid after one sift-down.
-			top.depth = cur
-			f.stealSiftDown(0)
-		} else {
-			f.stealPopTop()
-		}
+		f.stealRefreshTop()
 	}
-	return -1
+	return nil
 }
 
-// stealRefreshTop re-keys the root candidate from its live queue after
-// a steal attempt, dropping it once it is too shallow to rob.
+// stealRefreshTop re-keys the root candidate from its live queue — a
+// root whose key only changed keeps the heap valid after one
+// sift-down — dropping it once it is too shallow to rob.
 func (f *Fleet) stealRefreshTop() {
 	if len(f.stealCands) == 0 {
 		return
@@ -355,61 +304,48 @@ func (f *Fleet) kickIdleFleet(n *desNode, t float64) {
 	}
 }
 
-// pullWorkFleet is loop.pullWork with the steal scan ranging over the
+// pullWorkFleet is loop.pullWork with the steal victim chosen over the
 // whole active roster. A cross-domain steal moves the request between
 // request tables: stolen requests go straight to service, so the
 // victim's entry is unreferenced and retires as the thief's domain
-// allocates its own.
+// allocates its own. Only a request whose queue slot holds its sole
+// reference can move; one still referenced in its domain (a pending
+// deadline or hedge timer, a cross-pair link) stays in place at the
+// head of the victim's queue.
 func (f *Fleet) pullWorkFleet(l *loop, n *desNode, sv int, t float64) {
-	// A draining node still serves its own residual queue but never
-	// steals; a down node serves nothing (see pullWork).
-	serving := n.enabled[sv] && n.id < f.active && !n.down &&
-		(n.warmLeft == 0 || l.warmFactor > 0)
-	if serving {
+	if l.mayServe(n, sv) {
 		if id := l.popLocal(n); id >= 0 {
 			l.startService(n, sv, id, t)
 			return
 		}
-		if l.stealing && n.warmLeft == 0 && !n.draining {
+		if l.maySteal(n) {
 			// The thief never appears among the candidates: its local
 			// queue just drained (popLocal above returned -1) and
 			// minDepth >= 1, matching loop.steal's self-exclusion.
-			best := -1
-			if f.partCut() != 0 {
-				best = f.stealBestFor(n)
+			var victim *desNode
+			if l.partCut != 0 {
+				victim = l.deepest(f.nodes[:f.active], n)
 			} else {
-				best = f.stealBest()
+				victim = f.stealBest()
 			}
-			if best >= 0 {
-				vl := f.domainOf(best)
-				if id := vl.popLocal(f.nodes[best]); id >= 0 {
-					if vl == l {
-						l.steals++
-						// Track the copy to the thief (see pullWork).
-						vl.reqs[id].node = int32(n.id)
-						f.stealRefreshTop()
-						l.startService(n, sv, id, t)
-						return
-					}
-					r := &vl.reqs[id]
-					if r.refs == 0 && !r.deferRec {
-						nid := l.alloc(r.arrival, int32(n.id))
-						l.reqs[nid].hedgeNode = r.hedgeNode
-						r.done = true
-						vl.free = append(vl.free, id)
-						l.steals++
-						f.stats.CrossDomainSteals++
-						f.stealRefreshTop()
-						l.startService(n, sv, nid, t)
-						return
-					}
-					// A referenced id cannot move tables (the victim
-					// domain's pending deadline timer would dangle), so
-					// put the entry back rather than lose it. Without
-					// resilience this is unreachable — extra references
-					// come only from hedging, which excludes stealing.
-					vl.enqueue(f.nodes[best], id)
-					r.refs++
+			if victim != nil {
+				vl := f.domainOf(victim.id)
+				id := vl.liveHead(victim)
+				switch {
+				case id < 0:
+				case vl == l:
+					l.popLocal(victim)
+					f.stealRefreshTop()
+					l.startStolen(n, sv, id, t)
+					return
+				case vl.reqs[id].refs == 1 && !vl.reqs[id].deferRec:
+					vl.popLocal(victim)
+					nid := moveRequest(vl, id, l, int32(n.id))
+					l.steals++
+					f.stats.CrossDomainSteals++
+					f.stealRefreshTop()
+					l.startService(n, sv, nid, t)
+					return
 				}
 				f.stealRefreshTop()
 			}
@@ -430,7 +366,7 @@ func (f *Fleet) pullWorkFleet(l *loop, n *desNode, sv int, t float64) {
 // gone the request is counted dropped.
 func (f *Fleet) migrate(victim *loop, n *desNode, id2 int32, t float64, pred bool) {
 	r := &victim.reqs[id2]
-	target := f.migrationTarget(f.nodes[:f.active], n)
+	target := victim.migrationTarget(f.nodes[:f.active], n)
 	if target != nil && f.domainOf(target.id) != victim {
 		if r.refs == 0 && !r.deferRec {
 			// The queue slot was the only reference, so the request itself
@@ -440,10 +376,7 @@ func (f *Fleet) migrate(victim *loop, n *desNode, id2 int32, t float64, pred boo
 				r.node = int32(target.id)
 			}
 			tl := f.domainOf(target.id)
-			nid := tl.alloc(r.arrival, r.node)
-			tl.reqs[nid].hedgeNode = r.hedgeNode
-			r.done = true
-			victim.free = append(victim.free, id2)
+			nid := moveRequest(victim, id2, tl, r.node)
 			if tl.dispatch(target, nid, t) {
 				f.countMigration(pred)
 				f.stats.CrossDomainMigrations++
@@ -454,7 +387,7 @@ func (f *Fleet) migrate(victim *loop, n *desNode, id2 int32, t float64, pred boo
 			}
 			return
 		}
-		target = f.migrationTarget(victim.nodes[:victim.active], n)
+		target = victim.migrationTarget(victim.nodes[:victim.active], n)
 	}
 	switch {
 	case target != nil:
@@ -484,12 +417,24 @@ func (f *Fleet) migrate(victim *loop, n *desNode, id2 int32, t float64, pred boo
 	}
 }
 
+// moveRequest moves request id of loop from, which holds no references
+// any more, into loop to's request table as a fresh entry on the given
+// node, and retires the old entry. It returns the new id.
+func moveRequest(from *loop, id int32, to *loop, node int32) int32 {
+	r := &from.reqs[id]
+	nid := to.alloc(r.arrival, node)
+	to.reqs[nid].hedgeNode = r.hedgeNode
+	r.done = true
+	from.free = append(from.free, id)
+	return nid
+}
+
 // migrationTarget returns the least-committed node among cands that may
 // take work re-homed off node from, nil when there is none.
-func (f *Fleet) migrationTarget(cands []*desNode, from *desNode) *desNode {
+func (l *loop) migrationTarget(cands []*desNode, from *desNode) *desNode {
 	var target *desNode
 	for _, v := range cands {
-		if v == from || !f.eligibleTarget(v, from.id) {
+		if v == from || !l.eligible(v, from.id) {
 			continue
 		}
 		if target == nil || v.queue.Len()+v.busyCount < target.queue.Len()+target.busyCount {

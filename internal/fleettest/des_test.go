@@ -55,26 +55,48 @@ func (p stopAt) LoadAt(t float64) float64 {
 
 func (p stopAt) Duration() float64 { return 0 }
 
-// TestDESConservation exercises the conservation assertion on a
-// drained overloaded run with the full resilience layer on, so all
-// three dispositions (completed, dropped, timed out) are populated.
+// TestDESConservation exercises the conservation assertion on drained
+// overloaded runs with retries and deadlines on, so all three
+// dispositions (completed, dropped, timed out) are populated. The
+// second case steals across two domains: every queued request holds
+// its deadline's reference, so an idle node's boundary kick must leave
+// another domain's queue alone.
 func TestDESConservation(t *testing.T) {
-	nodes, err := clusterdes.Uniform(3, platform.JunoR1(), workload.WebSearch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := fleettest.AssertDESConservation(t, clusterdes.Options{
-		Nodes:   nodes,
-		Pattern: stopAt{frac: 1.3, until: 20},
-		Seed:    11,
-		Resilience: &resilience.Options{
-			MaxRetries: 2,
-			Timeout:    0.3,
-			Backoff:    resilience.Backoff{Base: 0.02, Cap: 0.2, Jitter: 0.2},
-		},
-	}, 40)
-	if res.Stats.Timeouts == 0 || res.Stats.Retries == 0 {
-		t.Fatalf("overloaded run exercised no deadlines/retries: %+v", res.Stats)
+	for _, tc := range []struct {
+		name    string
+		nodes   int
+		mit     clusterdes.Mitigation
+		domains int
+		seed    int64
+		timeout float64
+	}{
+		{"resilience", 3, nil, 0, 11, 0.3},
+		{"boundary-steals", 4, clusterdes.WorkStealing{}, 2, 3, 0.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes, err := clusterdes.Uniform(tc.nodes, platform.JunoR1(), workload.WebSearch())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := fleettest.AssertDESConservation(t, clusterdes.Options{
+				Nodes:      nodes,
+				Pattern:    stopAt{frac: 1.3, until: 20},
+				Mitigation: tc.mit,
+				Domains:    tc.domains,
+				Seed:       tc.seed,
+				Resilience: &resilience.Options{
+					MaxRetries: 2,
+					Timeout:    tc.timeout,
+					Backoff:    resilience.Backoff{Base: 0.02, Cap: 0.2, Jitter: 0.2},
+				},
+			}, 40)
+			if res.Stats.Timeouts == 0 || res.Stats.Retries == 0 {
+				t.Fatalf("overloaded run exercised no deadlines/retries: %+v", res.Stats)
+			}
+			if tc.mit != nil && res.Stats.Steals == 0 {
+				t.Fatalf("work-stealing run stole nothing: %+v", res.Stats)
+			}
+		})
 	}
 }
 

@@ -56,11 +56,6 @@ func (s DESummary) Percentile(p float64) (float64, error) {
 	return 0, errors.New("queueing: unsupported summary percentile")
 }
 
-type desEvent struct {
-	t      float64
-	server int // completing server index
-}
-
 // Simulator owns the discrete-event simulation's scratch state — the
 // completion-event heap, the FIFO arrival ring, per-server distributions
 // and busy-time accumulators, and the sojourn sample buffer — so
@@ -69,93 +64,18 @@ type desEvent struct {
 // zero value is ready to use. A Simulator is not safe for concurrent
 // use; each goroutine needs its own.
 //
-// The event heap is a specialized non-boxing min-heap that replicates
-// container/heap's sift order exactly, and the FIFO is a ring buffer
-// with the same pop order as the queue = queue[1:] original, so Run is
+// Completions sit on a TimeHeap keyed by completion time with the
+// server as payload, and waiting arrival times in a Ring — the same
+// primitives the cluster DES's loops run on. TimeHeap replicates
+// container/heap's sift order and Ring pops in push order, so Run is
 // bit-identical to the reference implementation for any seed.
 type Simulator struct {
 	dists    []stats.LogNormal
 	idle     []bool
 	busyTime []float64
-	events   []desEvent // binary min-heap on .t
-	queue    []float64  // FIFO ring of arrival timestamps; len is a power of two
-	qHead    int
-	qLen     int
+	events   TimeHeap[int]
+	queue    Ring[float64]
 	sojourns []float64
-}
-
-// heapPush appends e and sifts it up, mirroring container/heap.Push.
-func (s *Simulator) heapPush(e desEvent) {
-	h := append(s.events, e)
-	j := len(h) - 1
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if !(h[j].t < h[i].t) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-	s.events = h
-}
-
-// heapPop removes and returns the earliest event, mirroring
-// container/heap.Pop: swap the root with the last element, sift the new
-// root down over the shortened heap, then detach the old root.
-func (s *Simulator) heapPop() desEvent {
-	h := s.events
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h[j2].t < h[j1].t {
-			j = j2
-		}
-		if !(h[j].t < h[i].t) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	e := h[n]
-	s.events = h[:n]
-	return e
-}
-
-// qPush appends an arrival timestamp to the FIFO ring.
-func (s *Simulator) qPush(v float64) {
-	if s.qLen == len(s.queue) {
-		s.qGrow()
-	}
-	s.queue[(s.qHead+s.qLen)&(len(s.queue)-1)] = v
-	s.qLen++
-}
-
-// qPop removes the oldest arrival timestamp.
-func (s *Simulator) qPop() float64 {
-	v := s.queue[s.qHead]
-	s.qHead = (s.qHead + 1) & (len(s.queue) - 1)
-	s.qLen--
-	return v
-}
-
-// qGrow doubles the ring storage, linearizing the live window so the
-// power-of-two masking stays valid.
-func (s *Simulator) qGrow() {
-	n := 2 * len(s.queue)
-	if n == 0 {
-		n = 1024
-	}
-	buf := make([]float64, n)
-	k := copy(buf, s.queue[s.qHead:])
-	copy(buf[k:], s.queue[:s.qHead])
-	s.queue = buf
-	s.qHead = 0
 }
 
 // Run executes the discrete-event simulation and summarises the
@@ -180,8 +100,8 @@ func (s *Simulator) Run(cfg DESConfig) (DESummary, error) {
 	s.dists = s.dists[:n]
 	s.idle = s.idle[:n]
 	s.busyTime = s.busyTime[:n]
-	s.events = s.events[:0]
-	s.qHead, s.qLen = 0, 0
+	s.events.Reset()
+	s.queue.Reset()
 	s.sojourns = s.sojourns[:0]
 
 	// Per-server lognormal service-time distributions.
@@ -234,7 +154,7 @@ func (s *Simulator) Run(cfg DESConfig) (DESummary, error) {
 		d := sample(server)
 		s.busyTime[server] += d
 		done := now + d
-		s.heapPush(desEvent{t: done, server: server})
+		s.events.Push(done, server)
 		if arrival >= cfg.Warmup && done <= horizon {
 			s.sojourns = append(s.sojourns, done-arrival)
 			completed++
@@ -244,17 +164,16 @@ func (s *Simulator) Run(cfg DESConfig) (DESummary, error) {
 	// waiting arrival with the freed server.
 	for {
 		var now float64
-		if len(s.events) > 0 && s.events[0].t <= nextArrival {
-			ev := s.heapPop()
-			now = ev.t
+		if t, ok := s.events.PeekTime(); ok && t <= nextArrival {
+			var server int
+			now, server = s.events.Pop()
 			if now > horizon {
 				break
 			}
-			if s.qLen > 0 {
-				arr := s.qPop()
-				startService(ev.server, arr, now)
+			if s.queue.Len() > 0 {
+				startService(server, s.queue.Pop(), now)
 			} else {
-				s.idle[ev.server] = true
+				s.idle[server] = true
 			}
 			continue
 		}
@@ -265,10 +184,10 @@ func (s *Simulator) Run(cfg DESConfig) (DESummary, error) {
 		nextArrival = now + rng.ExpFloat64()/cfg.Lambda
 		if srv := fastestIdle(); srv >= 0 {
 			startService(srv, now, now)
-		} else if cfg.MaxQueue > 0 && s.qLen >= cfg.MaxQueue {
+		} else if cfg.MaxQueue > 0 && s.queue.Len() >= cfg.MaxQueue {
 			dropped++
 		} else {
-			s.qPush(now)
+			s.queue.Push(now)
 		}
 	}
 

@@ -1,15 +1,16 @@
 package queueing
 
 // TimeHeap is a generic binary min-heap on float64 event times with an
-// arbitrary payload, for discrete-event simulations whose events carry
-// more than a completing-server index (the cluster-scale DES schedules
-// completions, retries and the timers its FIFO timer lanes refuse
-// through one heap; its arrivals, interval ticks and lane heads are
-// merged with the heap top by comparison). It replicates
-// container/heap's sift order exactly — ties on the key keep the order
-// the standard library would produce — so simulations built on it are
-// bit-reproducible for a given insertion sequence. The zero value is
-// ready to use; a TimeHeap is not safe for concurrent use.
+// arbitrary payload, the event queue of both discrete-event
+// simulators: the single-node Simulator keys server completions on it,
+// and the cluster-scale DES schedules completions, retries and the
+// timers its FIFO timer lanes refuse through one heap per loop (its
+// arrivals, interval ticks and lane heads are merged with the heap top
+// by comparison). It replicates container/heap's sift order exactly —
+// ties on the key keep the order the standard library would produce —
+// so simulations built on it are bit-reproducible for a given
+// insertion sequence. The zero value is ready to use; a TimeHeap is
+// not safe for concurrent use.
 type TimeHeap[T any] struct {
 	keys []float64
 	vals []T
@@ -87,11 +88,12 @@ func (h *TimeHeap[T]) Pop() (float64, T) {
 	return t, v
 }
 
-// Ring is a generic FIFO ring buffer with the same semantics as the
-// Simulator's arrival queue: push to the tail, pop from the head,
-// power-of-two storage grown on demand. The cluster-scale DES keeps one
-// per node holding queued request ids, which work stealing also pops
-// from, and two per domain loop as its deadline and hedge timer lanes.
+// Ring is a generic FIFO ring buffer: push to the tail, pop from the
+// head, power-of-two storage grown on demand. The single-node
+// Simulator queues waiting arrival times on one; the cluster-scale DES
+// keeps one per node holding queued request ids, which work stealing
+// also pops from, and two per domain loop as its deadline and hedge
+// timer lanes.
 // The zero value is ready to use; a Ring is not safe for concurrent
 // use.
 type Ring[T any] struct {

@@ -170,17 +170,7 @@ func (ft *FleetTrace) Len() int { return len(ft.Samples) }
 // QoSAttainment returns the fraction of node-intervals that met their
 // QoS target across the whole run (the fleet-wide analogue of the
 // paper's QoS guarantee).
-func (ft *FleetTrace) QoSAttainment() float64 {
-	met, total := 0, 0
-	for _, s := range ft.Samples {
-		met += s.QoSMet
-		total += s.Nodes
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(met) / float64(total)
-}
+func (ft *FleetTrace) QoSAttainment() float64 { return ft.Summarize().QoSAttainment }
 
 // TotalEnergyJ returns the fleet's final cumulative energy.
 func (ft *FleetTrace) TotalEnergyJ() float64 {
@@ -191,160 +181,13 @@ func (ft *FleetTrace) TotalEnergyJ() float64 {
 }
 
 // MeanPowerW averages fleet power across intervals.
-func (ft *FleetTrace) MeanPowerW() float64 {
-	if len(ft.Samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range ft.Samples {
-		sum += s.PowerW
-	}
-	return sum / float64(len(ft.Samples))
-}
-
-// TotalStragglers sums straggler node-intervals over the run.
-func (ft *FleetTrace) TotalStragglers() int {
-	n := 0
-	for _, s := range ft.Samples {
-		n += s.Stragglers
-	}
-	return n
-}
-
-// LearningIntervals sums, over the run, the per-interval counts of
-// nodes whose policy was still in its learning phase (cluster DES mode
-// with learning enabled; zero otherwise).
-func (ft *FleetTrace) LearningIntervals() int {
-	n := 0
-	for _, s := range ft.Samples {
-		n += s.Learning
-	}
-	return n
-}
-
-// TotalHedges sums the hedge requests issued over the run; the second
-// value is how many of them won their race (completed before the
-// primary copy).
-func (ft *FleetTrace) TotalHedges() (issued, won int) {
-	for _, s := range ft.Samples {
-		issued += s.Hedges
-		won += s.HedgeWins
-	}
-	return issued, won
-}
-
-// TotalSteals sums the cross-node work steals over the run.
-func (ft *FleetTrace) TotalSteals() int {
-	n := 0
-	for _, s := range ft.Samples {
-		n += s.Steals
-	}
-	return n
-}
-
-// TotalRetries sums the re-issued request attempts over the run
-// (cluster DES mode with the resilience layer enabled; zero otherwise).
-func (ft *FleetTrace) TotalRetries() int {
-	n := 0
-	for _, s := range ft.Samples {
-		n += s.Retries
-	}
-	return n
-}
-
-// TotalTimeouts sums the per-attempt deadline expiries over the run.
-func (ft *FleetTrace) TotalTimeouts() int {
-	n := 0
-	for _, s := range ft.Samples {
-		n += s.Timeouts
-	}
-	return n
-}
-
-// TotalBreakerOpens sums the circuit-breaker closed-to-open (and
-// half-open-to-open) transitions over the run.
-func (ft *FleetTrace) TotalBreakerOpens() int {
-	n := 0
-	for _, s := range ft.Samples {
-		n += s.BreakerOpens
-	}
-	return n
-}
-
-// TotalRateLimited sums the token-bucket admission rejections over the
-// run.
-func (ft *FleetTrace) TotalRateLimited() int {
-	n := 0
-	for _, s := range ft.Samples {
-		n += s.RateLimited
-	}
-	return n
-}
-
-// TotalHedgeCancels sums the losing hedge copies cancelled mid-service
-// after their sibling won the race.
-func (ft *FleetTrace) TotalHedgeCancels() int {
-	n := 0
-	for _, s := range ft.Samples {
-		n += s.HedgeCancels
-	}
-	return n
-}
-
-// TotalLost sums the requests destroyed by node crashes over the run.
-func (ft *FleetTrace) TotalLost() int {
-	n := 0
-	for _, s := range ft.Samples {
-		n += s.Lost
-	}
-	return n
-}
-
-// FirstStragglerInterval returns the 1-based interval of the first
-// sample with a straggler, -1 when the run never saw one. This is the
-// moment the REACTIVE tail signal (factor × median) first observed the
-// degradation — the benchmark the predictive detector races against.
-func (ft *FleetTrace) FirstStragglerInterval() int {
-	for i, s := range ft.Samples {
-		if s.Stragglers > 0 {
-			return i + 1
-		}
-	}
-	return -1
-}
-
-// WarmupIntervals sums the node-intervals spent warming up after an
-// activation — capacity that was powered and billed but degraded.
-func (ft *FleetTrace) WarmupIntervals() int {
-	n := 0
-	for _, s := range ft.Samples {
-		n += s.Warming
-	}
-	return n
-}
-
-// PeakStragglers returns the worst single-interval straggler count.
-func (ft *FleetTrace) PeakStragglers() int {
-	peak := 0
-	for _, s := range ft.Samples {
-		if s.Stragglers > peak {
-			peak = s.Stragglers
-		}
-	}
-	return peak
-}
+func (ft *FleetTrace) MeanPowerW() float64 { return ft.Summarize().MeanPowerW }
 
 // NodeIntervals sums the active node count over every recorded
 // interval — the node-intervals the fleet consumed. For a static fleet
 // this is nodes × intervals; an autoscaled fleet consumes fewer, which
 // is exactly what elasticity saves.
-func (ft *FleetTrace) NodeIntervals() int {
-	n := 0
-	for _, s := range ft.Samples {
-		n += s.Nodes
-	}
-	return n
-}
+func (ft *FleetTrace) NodeIntervals() int { return ft.Summarize().NodeIntervals }
 
 // FleetSummary holds a cluster run's headline metrics.
 type FleetSummary struct {
@@ -374,38 +217,42 @@ type FleetSummary struct {
 	LearningIntervals int
 }
 
-// Summarize computes the headline fleet metrics.
+// Summarize computes the headline fleet metrics in one pass over the
+// samples.
 func (ft *FleetTrace) Summarize() FleetSummary {
-	sum := FleetSummary{
-		Intervals:       ft.Len(),
-		NodeIntervals:   ft.NodeIntervals(),
-		QoSAttainment:   ft.QoSAttainment(),
-		TotalEnergyJ:    ft.TotalEnergyJ(),
-		MeanPowerW:      ft.MeanPowerW(),
-		TotalStragglers: ft.TotalStragglers(),
-		PeakStragglers:  ft.PeakStragglers(),
-		Steals:          ft.TotalSteals(),
-		WarmupIntervals: ft.WarmupIntervals(),
+	sum := FleetSummary{Intervals: len(ft.Samples), TotalEnergyJ: ft.TotalEnergyJ()}
+	if len(ft.Samples) == 0 {
+		return sum
 	}
-	sum.LearningIntervals = ft.LearningIntervals()
-	sum.Hedges, sum.HedgeWins = ft.TotalHedges()
-	sum.Retries = ft.TotalRetries()
-	sum.Timeouts = ft.TotalTimeouts()
-	sum.BreakerOpens = ft.TotalBreakerOpens()
-	sum.RateLimited = ft.TotalRateLimited()
-	sum.HedgeCancels = ft.TotalHedgeCancels()
-	sum.Lost = ft.TotalLost()
-	if len(ft.Samples) > 0 {
-		var off, ach float64
-		for _, s := range ft.Samples {
-			off += s.OfferedRPS
-			ach += s.AchievedRPS
-			if s.Nodes > sum.Nodes {
-				sum.Nodes = s.Nodes
-			}
-		}
-		sum.MeanOfferedRPS = off / float64(len(ft.Samples))
-		sum.MeanAchievedRPS = ach / float64(len(ft.Samples))
+	met := 0
+	var power, off, ach float64
+	for _, s := range ft.Samples {
+		met += s.QoSMet
+		sum.NodeIntervals += s.Nodes
+		sum.Nodes = max(sum.Nodes, s.Nodes)
+		power += s.PowerW
+		off += s.OfferedRPS
+		ach += s.AchievedRPS
+		sum.TotalStragglers += s.Stragglers
+		sum.PeakStragglers = max(sum.PeakStragglers, s.Stragglers)
+		sum.Hedges += s.Hedges
+		sum.HedgeWins += s.HedgeWins
+		sum.Steals += s.Steals
+		sum.WarmupIntervals += s.Warming
+		sum.Retries += s.Retries
+		sum.Timeouts += s.Timeouts
+		sum.BreakerOpens += s.BreakerOpens
+		sum.RateLimited += s.RateLimited
+		sum.HedgeCancels += s.HedgeCancels
+		sum.Lost += s.Lost
+		sum.LearningIntervals += s.Learning
 	}
+	if sum.NodeIntervals > 0 {
+		sum.QoSAttainment = float64(met) / float64(sum.NodeIntervals)
+	}
+	n := float64(len(ft.Samples))
+	sum.MeanPowerW = power / n
+	sum.MeanOfferedRPS = off / n
+	sum.MeanAchievedRPS = ach / n
 	return sum
 }

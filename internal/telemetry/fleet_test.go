@@ -97,8 +97,8 @@ func TestFleetTraceAggregates(t *testing.T) {
 	if got := ft.MeanPowerW(); got != 6 {
 		t.Fatalf("mean power = %v", got)
 	}
-	if ft.TotalStragglers() != 1 || ft.PeakStragglers() != 1 {
-		t.Fatalf("stragglers: %d/%d", ft.TotalStragglers(), ft.PeakStragglers())
+	if sum := ft.Summarize(); sum.TotalStragglers != 1 || sum.PeakStragglers != 1 {
+		t.Fatalf("stragglers: %d/%d", sum.TotalStragglers, sum.PeakStragglers)
 	}
 	sum := ft.Summarize()
 	if sum.Intervals != 2 || sum.Nodes != 2 || sum.QoSAttainment != 0.75 {
