@@ -12,6 +12,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 
@@ -197,6 +198,9 @@ func New(opts Options) (*Cluster, error) {
 	interval := opts.IntervalSecs
 	if interval == 0 {
 		interval = 1
+	}
+	if math.IsNaN(interval) || math.IsInf(interval, 0) {
+		return nil, fmt.Errorf("cluster: interval %v is not finite", interval)
 	}
 	if interval < 0 {
 		return nil, errors.New("cluster: negative interval")

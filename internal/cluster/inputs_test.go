@@ -13,11 +13,12 @@ type fixedLoad float64
 func (p fixedLoad) LoadAt(float64) float64 { return float64(p) }
 func (fixedLoad) Duration() float64        { return 0 }
 
-// shareSplitter returns first for node 0 and 1 for every other node;
-// short drops the last share.
+// shareSplitter returns first for node 0 and 1 for every other node,
+// or first for every node when all is set; short drops the last share.
 type shareSplitter struct {
 	first float64
 	short bool
+	all   bool
 }
 
 func (shareSplitter) Name() string { return "share" }
@@ -26,6 +27,9 @@ func (s shareSplitter) Split(ctx SplitContext) []float64 {
 	shares := make([]float64, len(ctx.Nodes))
 	for i := range shares {
 		shares[i] = 1
+		if s.all {
+			shares[i] = s.first
+		}
 	}
 	shares[0] = s.first
 	if s.short {
@@ -49,13 +53,15 @@ var boundaryInputCases = []struct {
 	{"share-inf", 0.5, shareSplitter{first: math.Inf(1)}, "share +Inf for node 0"},
 	{"share-negative", 0.5, shareSplitter{first: -1}, "share -1 for node 0"},
 	{"share-count", 0.5, shareSplitter{first: 1, short: true}, "returned 3 shares for 4 active nodes"},
+	{"share-total-inf", 0.5, shareSplitter{first: math.MaxFloat64, all: true}, `splitter "share" returned shares summing to +Inf`},
 	{"overload", 1.3, WeightedByCapacity{}, ""},
 }
 
 // TestSplitCheckedRejectsBadInputs checks the one boundary-input check
-// both fleets share: non-finite or negative loads and shares, and a
-// share count that does not match the active set, are errors naming the
-// input; a load above 1 is legal overload.
+// both fleets share: non-finite or negative loads and shares, finite
+// shares with an infinite total, and a share count that does not match
+// the active set, are errors naming the input; a load above 1 is legal
+// overload.
 func TestSplitCheckedRejectsBadInputs(t *testing.T) {
 	nodes := make([]NodeState, 4)
 	for i := range nodes {

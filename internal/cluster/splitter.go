@@ -90,9 +90,9 @@ type SplitContext struct {
 type Splitter interface {
 	Name() string
 	// Split returns one offered-RPS value per context node, in node
-	// order. Shares must be finite and non-negative; they need not sum
-	// exactly to TotalRPS (a splitter may shed load), but the built-ins
-	// conserve it.
+	// order. Shares must be finite and non-negative, with a finite
+	// sum; they need not sum exactly to TotalRPS (a splitter may shed
+	// load), but the built-ins conserve it.
 	Split(ctx SplitContext) []float64
 }
 
@@ -100,10 +100,12 @@ type Splitter interface {
 // inputs, for the interval-mode cluster and the cluster DES alike:
 // load, the pattern's load fraction at ctx.T, must be finite and >= 0
 // (above 1 is legal overload), and the splitter must return one finite,
-// non-negative share per node of ctx. A non-finite input would
-// otherwise hang a request-level run (an infinite or NaN arrival rate
-// never reaches the next boundary) or turn fleet energy into NaN. The
-// error names the bad input; callers latch it.
+// non-negative share per node of ctx, with a finite total. A non-finite
+// input would otherwise hang a request-level run (an infinite or NaN
+// arrival rate never reaches the next boundary), thin the DES's arrival
+// rate to NaN through an infinite share total (the run silently offers
+// nothing), or turn fleet energy into NaN. The error names the bad
+// input; callers latch it.
 func SplitChecked(sp Splitter, load float64, ctx SplitContext) ([]float64, error) {
 	if !(load >= 0) || math.IsInf(load, 1) {
 		return nil, fmt.Errorf("pattern returned load %v at t=%v; want a finite value >= 0", load, ctx.T)
@@ -113,11 +115,16 @@ func SplitChecked(sp Splitter, load float64, ctx SplitContext) ([]float64, error
 		return nil, fmt.Errorf("splitter %q returned %d shares for %d active nodes",
 			sp.Name(), len(shares), len(ctx.Nodes))
 	}
+	total := 0.0
 	for i, s := range shares {
 		if !(s >= 0) || math.IsInf(s, 1) {
 			return nil, fmt.Errorf("splitter %q returned share %v for node %d; want a finite value >= 0",
 				sp.Name(), s, i)
 		}
+		total += s
+	}
+	if math.IsInf(total, 1) {
+		return nil, fmt.Errorf("splitter %q returned shares summing to %v; want a finite total", sp.Name(), total)
 	}
 	return shares, nil
 }

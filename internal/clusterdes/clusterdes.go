@@ -493,7 +493,6 @@ type desNode struct {
 	svcSeq    []int32   // per-slot service sequence; bumped by stopService
 	busy      []float64 // busy seconds attributed to this interval
 	busyUntil []float64 // absolute end time of each server's current service
-	busyCount int
 	queue     queueing.Ring[int32]
 	capacity  float64 // total enabled service rate under the current config
 	maxQueue  int
@@ -568,7 +567,21 @@ type settings struct {
 	// global node id and written only at boundaries (nil without the
 	// Predictive mitigation). Copies of settings share it.
 	suspect []bool
+	// committed and hedgeBars are the flat inputs of the least-committed
+	// placements, indexed by global node id and shared like suspect:
+	// committed[i] is node i's queue length plus busy servers, and
+	// hedgeBars[i] is hedgeBar while node i may not take a hedge copy, 0
+	// otherwise (see rebuildHedgeBars). Between boundaries a loop writes
+	// only its own nodes' entries.
+	committed []int32
+	hedgeBars []int32
 }
+
+// hedgeBar marks a node barred from hedge copies. It exceeds any
+// committed count a node can reach (a queue that deep would need tens
+// of GB of request table), so a barred node never wins hedgeTarget's
+// argmin over committed[i] + hedgeBars[i].
+const hedgeBar = 1 << 30
 
 // loop is one routing domain's event loop: the request table, event
 // queue, RNG streams, arrival process and per-interval counters for a
@@ -626,11 +639,16 @@ type loop struct {
 	nextArrival float64
 	tickEnd     float64 // end of the current interval
 	// shares are the interval's routing weights over the active prefix
-	// and cumShares their running sums, added in index order, which
-	// routeDraw binary-searches; shareSum is the last running sum.
-	shares    []float64
-	cumShares []float64
-	shareSum  float64
+	// and cumShares their running sums, added in index order; shareSum
+	// is the last running sum. guide[k] is the first active index whose
+	// running sum exceeds k·shareSum/active, where routeIndex starts its
+	// walk, and guideScale is active/shareSum. refreshInterval rebuilds
+	// all of them at every boundary.
+	shares     []float64
+	cumShares  []float64
+	shareSum   float64
+	guide      []int32
+	guideScale float64
 
 	// Per-interval scratch. dropped and timedOut are cumulative over
 	// the run; the rest reset at every boundary. intervalSojourns, the
@@ -795,6 +813,9 @@ func New(opts Options) (*Fleet, error) {
 	if f.dt == 0 {
 		f.dt = 1
 	}
+	if math.IsNaN(f.dt) || math.IsInf(f.dt, 0) {
+		return nil, fmt.Errorf("clusterdes: interval %v is not finite", f.dt)
+	}
 	if f.dt < 0 {
 		return nil, errors.New("clusterdes: negative interval")
 	}
@@ -865,6 +886,8 @@ func New(opts Options) (*Fleet, error) {
 		f.suspect = make([]bool, len(opts.Nodes))
 		f.predEwma = make([]float64, len(opts.Nodes))
 	}
+	flat := make([]int32, 2*len(opts.Nodes))
+	f.committed, f.hedgeBars = flat[:len(opts.Nodes):len(opts.Nodes)], flat[len(opts.Nodes):]
 
 	for i, nc := range opts.Nodes {
 		n, err := newNode(i, nc, opts.MaxQueue, f)
@@ -895,7 +918,7 @@ func New(opts Options) (*Fleet, error) {
 	f.states = make([]cluster.NodeState, len(f.nodes))
 	f.samples = make([]telemetry.Sample, len(f.nodes))
 	f.pool = cluster.NewPool(f.workers)
-	f.sumFn = func(i int) { f.samples[i] = f.nodes[i].finishInterval(f.tEnd, f.dt) }
+	f.sumFn = func(i int) { f.samples[i] = f.nodes[i].finishInterval(f.tEnd, f.dt, f.committed[i] > 0) }
 	f.newDomains(opts.Domains)
 	return f, nil
 }
@@ -942,6 +965,7 @@ func (f *Fleet) newDomains(dcount int) {
 			lat:         newLatRecorder(),
 		}
 		l.shares, l.cumShares = newShares(hi - lo)
+		l.guide = make([]int32, hi-lo)
 		for i := lo; i < hi; i++ {
 			f.domOf[i] = int32(k)
 		}
@@ -1121,7 +1145,7 @@ func (l *loop) svcSample(n *desNode, s int) float64 {
 // busy.
 func (l *loop) startService(n *desNode, s int, id int32, t float64) {
 	n.idle[s] = false
-	n.busyCount++
+	l.committed[n.id]++
 	n.serving[s] = id
 	l.reqs[id].refs++
 	d := l.svcSample(n, s)
@@ -1154,7 +1178,7 @@ func (l *loop) stopService(n *desNode, s int, t float64) int32 {
 	id := n.serving[s]
 	n.serving[s] = -1
 	n.svcSeq[s]++
-	n.busyCount--
+	l.committed[n.id]--
 	if over := math.Min(n.busyUntil[s], l.tickEnd) - t; over > 0 {
 		n.busy[s] -= over
 	}
@@ -1212,10 +1236,11 @@ func (l *loop) dispatch(n *desNode, id int32, t float64) bool {
 }
 
 // enqueue appends request id to node n's queue. enqueue and dequeue
-// are the only code that changes a queue, so the loop's deep count
-// stays exact.
+// are the only code that changes a queue, so the loop's deep count and
+// the node's committed count stay exact.
 func (l *loop) enqueue(n *desNode, id int32) {
 	n.queue.Push(id)
+	l.committed[n.id]++
 	if n.queue.Len() == l.minDepth {
 		l.deep++
 	}
@@ -1227,6 +1252,7 @@ func (l *loop) dequeue(n *desNode) int32 {
 	if n.queue.Len() == l.minDepth {
 		l.deep--
 	}
+	l.committed[n.id]--
 	return n.queue.Pop()
 }
 
@@ -1359,35 +1385,61 @@ func (l *loop) routeDraw() *desNode {
 }
 
 // routeIndex returns the first active node whose running share sum
-// exceeds u, found by binary search. A zero-share node's running sum
-// equals its predecessor's, so it is never the first; when u rounds up
-// to shareSum no sum exceeds it and the last positive-share node takes
-// the draw. shareSum must be positive.
+// exceeds u. The walk starts at the guide entry of u's bucket — bucket
+// k spans [k, k+1)·shareSum/active — steps back while the previous
+// running sum exceeds u, then forward while its own does not, so it
+// lands on that first node whatever the rounding of the bucket; an
+// index is walked over only by draws in the bucket its running sum
+// falls in, so a draw takes O(1) steps in expectation for any share
+// vector. A zero-share node's running sum equals its predecessor's, so
+// it is never the first; when u rounds up to shareSum no sum exceeds it
+// and the last positive-share node takes the draw. shareSum must be
+// positive.
 func (l *loop) routeIndex(u float64) int {
 	cum := l.cumShares[:l.active]
-	lo, hi := 0, len(cum)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if u < cum[m] {
-			hi = m
-		} else {
-			lo = m + 1
+	// Written so that NaN or +Inf (a subnormal shareSum) also picks the
+	// last bucket.
+	k := len(cum) - 1
+	if x := u * l.guideScale; x < float64(k) {
+		k = int(x)
+	}
+	i := int(l.guide[k])
+	for i > 0 && u < cum[i-1] {
+		i--
+	}
+	for i < len(cum) && !(u < cum[i]) {
+		i++
+	}
+	if i == len(cum) {
+		for i--; l.shares[i] <= 0; i-- {
 		}
 	}
-	if lo == len(cum) {
-		for lo--; l.shares[lo] <= 0; lo-- {
-		}
-	}
-	return lo
+	return i
 }
 
 // setShare records active node i's routing weight for the interval and
-// extends the running sums routeIndex searches. Callers set shares in
-// index order after zeroing shareSum.
+// extends the running sums routeIndex walks. Callers set shares in
+// index order after zeroing shareSum, then call buildGuide.
 func (l *loop) setShare(i int, s float64) {
 	l.shares[i] = s
 	l.shareSum += s
 	l.cumShares[i] = l.shareSum
+}
+
+// buildGuide rebuilds routeIndex's guide table over the active prefix
+// from the running sums setShare left, in one merged pass.
+func (l *loop) buildGuide() {
+	a := l.active
+	step := l.shareSum / float64(a)
+	l.guideScale = float64(a) / l.shareSum
+	j := 0
+	for k := 0; k < a; k++ {
+		x := float64(k) * step
+		for j < a-1 && !(l.cumShares[j] > x) {
+			j++
+		}
+		l.guide[k] = int32(j)
+	}
 }
 
 // fallbackNode walks the active prefix round-robin from slot k to the
@@ -1523,7 +1575,7 @@ func (l *loop) handleCompletion(t float64, ev event) {
 	}
 	id := n.serving[s]
 	n.serving[s] = -1
-	n.busyCount--
+	l.committed[n.id]--
 	r := &l.reqs[id]
 	switch {
 	case r.done:
@@ -1659,8 +1711,8 @@ func (l *loop) handleHedge(t float64, ev event) {
 	id := ev.a
 	r := &l.reqs[id]
 	if !r.done && r.hedgeNode == -1 {
-		if target := l.hedgeTarget(l.nodes[:l.active], r); target != nil {
-			l.issueHedge(target, id, t)
+		if target := l.hedgeTarget(l.lo, l.lo+l.active, r); target >= 0 {
+			l.issueHedge(l.node(int32(target)), id, t)
 		} else if l.deferCross {
 			// The timer's reference rides along into the outbox.
 			l.deferredHedges = append(l.deferredHedges, id)
@@ -1687,23 +1739,37 @@ func (l *loop) finishHedgeRef(id int32) {
 	}
 }
 
-// hedgeTarget returns the least-committed node among cands (queue
-// plus busy servers; the first minimum in candidate order wins) that
-// may take request r's hedge copy, nil when none may. handleHedge
-// scans its domain's active nodes, placeHedges the fleet's.
-func (l *loop) hedgeTarget(cands []*desNode, r *request) *desNode {
-	var target *desNode
-	bestLoad := 0
-	for _, v := range cands {
-		if !l.hedgeTargetOK(v, r) {
-			continue
-		}
-		load := v.queue.Len() + v.busyCount
-		if target == nil || load < bestLoad {
-			target, bestLoad = v, load
+// hedgeTarget returns the global id of the node that takes request r's
+// hedge copy among the ids [lo, hi): the first with the least committed
+// work (queue plus busy servers) among the nodes without a hedge bar,
+// skipping the primary's node r.node and, under a partition, the other
+// side, which narrows the range because each side is a contiguous id
+// range. It returns -1 when no node may take the copy. handleHedge
+// passes its domain's active range, placeHedges the fleet's.
+func (l *loop) hedgeTarget(lo, hi int, r *request) int {
+	if cut := l.partCut; cut != 0 {
+		if int(r.node) < cut {
+			hi = min(hi, cut)
+		} else {
+			lo = max(lo, cut)
 		}
 	}
-	return target
+	if lo >= hi {
+		return -1
+	}
+	best, bestKey := -1, int32(hedgeBar)
+	committed, skip := l.committed[lo:hi], int(r.node)-lo
+	bars := l.hedgeBars[lo:hi]
+	bars = bars[:len(committed)] // lets the compiler drop the loop's bounds checks
+	for j, c := range committed {
+		if k := c + bars[j]; k < bestKey && j != skip {
+			best, bestKey = j, k
+		}
+	}
+	if best < 0 {
+		return -1
+	}
+	return lo + best
 }
 
 // issueHedge sends request id's hedge copy to target, a node of this
@@ -1715,16 +1781,6 @@ func (l *loop) issueHedge(target *desNode, id int32, t float64) {
 		l.hedges++
 		l.spendHedgeBudget(target)
 	}
-}
-
-// hedgeTargetOK reports whether node v may receive request r's hedge
-// copy: not the primary's node, not warming, eligible to take work
-// from the primary's node, and eligible under the resilience policy.
-// Without faults or the predictive detector this reduces to the
-// pre-fault condition.
-func (l *loop) hedgeTargetOK(v *desNode, r *request) bool {
-	return int32(v.id) != r.node && v.warmLeft == 0 &&
-		l.eligible(v, int(r.node)) && l.hedgeEligible(v)
 }
 
 // eligible reports whether node v may receive work originating on node
@@ -1742,24 +1798,37 @@ func (l *loop) eligible(v *desNode, from int) bool {
 	return l.sameSide(v.id, from)
 }
 
-// hedgeEligible reports whether node v may receive a hedge copy under
-// the resilience policy: its per-interval hedge budget is not spent and
-// its breaker is not open. (Hedge copies skip full admission — they are
-// the mitigation's own traffic, rationed by the budget instead.)
-func (l *loop) hedgeEligible(v *desNode) bool {
-	if l.resil == nil {
-		return true
-	}
-	if l.resil.HedgeBudget > 0 && v.hedgeLeft <= 0 {
-		return false
-	}
-	return v.breaker == nil || v.breaker.State() != resilience.BreakerOpen
-}
-
-// spendHedgeBudget charges one issued hedge copy to node v's budget.
+// spendHedgeBudget charges one issued hedge copy to node v's budget and
+// bars v from further copies once the budget is spent. The budget is
+// the only hedge bar that changes between boundaries.
 func (l *loop) spendHedgeBudget(v *desNode) {
 	if l.resil != nil && l.resil.HedgeBudget > 0 {
 		v.hedgeLeft--
+		if v.hedgeLeft <= 0 {
+			l.hedgeBars[v.id] = hedgeBar
+		}
+	}
+}
+
+// rebuildHedgeBars sets every node's hedge bar from its state at this
+// boundary, after the resilience roll, the warm-up countdown, faults,
+// the detector and autoscale. A node is barred while it is warming,
+// down, draining or a predictive suspect, and — hedge copies skip full
+// admission; they are the mitigation's own traffic, rationed by the
+// budget instead — while its per-interval hedge budget is spent or its
+// breaker is open. Only the budget changes again before the next
+// boundary, and spendHedgeBudget keeps it.
+func (f *Fleet) rebuildHedgeBars() {
+	for i, n := range f.nodes {
+		barred := n.warmLeft > 0 || n.down || n.draining || (f.suspect != nil && f.suspect[i])
+		if r := f.resil; r != nil {
+			barred = barred || (r.HedgeBudget > 0 && n.hedgeLeft <= 0) ||
+				(n.breaker != nil && n.breaker.State() == resilience.BreakerOpen)
+		}
+		f.hedgeBars[i] = 0
+		if barred {
+			f.hedgeBars[i] = hedgeBar
+		}
 	}
 }
 
@@ -1893,6 +1962,7 @@ func (f *Fleet) refreshInterval(t float64) error {
 			}
 			l.setShare(i, sh)
 		}
+		l.buildGuide()
 		switch {
 		case fleetSum > 0:
 			// With one domain shareSum == fleetSum, so the ratio is
@@ -1913,10 +1983,11 @@ func (f *Fleet) refreshInterval(t float64) error {
 }
 
 // finishInterval produces node n's telemetry sample for the interval
-// ending at t and resets its per-interval scratch. It touches only the
-// node's own state plus pure model evaluations, so the coordinator runs
-// it for all nodes in parallel.
-func (n *desNode) finishInterval(t, dt float64) telemetry.Sample {
+// ending at t and resets its per-interval scratch; inFlight reports
+// queued or in-service work (a non-zero committed count). It touches
+// only the node's own state plus pure model evaluations, so the
+// coordinator runs it for all nodes in parallel.
+func (n *desNode) finishInterval(t, dt float64, inFlight bool) telemetry.Sample {
 	if n.down {
 		// Dead sample: a crashed or revoked node reports the tail cap —
 		// the fleet observes it as a hard QoS failure (straggler signal,
@@ -1939,7 +2010,7 @@ func (n *desNode) finishInterval(t, dt float64) telemetry.Sample {
 	tail := 0.0
 	if len(n.sojourns) > 0 {
 		tail, _ = stats.SelectPercentile(n.sojourns, n.wl.QoSPercentile)
-	} else if n.queue.Len() > 0 || n.busyCount > 0 {
+	} else if inFlight {
 		// Work in flight but nothing completed: the load generator
 		// observes timeouts, not silence — report the tail cap so a
 		// warming node drowning under its queue reads as the straggler

@@ -3,6 +3,7 @@ package clusterdes_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -379,6 +380,8 @@ func TestValidation(t *testing.T) {
 		{"negative workers", func(o *clusterdes.Options) { o.Workers = -1 }},
 		{"negative queue bound", func(o *clusterdes.Options) { o.MaxQueue = -1 }},
 		{"negative interval", func(o *clusterdes.Options) { o.IntervalSecs = -1 }},
+		{"NaN interval", func(o *clusterdes.Options) { o.IntervalSecs = math.NaN() }},
+		{"infinite interval", func(o *clusterdes.Options) { o.IntervalSecs = math.Inf(1) }},
 		{"bad hedge quantile", func(o *clusterdes.Options) { o.Mitigation = clusterdes.Hedged{Quantile: 1.5} }},
 		{"negative steal depth", func(o *clusterdes.Options) {
 			o.Mitigation = clusterdes.WorkStealing{MinDepth: -1}

@@ -10,6 +10,7 @@ import (
 	"hipster/internal/faults"
 	"hipster/internal/loadgen"
 	"hipster/internal/platform"
+	"hipster/internal/resilience"
 	"hipster/internal/workload"
 )
 
@@ -33,77 +34,435 @@ func linearRoute(shares []float64, active int, u float64) int {
 	return last
 }
 
-// routeLoop builds a loop with one fresh node per share and the given
-// active prefix, its shares set the way refreshInterval sets them.
-func routeLoop(shares []float64, active int, seed int64) *loop {
-	l := &loop{nodes: make([]*desNode, len(shares)), active: active, routeRNG: rand.New(rand.NewSource(seed))}
+// routeLoop builds a loop over one fresh node per roster slot, its
+// routing arrays sized to the roster as newDomains sizes them.
+func routeLoop(n int, seed int64) *loop {
+	l := &loop{nodes: make([]*desNode, n), routeRNG: rand.New(rand.NewSource(seed))}
 	for i := range l.nodes {
 		l.nodes[i] = &desNode{id: i}
 	}
-	l.shares, l.cumShares = newShares(len(shares))
-	for i := 0; i < active; i++ {
-		l.setShare(i, shares[i])
-	}
+	l.shares, l.cumShares = newShares(n)
+	l.guide = make([]int32, n)
 	return l
 }
 
-// TestRouteIndexMatchesLinearWalk checks the binary-search routing
+// setShares gives the loop an active prefix and its routing weights the
+// way refreshInterval does: shares in index order, then the guide.
+func (l *loop) setShares(shares []float64, active int) {
+	l.active = active
+	l.shareSum = 0
+	for i := 0; i < active; i++ {
+		l.setShare(i, shares[i])
+	}
+	l.buildGuide()
+}
+
+// TestRouteIndexMatchesLinearWalk checks the guided routing walk
 // against the linear walk on generated share vectors with zero (and
-// negative-zero) shares anywhere, including trailing ones, at every
-// running-sum boundary, just below it, at zero, at a u that has rounded
-// up to shareSum, and over the routing stream itself.
+// negative-zero) and subnormal shares anywhere, including trailing
+// ones, at every running-sum boundary, just below it, at zero, at a u
+// that has rounded up to shareSum, from a scrambled guide, and over the
+// routing stream itself. Each loop is refreshed five times with new
+// shares over active counts that grow to the roster and shrink to one
+// node, so every guide is rebuilt over a table a larger or smaller
+// prefix last wrote.
 func TestRouteIndexMatchesLinearWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 400; trial++ {
 		n := 1 + rng.Intn(300)
-		shares := make([]float64, n)
-		for i := range shares {
-			switch r := rng.Float64(); {
-			case r < 0.3:
-				shares[i] = 0
-			case r < 0.35:
-				shares[i] = math.Copysign(0, -1)
-			case r < 0.4:
-				shares[i] = rng.Float64() * 1e-300
-			case r < 0.5:
-				shares[i] = float64(1 + rng.Intn(3)) // exact sums, many ties
-			default:
-				shares[i] = rng.ExpFloat64() * 1000
+		l := routeLoop(n, int64(trial))
+		ref := rand.New(rand.NewSource(int64(trial)))
+		for refresh, active := range []int{1 + rng.Intn(n), n, 1 + rng.Intn(n), 1, 1 + rng.Intn(n)} {
+			shares := make([]float64, n)
+			for i := range shares {
+				switch r := rng.Float64(); {
+				case r < 0.3:
+					shares[i] = 0
+				case r < 0.35:
+					shares[i] = math.Copysign(0, -1)
+				case r < 0.4:
+					shares[i] = rng.Float64() * 1e-300
+				case r < 0.42:
+					shares[i] = 5e-324
+				case r < 0.5:
+					shares[i] = float64(1 + rng.Intn(3)) // exact sums, many ties
+				default:
+					shares[i] = rng.ExpFloat64() * 1000
+				}
+			}
+			l.setShares(shares, active)
+			if !(l.shareSum > 0) {
+				continue
+			}
+			us := []float64{0, l.shareSum, math.Nextafter(l.shareSum, 0)}
+			for _, c := range l.cumShares[:active] {
+				us = append(us, c, math.Nextafter(c, 0), math.Nextafter(c, math.Inf(1)))
+			}
+			for k := 0; k < 64; k++ {
+				us = append(us, rng.Float64()*l.shareSum)
+			}
+			for _, u := range us {
+				if u > l.shareSum {
+					continue // routeDraw never draws above the total
+				}
+				got, want := l.routeIndex(u), linearRoute(shares, active, u)
+				if got != want {
+					t.Fatalf("trial %d refresh %d (n=%d active=%d): u=%v routes to %d, linear walk %d",
+						trial, refresh, n, active, u, got, want)
+				}
+				if shares[got] <= 0 {
+					t.Fatalf("trial %d refresh %d: u=%v routed to zero-share node %d", trial, refresh, u, got)
+				}
+			}
+			for k := 0; k < 64; k++ {
+				got := l.routeDraw()
+				want := l.nodes[linearRoute(shares, active, ref.Float64()*l.shareSum)]
+				if got != want {
+					t.Fatalf("trial %d refresh %d draw %d: routeDraw picked node %d, linear walk node %d",
+						trial, refresh, k, got.id, want.id)
+				}
+			}
+			// The walk corrects any start, so a scrambled guide routes the
+			// same, only slower. The next refresh rebuilds it.
+			for k := range l.guide[:active] {
+				l.guide[k] = int32(rng.Intn(active))
+			}
+			for _, u := range us {
+				if u <= l.shareSum && l.routeIndex(u) != linearRoute(shares, active, u) {
+					t.Fatalf("trial %d refresh %d: u=%v routes to %d from a scrambled guide, linear walk %d",
+						trial, refresh, u, l.routeIndex(u), linearRoute(shares, active, u))
+				}
 			}
 		}
-		active := 1 + rng.Intn(n)
-		l := routeLoop(shares, active, int64(trial))
-		if !(l.shareSum > 0) {
+	}
+}
+
+// busySlots counts node n's serving slots: the busy half of its
+// committed count.
+func busySlots(n *desNode) int {
+	busy := 0
+	for _, id := range n.serving {
+		if id >= 0 {
+			busy++
+		}
+	}
+	return busy
+}
+
+// hedgeTargetOK reports whether node v may receive request r's hedge
+// copy: not the primary's node, not warming, eligible to take work
+// from the primary's node, and eligible under the resilience policy.
+// It and scanHedgeTarget are the pointer scan hedgeTarget replaced,
+// kept as its reference.
+func (l *loop) hedgeTargetOK(v *desNode, r *request) bool {
+	return int32(v.id) != r.node && v.warmLeft == 0 &&
+		l.eligible(v, int(r.node)) && l.hedgeEligible(v)
+}
+
+// hedgeEligible reports whether node v may receive a hedge copy under
+// the resilience policy: its per-interval hedge budget is not spent and
+// its breaker is not open.
+func (l *loop) hedgeEligible(v *desNode) bool {
+	if l.resil == nil {
+		return true
+	}
+	if l.resil.HedgeBudget > 0 && v.hedgeLeft <= 0 {
+		return false
+	}
+	return v.breaker == nil || v.breaker.State() != resilience.BreakerOpen
+}
+
+// scanHedgeTarget returns the least-loaded node among cands (queue
+// plus busy slots; the first minimum in candidate order wins) that may
+// take request r's hedge copy, nil when none may, and how many
+// admitted candidates share the least load.
+func (l *loop) scanHedgeTarget(cands []*desNode, r *request) (target *desNode, tied int) {
+	bestLoad := 0
+	for _, v := range cands {
+		if !l.hedgeTargetOK(v, r) {
 			continue
 		}
-		us := []float64{0, l.shareSum, math.Nextafter(l.shareSum, 0)}
-		for _, c := range l.cumShares[:active] {
-			us = append(us, c, math.Nextafter(c, 0), math.Nextafter(c, math.Inf(1)))
+		load := v.queue.Len() + busySlots(v)
+		switch {
+		case target == nil || load < bestLoad:
+			target, bestLoad, tied = v, load, 1
+		case load == bestLoad:
+			tied++
 		}
-		for k := 0; k < 64; k++ {
-			us = append(us, rng.Float64()*l.shareSum)
+	}
+	return target, tied
+}
+
+// hedgeScene decodes one hedge-placement scene from s: a hand-built
+// fleet of up to 40 nodes in up to four domain loops, with generated
+// queues and busy slots (loads 0–6, so ties are common), warming, down,
+// draining and suspect nodes, spent budgets (before the boundary's bar
+// rebuild, or spent after it the way issued hedges spend them), open
+// breakers, an active prefix, a partition cut, and a primary node
+// anywhere on the roster. Exhausted fuzz bytes read as zeros.
+func hedgeScene(s *laneScript) (*Fleet, *request) {
+	next := func(m int) int {
+		b, _ := s.byte()
+		return int(b) % m
+	}
+	n := 1 + next(40)
+	mode := next(256)
+	f := &Fleet{active: 1 + next(n)}
+	f.hedging = true
+	if mode&1 != 0 {
+		f.resil = &resilience.Options{}
+		if mode&2 != 0 {
+			f.resil.HedgeBudget = 1
 		}
-		for _, u := range us {
-			if u > l.shareSum {
-				continue // routeDraw never draws above the total
+		if mode&4 != 0 {
+			f.resil.Breaker = &resilience.BreakerOptions{FailureThreshold: 0.5, MinSamples: 1, OpenIntervals: 2}
+		}
+	}
+	if mode&8 != 0 {
+		f.suspect = make([]bool, n)
+	}
+	flat := make([]int32, 2*n)
+	f.committed, f.hedgeBars = flat[:n:n], flat[n:]
+	var spend []*desNode
+	for i := 0; i < n; i++ {
+		v := &desNode{id: i, serving: []int32{-1, -1, -1}, hedgeLeft: 1}
+		for q := next(4); q > 0; q-- {
+			v.queue.Push(0)
+		}
+		for b := next(4); b > 0; b-- {
+			v.serving[b-1] = 0
+		}
+		if f.resil != nil && f.resil.Breaker != nil {
+			v.breaker = resilience.NewBreaker(*f.resil.Breaker)
+		}
+		// Most nodes are eligible; the rest fail any mix of conditions.
+		if flags := next(256); flags >= 128 {
+			if flags&1 != 0 {
+				v.warmLeft = 1
 			}
-			got, want := l.routeIndex(u), linearRoute(shares, active, u)
-			if got != want {
-				t.Fatalf("trial %d (n=%d active=%d): u=%v routes to %d, linear walk %d",
-					trial, n, active, u, got, want)
+			v.down = flags&2 != 0
+			v.draining = flags&4 != 0
+			if flags&8 != 0 && f.suspect != nil {
+				f.suspect[i] = true
 			}
-			if shares[got] <= 0 {
-				t.Fatalf("trial %d: u=%v routed to zero-share node %d", trial, u, got)
+			if flags&16 != 0 {
+				v.hedgeLeft = 0
+			}
+			if flags&32 != 0 && v.breaker != nil {
+				v.breaker.Record(false)
+				v.breaker.Roll()
+			}
+			if flags&64 != 0 {
+				spend = append(spend, v)
 			}
 		}
-		ref := rand.New(rand.NewSource(int64(trial)))
-		for k := 0; k < 64; k++ {
-			got := l.routeDraw()
-			want := l.nodes[linearRoute(shares, active, ref.Float64()*l.shareSum)]
-			if got != want {
-				t.Fatalf("trial %d draw %d: routeDraw picked node %d, linear walk node %d", trial, k, got.id, want.id)
-			}
+		f.committed[i] = int32(v.queue.Len() + busySlots(v))
+		f.nodes = append(f.nodes, v)
+	}
+	cut := 0
+	if n > 1 && next(2) == 1 {
+		cut = 1 + next(n-1)
+	}
+	starts := PartitionDomains(n, 1+next(min(n, 4)))
+	f.rebuildHedgeBars()
+	for k := 0; k+1 < len(starts); k++ {
+		lo, hi := starts[k], starts[k+1]
+		l := &loop{id: k, lo: lo, nodes: f.nodes[lo:hi], settings: f.settings, partCut: cut}
+		l.active = min(max(f.active-lo, 0), hi-lo)
+		f.domains = append(f.domains, l)
+	}
+	for _, v := range spend {
+		f.domains[0].spendHedgeBudget(v)
+	}
+	return f, &request{node: int32(next(n))}
+}
+
+// hedgeSceneCounts tallies what checked scenes exercised.
+type hedgeSceneCounts struct {
+	empty, tied, split, primaryInRange int
+}
+
+// checkHedgeScene compares hedgeTarget with the reference scan over
+// every domain's active range and over the fleet's.
+func checkHedgeScene(tb testing.TB, f *Fleet, r *request, c *hedgeSceneCounts) {
+	tb.Helper()
+	check := func(l *loop, lo, hi int) {
+		want, tied := l.scanHedgeTarget(f.nodes[lo:hi], r)
+		wantID := -1
+		if want != nil {
+			wantID = want.id
 		}
+		if got := l.hedgeTarget(lo, hi, r); got != wantID {
+			tb.Fatalf("range [%d, %d) cut %d primary %d: hedgeTarget %d, reference scan %d",
+				lo, hi, l.partCut, r.node, got, wantID)
+		}
+		if want == nil {
+			c.empty++
+		}
+		if tied > 1 {
+			c.tied++
+		}
+		if want != nil && l.partCut != 0 {
+			c.split++
+		}
+		if p := int(r.node); p >= lo && p < hi && f.hedgeBars[p] == 0 {
+			c.primaryInRange++
+		}
+	}
+	for _, l := range f.domains {
+		check(l, l.lo, l.lo+l.active)
+	}
+	check(f.domains[0], 0, f.active)
+}
+
+// TestHedgeTargetMatchesScan checks the flat argmin over committed
+// work and hedge bars against the pointer scan it replaced, on
+// generated scenes: the domain ranges and the fleet range, under
+// partitions and with the primary anywhere, including ties, fully
+// barred ranges, and budgets spent after the bar rebuild.
+func TestHedgeTargetMatchesScan(t *testing.T) {
+	var c hedgeSceneCounts
+	for seed := int64(1); seed <= 3000; seed++ {
+		f, r := hedgeScene(&laneScript{rng: rand.New(rand.NewSource(seed))})
+		checkHedgeScene(t, f, r, &c)
+	}
+	if c.empty == 0 || c.tied == 0 || c.split == 0 || c.primaryInRange == 0 {
+		t.Fatalf("the scenes exercised too little: %+v", c)
+	}
+}
+
+// FuzzHedgeTarget runs TestHedgeTargetMatchesScan's scenes decoded
+// from fuzz bytes.
+func FuzzHedgeTarget(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<10 {
+			t.Skip()
+		}
+		fl, r := hedgeScene(&laneScript{data: data})
+		checkHedgeScene(t, fl, r, &hedgeSceneCounts{})
+	})
+}
+
+// barReasons counts the node-boundaries at which each hedge-bar
+// condition held.
+type barReasons struct {
+	warming, down, draining, suspect, budget, breaker int
+}
+
+// assertPlacementArrays recounts every node's committed work (queue
+// plus busy slots) and, when the fleet hedges, whether the reference
+// eligibility bars it from hedge copies, and compares both with the
+// flat arrays, tallying the bar conditions into seen.
+func assertPlacementArrays(t *testing.T, f *Fleet, step int, seen *barReasons) {
+	t.Helper()
+	for i, v := range f.nodes {
+		if want := v.queue.Len() + busySlots(v); int(f.committed[i]) != want {
+			t.Fatalf("after Run(%d): node %d committed %d, recount %d", step, i, f.committed[i], want)
+		}
+		if !f.hedging {
+			continue
+		}
+		l := f.domainOf(i)
+		barred := !(v.warmLeft == 0 && l.eligible(v, i) && l.hedgeEligible(v))
+		if (f.hedgeBars[i] != 0) != barred {
+			t.Fatalf("after Run(%d): node %d hedge bar %d, reference barred %v", step, i, f.hedgeBars[i], barred)
+		}
+		seen.warming += min(v.warmLeft, 1)
+		if v.down {
+			seen.down++
+		}
+		if v.draining {
+			seen.draining++
+		}
+		if f.suspect != nil && f.suspect[i] {
+			seen.suspect++
+		}
+		if r := f.resil; r != nil && r.HedgeBudget > 0 && v.hedgeLeft <= 0 {
+			seen.budget++
+		}
+		if v.breaker != nil && v.breaker.State() == resilience.BreakerOpen {
+			seen.breaker++
+		}
+	}
+}
+
+// TestPlacementArraysExactAtBoundaries steps fleets one boundary at a
+// time and checks the placement arrays against a recount at each stop:
+// crash, slow, spot-revocation and partition faults, deadlines with
+// retries, a hedge budget and breakers, autoscale down and back up with
+// warm-up, and the predictive detector, at one and three domains, under
+// hedging, predictive hedging and work stealing.
+func TestPlacementArraysExactAtBoundaries(t *testing.T) {
+	script := []faults.Event{
+		{Interval: 2, Kind: faults.SlowStart, Node: 4, Factor: 0.2},
+		{Interval: 3, Kind: faults.Crash, Node: 1},
+		{Interval: 4, Kind: faults.RevokeNotice, Node: 9},
+		{Interval: 5, Kind: faults.Recover, Node: 1},
+		{Interval: 6, Kind: faults.Revoke, Node: 9},
+		{Interval: 8, Kind: faults.PartitionStart, Node: -1, Cut: 5},
+		{Interval: 11, Kind: faults.Restore, Node: 9},
+		{Interval: 14, Kind: faults.PartitionEnd, Node: -1},
+		{Interval: 16, Kind: faults.SlowEnd, Node: 4},
+	}
+	resil := &resilience.Options{
+		MaxRetries:   2,
+		Timeout:      1,
+		Backoff:      resilience.Backoff{Base: 0.02, Cap: 0.2, Jitter: 0.2},
+		Breaker:      &resilience.BreakerOptions{FailureThreshold: 0.3, MinSamples: 3, OpenIntervals: 4},
+		CancelHedges: true,
+		HedgeBudget:  1,
+	}
+	const horizon = 24
+	var seen barReasons
+	for _, m := range []Mitigation{Hedged{}, Predictive{}, WorkStealing{}} {
+		for _, domains := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/domains=%d", m.Name(), domains), func(t *testing.T) {
+				nodes, err := Uniform(12, platform.JunoR1(), workload.WebSearch())
+				if err != nil {
+					t.Fatal(err)
+				}
+				fl, err := New(Options{
+					Nodes:      nodes,
+					Pattern:    loadgen.Spike{Base: 0.6, Peak: 1.1, EverySecs: 6, SpikeSecs: 2},
+					Mitigation: m,
+					Domains:    domains,
+					Seed:       19,
+					Resilience: resil,
+					Faults:     &faults.Options{Script: script},
+					Autoscale: &AutoscaleOptions{
+						MinNodes:           2,
+						InitialNodes:       12,
+						Policy:             phasedPolicy{full: 12, downAt: 6, upAt: 12},
+						CooldownIntervals:  1,
+						DownAfterIntervals: 1,
+						WarmupIntervals:    2,
+						WarmupFactor:       0.5,
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var res Result
+				for k := 1; k <= horizon; k++ {
+					if res, err = fl.Run(float64(k)); err != nil {
+						t.Fatal(err)
+					}
+					assertPlacementArrays(t, fl, k, &seen)
+				}
+				st := res.Stats
+				if st.Crashes == 0 || st.Revocations == 0 || st.Partitions == 0 || st.SlowOnsets == 0 || st.Ups == 0 {
+					t.Fatalf("a scripted event never fired: %+v", st)
+				}
+				if m.Name() != "work-stealing" && st.Hedges == 0 {
+					t.Fatal("nothing was hedged")
+				}
+			})
+		}
+	}
+	if seen.warming == 0 || seen.down == 0 || seen.draining == 0 || seen.suspect == 0 ||
+		seen.budget == 0 || seen.breaker == 0 {
+		t.Errorf("some bar condition never held at a boundary: %+v", seen)
 	}
 }
 

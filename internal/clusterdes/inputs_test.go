@@ -21,11 +21,12 @@ type fixedLoad float64
 func (p fixedLoad) LoadAt(float64) float64 { return float64(p) }
 func (fixedLoad) Duration() float64        { return 0 }
 
-// shareSplitter returns first for node 0 and 1 for every other node;
-// short drops the last share.
+// shareSplitter returns first for node 0 and 1 for every other node,
+// or first for every node when all is set; short drops the last share.
 type shareSplitter struct {
 	first float64
 	short bool
+	all   bool
 }
 
 func (shareSplitter) Name() string { return "share" }
@@ -34,6 +35,9 @@ func (s shareSplitter) Split(ctx cluster.SplitContext) []float64 {
 	shares := make([]float64, len(ctx.Nodes))
 	for i := range shares {
 		shares[i] = 1
+		if s.all {
+			shares[i] = s.first
+		}
 	}
 	shares[0] = s.first
 	if s.short {
@@ -43,12 +47,14 @@ func (s shareSplitter) Split(ctx cluster.SplitContext) []float64 {
 }
 
 // TestRunRejectsBadBoundaryInputs checks the DES routing refresh
-// rejects non-finite or negative loads and shares, and a share count
-// that does not match the active set, with an error naming the input
-// that latches — at the default single domain and at two. Without the
-// check an infinite load put every arrival at t = 0 and a NaN one (a
-// NaN trace sample included) left the arrival clock NaN, so Run never
-// reached a boundary: each case runs under a watchdog. A load above 1
+// rejects non-finite or negative loads and shares, finite shares with
+// an infinite total, and a share count that does not match the active
+// set, with an error naming the input that latches — at the default
+// single domain and at two. Without the check an infinite load put
+// every arrival at t = 0 and a NaN one (a NaN trace sample included)
+// left the arrival clock NaN, so Run never reached a boundary, and an
+// infinite share total thinned λ to NaN, so the run silently offered
+// nothing: each case runs under a watchdog. A load above 1
 // is legal overload.
 func TestRunRejectsBadBoundaryInputs(t *testing.T) {
 	nan := func() loadgen.Pattern {
@@ -73,6 +79,7 @@ func TestRunRejectsBadBoundaryInputs(t *testing.T) {
 		{"share-inf", loadgen.Constant{Frac: 0.5}, shareSplitter{first: math.Inf(1)}, "share +Inf for node 0"},
 		{"share-negative", loadgen.Constant{Frac: 0.5}, shareSplitter{first: -1}, "share -1 for node 0"},
 		{"share-count", loadgen.Constant{Frac: 0.5}, shareSplitter{first: 1, short: true}, "returned 3 shares for 4 active nodes"},
+		{"share-total-inf", loadgen.Constant{Frac: 0.5}, shareSplitter{first: math.MaxFloat64, all: true}, `splitter "share" returned shares summing to +Inf`},
 		{"overload", fixedLoad(1.3), nil, ""},
 	}
 	for _, tc := range cases {

@@ -113,14 +113,19 @@ func (f *Fleet) reconcile(tEnd float64) int {
 	return wins
 }
 
-// placeHedges drains every domain's deferred-hedge outbox: re-issues
-// that found no in-domain target get the fleet-wide least-committed
-// node. A same-domain placement is an ordinary hedge dispatch; a
-// cross-domain one allocates a mirror entry in the target domain and
-// links the pair, deferring the completion race to reconcile. Counted
-// hedges land in the interval that begins now, like all work issued at
-// a boundary.
+// placeHedges first rebuilds every node's hedge bar for the interval
+// that begins now (see rebuildHedgeBars), then drains every domain's
+// deferred-hedge outbox: re-issues that found no in-domain target get
+// the fleet-wide least-committed node. A same-domain placement is an
+// ordinary hedge dispatch; a cross-domain one allocates a mirror entry
+// in the target domain and links the pair, deferring the completion
+// race to reconcile. Counted hedges land in the interval that begins
+// now, like all work issued at a boundary.
 func (f *Fleet) placeHedges(t float64) {
+	if !f.hedging {
+		return
+	}
+	f.rebuildHedgeBars()
 	for _, l := range f.domains {
 		for _, id := range l.deferredHedges {
 			r := &l.reqs[id]
@@ -128,12 +133,13 @@ func (f *Fleet) placeHedges(t float64) {
 				l.finishHedgeRef(id)
 				continue
 			}
-			target := l.hedgeTarget(f.nodes[:f.active], r)
-			if target == nil {
+			ti := l.hedgeTarget(0, f.active, r)
+			if ti < 0 {
 				l.finishHedgeRef(id)
 				continue
 			}
-			tl := f.domainOf(target.id)
+			target := f.nodes[ti]
+			tl := f.domainOf(ti)
 			if tl == l {
 				l.issueHedge(target, id, t)
 				l.finishHedgeRef(id)
@@ -437,7 +443,7 @@ func (l *loop) migrationTarget(cands []*desNode, from *desNode) *desNode {
 		if v == from || !l.eligible(v, from.id) {
 			continue
 		}
-		if target == nil || v.queue.Len()+v.busyCount < target.queue.Len()+target.busyCount {
+		if target == nil || l.committed[v.id] < l.committed[target.id] {
 			target = v
 		}
 	}

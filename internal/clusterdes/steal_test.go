@@ -69,7 +69,7 @@ func TestBoundaryStealLeavesReferencedQueue(t *testing.T) {
 		t.Fatalf("counted %d cross-domain steals, %d thief-domain steals; want none",
 			f.stats.CrossDomainSteals, f.domains[1].steals)
 	}
-	if thief := f.nodes[1]; thief.busyCount != 0 {
-		t.Fatalf("thief serves %d requests, want none", thief.busyCount)
+	if busy := busySlots(f.nodes[1]); busy != 0 {
+		t.Fatalf("thief serves %d requests, want none", busy)
 	}
 }

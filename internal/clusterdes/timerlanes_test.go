@@ -32,9 +32,10 @@ type popped struct {
 	src  int
 }
 
-// laneScript supplies a lane script's choices: from a seeded stream,
-// whose continuous due times never tie, or from fuzz bytes, whose
-// coarse ones often do.
+// laneScript supplies a script's choices — a timer lane script here, a
+// hedge-placement scene in hotpath_test.go — from a seeded stream or
+// from fuzz bytes. A seeded lane script's continuous due times never
+// tie; coarse fuzz-byte ones often do.
 type laneScript struct {
 	rng  *rand.Rand
 	data []byte

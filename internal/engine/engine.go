@@ -130,6 +130,9 @@ func New(opts Options) (*Engine, error) {
 	if opts.IntervalSecs == 0 {
 		opts.IntervalSecs = 1
 	}
+	if math.IsNaN(opts.IntervalSecs) || math.IsInf(opts.IntervalSecs, 0) {
+		return nil, fmt.Errorf("engine: interval %v is not finite", opts.IntervalSecs)
+	}
 	if opts.IntervalSecs < 0 {
 		return nil, errors.New("engine: negative interval")
 	}

@@ -30,6 +30,8 @@ func TestNewValidatesOptions(t *testing.T) {
 		func(o *Options) { o.Pattern = nil },
 		func(o *Options) { o.Policy = nil },
 		func(o *Options) { o.IntervalSecs = -1 },
+		func(o *Options) { o.IntervalSecs = math.NaN() },
+		func(o *Options) { o.IntervalSecs = math.Inf(1) },
 		func(o *Options) { bad := platform.Config{NBig: 7}; o.InitialConfig = &bad },
 	}
 	for i, mod := range cases {
