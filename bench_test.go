@@ -582,7 +582,8 @@ func BenchmarkClusterDESLearn16Nodes(b *testing.B) {
 // completions leave a node idle and try to steal, yet few queues are
 // deep enough to rob, so the steal path exits on the loop's deep-queue
 // count instead of scanning the fleet, and each arrival routes by a
-// binary search over the running routing shares. The "serial" variant
+// short walk over the running routing shares that starts at the
+// loop's guide-table entry. The "serial" variant
 // runs the default single fleet-wide domain; the sharded variant
 // partitions the roster into 8 routing domains that exchange
 // cross-domain effects only at interval boundaries, each with its own

@@ -303,6 +303,15 @@ func TestClusterRejectsNonFiniteLoad(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonFiniteLoad is TestClusterRejectsNonFiniteLoad for
+// the single-node command, which used to report NaN energy and exit 0.
+func TestRunRejectsNonFiniteLoad(t *testing.T) {
+	err := run("memcached", "hipster-in", "constant:NaN", 5, 42, "", "", false)
+	if err == nil || !strings.Contains(err.Error(), "engine: pattern returned load NaN") {
+		t.Fatalf("run with -pattern constant:NaN: error %v, want one naming the NaN load", err)
+	}
+}
+
 // TestClusterDESDomainsRun smoke-tests a sharded DES invocation end to
 // end through the CLI path.
 func TestClusterDESDomainsRun(t *testing.T) {

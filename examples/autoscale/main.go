@@ -1,12 +1,13 @@
 // Autoscale example: the same bursty day served twice on one seed —
 // first by a static 8-node fleet that stays on all day, then by an
 // elastic fleet whose active node set follows the load (2..8 nodes
-// under the target-utilization policy). Federation rides along: every
-// node that joins mid-burst is warm-started from the fleet's merged RL
-// table instead of learning from zero, and every node that leaves
-// flushes its learning back first. The elastic fleet serves the trace
-// at the same QoS-attainment bar while consuming roughly a third fewer
-// node-intervals, and about a sixth less energy.
+// under the target-utilization policy), as
+// `experiments.AutoscaleElasticity` runs it. Federation rides along: every node that joins mid-burst is
+// warm-started from the fleet's merged RL table instead of learning
+// from zero, and every node that leaves flushes its learning back
+// first. The elastic fleet serves the trace at the same QoS-attainment
+// bar while consuming roughly a third fewer node-intervals, and about
+// a sixth less energy.
 package main
 
 import (
@@ -15,84 +16,38 @@ import (
 	"log"
 	"os"
 
-	"hipster"
+	"hipster/internal/experiments"
+	"hipster/internal/platform"
 )
-
-const (
-	rosterNodes = 8
-	minNodes    = 2
-	seed        = 42
-	day         = 1440.0
-)
-
-func runFleet(elastic bool) (*hipster.Cluster, hipster.ClusterResult, error) {
-	spec := hipster.JunoR1()
-	params := hipster.DefaultParams()
-	params.LearnSecs = 120
-	defs, err := hipster.UniformClusterNodes(rosterNodes, spec, hipster.Memcached(),
-		func(nodeID int) (hipster.Policy, error) {
-			return hipster.NewHipsterIn(spec, params, seed+int64(nodeID))
-		})
-	if err != nil {
-		return nil, hipster.ClusterResult{}, err
-	}
-	opts := hipster.ClusterOptions{
-		Nodes: defs,
-		// A 30% base load with a burst to 80% of roster capacity every
-		// three minutes — the bursty regime where a fixed fleet wastes
-		// most of its node-intervals idling between spikes.
-		Pattern:    hipster.Spike{Base: 0.3, Peak: 0.8, EverySecs: 180, SpikeSecs: 45, Horizon: day},
-		Seed:       seed,
-		Federation: &hipster.FederationOptions{SyncEvery: 5},
-	}
-	if elastic {
-		opts.Autoscale = &hipster.AutoscaleOptions{
-			Policy:             hipster.NewTargetUtilizationPolicy(0.7),
-			MinNodes:           minNodes,
-			CooldownIntervals:  3,
-			DownAfterIntervals: 2,
-		}
-	}
-	cl, err := hipster.NewCluster(opts)
-	if err != nil {
-		return nil, hipster.ClusterResult{}, err
-	}
-	res, err := cl.Run(day)
-	return cl, res, err
-}
 
 // run executes the example and writes the report; the golden-file test
 // replays it against testdata/output.golden, so the output format is
 // part of the example's contract.
 func run(w io.Writer) error {
-	fmt.Fprintf(w, "elastic vs static fleet: %d-node roster, bursty day (0.3 base, 0.8 burst), seed %d\n\n", rosterNodes, seed)
+	fmt.Fprintln(w, "elastic vs static fleet: 8-node roster, bursty day (0.3 base, 0.8 burst), seed 42")
+	fmt.Fprintln(w)
 
-	report := func(name string, cl *hipster.Cluster, res hipster.ClusterResult) int {
-		sum := res.Summarize()
+	res, err := experiments.AutoscaleElasticity(platform.JunoR1(), experiments.AutoscaleElasticityOpts{})
+	if err != nil {
+		return err
+	}
+	for _, r := range []experiments.AutoscaleElasticityRun{res.Static, res.Elastic} {
+		name := "static"
+		if r.Elastic {
+			name = "elastic"
+		}
 		fmt.Fprintf(w, "%-8s QoS attainment %5.2f%%  node-intervals %5d  energy %6.0f J\n",
-			name, sum.QoSAttainment*100, sum.NodeIntervals, sum.TotalEnergyJ)
-		if st, ok := cl.AutoscaleStats(); ok {
+			name, r.QoSAttainment*100, r.NodeIntervals, r.TotalEnergyJ)
+		if r.Elastic {
+			st := r.Stats
 			fmt.Fprintf(w, "         %d-%d nodes active, %d up / %d down events, %d warm starts, %d departure flushes\n",
 				st.MinActive, st.PeakActive, st.Ups, st.Downs, st.WarmStarts, st.Flushes)
 		}
-		return sum.NodeIntervals
 	}
 
-	staticCl, staticRes, err := runFleet(false)
-	if err != nil {
-		return err
-	}
-	ni := report("static", staticCl, staticRes)
-
-	elasticCl, elasticRes, err := runFleet(true)
-	if err != nil {
-		return err
-	}
-	nie := report("elastic", elasticCl, elasticRes)
-
-	if nie < ni {
+	if res.Elastic.NodeIntervals < res.Static.NodeIntervals {
 		fmt.Fprintf(w, "\nelastic fleet served the same day with %.1f%% fewer node-intervals\n",
-			100*(1-float64(nie)/float64(ni)))
+			100*res.NodeIntervalSaving)
 	} else {
 		fmt.Fprintln(w, "\nwarning: elasticity saved nothing on this configuration")
 	}

@@ -29,9 +29,9 @@ func run(w io.Writer) error {
 		return err
 	}
 	o := res.Opts
-	fmt.Fprintf(w, "in-DES learning vs interval-mode learning: %d-node Web-Search fleet, seed %d\n", o.Nodes, o.Seed)
+	fmt.Fprintf(w, "in-DES learning vs interval-mode learning: %d-node Web-Search fleet, seed %d\n", o.Nodes, experiments.DefaultSeed)
 	fmt.Fprintf(w, "train %.0fs on the bursty day (learning phase %.0fs), evaluate %.0fs in the DES on seed %d\n",
-		o.TrainSecs, o.LearnSecs, o.EvalSecs, o.Seed+1000)
+		o.TrainSecs, o.LearnSecs, o.EvalSecs, experiments.DefaultSeed+1000)
 	fmt.Fprintln(w)
 
 	fmt.Fprintf(w, "%-18s %10s %8s %10s %8s %6s\n",

@@ -2,149 +2,50 @@
 // seed — first as four independent learners, then with federated table
 // sharing — under a front-end whose routing weights rotate over the
 // day, so each node starts by learning a different slice of the load
-// range. The federated fleet merges its tables every few intervals
-// (visit-weighted), so every node exploits the whole fleet's
-// experience and reaches the QoS-attainment target in fewer intervals
-// than the independent learners, which each fall back to the heuristic
-// whenever they enter a load bucket they never visited.
+// range (`experiments.FederationConvergence`). The federated fleet
+// merges its tables every few intervals (visit-weighted), so every
+// node exploits the whole fleet's experience and reaches the
+// QoS-attainment target in fewer intervals than the independent
+// learners, which each fall back to the heuristic whenever they enter
+// a load bucket they never visited.
 package main
 
 import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"os"
 
-	"hipster"
+	"hipster/internal/experiments"
+	"hipster/internal/platform"
 )
-
-const (
-	nodes     = 4
-	seed      = 42
-	day       = 1440.0
-	learnSecs = 120 // short learning phase: exploitation starts undertrained
-	threshold = 0.95
-	window    = 40
-)
-
-// phasedSplitter phase-shifts each node's routing weight by its fleet
-// position and rotates the weights over the day: during the short
-// learning phase every node explores a different load band, and later
-// serves bands its peers learned first — the regime where sharing
-// tables pays.
-type phasedSplitter struct{}
-
-func (phasedSplitter) Name() string { return "phased-weights" }
-
-func (phasedSplitter) Split(ctx hipster.SplitContext) []float64 {
-	out := make([]float64, len(ctx.Nodes))
-	var total float64
-	for i, n := range ctx.Nodes {
-		phase := ctx.T/day + float64(i)/float64(len(ctx.Nodes))
-		w := (1 + 0.6*math.Sin(2*math.Pi*phase)) * n.CapacityRPS
-		out[i] = w
-		total += w
-	}
-	for i := range out {
-		out[i] = ctx.TotalRPS * out[i] / total
-	}
-	return out
-}
-
-func runFleet(fed *hipster.FederationOptions) (*hipster.Cluster, hipster.ClusterResult, error) {
-	spec := hipster.JunoR1()
-	params := hipster.DefaultParams()
-	params.LearnSecs = learnSecs
-	defs, err := hipster.UniformClusterNodes(nodes, spec, hipster.Memcached(),
-		func(nodeID int) (hipster.Policy, error) {
-			return hipster.NewHipsterIn(spec, params, seed+int64(nodeID))
-		})
-	if err != nil {
-		return nil, hipster.ClusterResult{}, err
-	}
-	cl, err := hipster.NewCluster(hipster.ClusterOptions{
-		Nodes: defs,
-		// Peak at 65% of fleet capacity: with the ±60% weight skew,
-		// per-node load approaches but does not exceed capacity, so
-		// violations reflect management quality, not raw overload.
-		Pattern:    hipster.Diurnal{PeriodSecs: day, Min: 0.05, Max: 0.65, StartPhase: 0.25, Days: 1},
-		Splitter:   phasedSplitter{},
-		Seed:       seed,
-		Federation: fed,
-	})
-	if err != nil {
-		return nil, hipster.ClusterResult{}, err
-	}
-	res, err := cl.Run(day)
-	return cl, res, err
-}
-
-// convergedAt returns the 1-based interval at which the trailing-window
-// fleet QoS attainment first reaches the threshold and holds it for the
-// rest of the run, or -1.
-func convergedAt(ft *hipster.FleetTrace) int {
-	n := ft.Len()
-	met, cnt := 0, 0
-	ok := make([]bool, n)
-	for i := 0; i < n; i++ {
-		met += ft.Samples[i].QoSMet
-		cnt += ft.Samples[i].Nodes
-		if i >= window {
-			met -= ft.Samples[i-window].QoSMet
-			cnt -= ft.Samples[i-window].Nodes
-		}
-		if i >= window-1 {
-			ok[i] = cnt > 0 && float64(met)/float64(cnt) >= threshold
-		}
-	}
-	last := n
-	for i := n - 1; i >= window-1 && ok[i]; i-- {
-		last = i
-	}
-	if last == n {
-		return -1
-	}
-	return last + 1
-}
 
 // run executes the example and writes the report; the golden-file test
 // replays it against testdata/output.golden, so the output format is
 // part of the example's contract.
 func run(w io.Writer) error {
-	fmt.Fprintf(w, "federated RL table sharing: %d HipsterIn nodes, %.0f s day, learn %d s, target %.0f%% attainment over %d intervals\n\n",
-		nodes, day, learnSecs, threshold*100, window)
+	fmt.Fprintln(w, "federated RL table sharing: 4 HipsterIn nodes, 1440 s day, learn 120 s, target 95% attainment over 40 intervals")
+	fmt.Fprintln(w)
 
-	_, indep, err := runFleet(nil)
+	res, err := experiments.FederationConvergence(platform.JunoR1())
 	if err != nil {
 		return err
 	}
-	fedCl, fed, err := runFleet(&hipster.FederationOptions{
-		SyncEvery: 5,
-		Merge:     hipster.MergeVisitWeighted,
-	})
-	if err != nil {
-		return err
-	}
-
-	report := func(name string, res hipster.ClusterResult) int {
-		conv := convergedAt(res.Fleet)
-		sum := res.Summarize()
+	report := func(name string, r experiments.FederationConvergenceRun) {
 		at := "never"
-		if conv >= 0 {
-			at = fmt.Sprintf("interval %d", conv)
+		if r.ConvergedAt >= 0 {
+			at = fmt.Sprintf("interval %d", r.ConvergedAt)
 		}
 		fmt.Fprintf(w, "%-12s converged %-13s attainment %5.2f%%  energy %6.0f J\n",
-			name, at, sum.QoSAttainment*100, sum.TotalEnergyJ)
-		return conv
+			name, at, r.QoSAttainment*100, r.TotalEnergyJ)
 	}
-	ci := report("independent", indep)
-	cf := report("federated", fed)
+	report("independent", res.Independent)
+	report("federated", res.Federated)
 
-	if st, ok := fedCl.FederationStats(); ok {
-		fmt.Fprintf(w, "\nfederation: %d sync rounds, %d reports, %d cells merged (%d table updates pooled)\n",
-			st.Rounds, st.Reports, st.MergedCells, st.MergedVisits)
-	}
+	st := res.Federated.Stats
+	fmt.Fprintf(w, "\nfederation: %d sync rounds, %d reports, %d cells merged (%d table updates pooled)\n",
+		st.Rounds, st.Reports, st.MergedCells, st.MergedVisits)
+	ci, cf := res.Independent.ConvergedAt, res.Federated.ConvergedAt
 	switch {
 	case cf >= 0 && (ci < 0 || cf < ci):
 		gain := "the independent fleet never got there"

@@ -60,7 +60,7 @@ func run(w io.Writer) error {
 
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "autoscale signal race: bursty day, min 2 of 8 nodes, 3-interval warm-up, same seed")
-	res, err := experiments.WarmupSignal(experiments.WarmupSignalOpts{})
+	res, err := experiments.WarmupSignal()
 	if err != nil {
 		return err
 	}

@@ -479,8 +479,8 @@ func NewHedgedMitigation(quantile float64) Mitigation {
 }
 
 // NewWorkStealingMitigation returns the cross-node work-stealing
-// mitigation with its defaults: an idle node pulls the oldest request
-// from the deepest queue in the fleet.
+// mitigation: an idle node pulls the oldest request from the deepest
+// queue in the fleet, if that queue holds at least two requests.
 func NewWorkStealingMitigation() Mitigation { return clusterdes.WorkStealing{} }
 
 // NewPredictiveMitigation returns the predictive straggler mitigation:
@@ -489,8 +489,10 @@ func NewWorkStealingMitigation() Mitigation { return clusterdes.WorkStealing{} }
 // migration, excludes them as hedge targets and hedges their requests
 // early — before the reactive completed-sojourn signal can observe the
 // degradation. The quantile is the reactive hedge delay inherited from
-// Hedged (quantile <= 0 uses the 0.95 default); detector knobs keep
-// their documented defaults.
+// Hedged (quantile <= 0 uses the 0.95 default). The detector itself
+// has one design point: EWMA smoothing 0.4, suspicion at 3x the fleet
+// median, and suspects' requests hedged after a quarter of the
+// reactive delay.
 func NewPredictiveMitigation(quantile float64) Mitigation {
 	if quantile <= 0 {
 		return clusterdes.Predictive{}

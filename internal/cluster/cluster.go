@@ -12,7 +12,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"runtime"
 
@@ -37,14 +36,6 @@ type NodeOptions struct {
 	// Batch, when non-nil, collocates batch jobs on the cores this
 	// node's LC configuration leaves free (HipsterCo's objective).
 	Batch *batch.Runner
-
-	// InitialConfig is the node's starting configuration (default: all
-	// big cores at maximum DVFS).
-	InitialConfig *platform.Config
-
-	// UseDES evaluates this node's workload by discrete-event
-	// simulation instead of the analytic queueing model.
-	UseDES bool
 }
 
 // Options configure a cluster run.
@@ -64,25 +55,9 @@ type Options struct {
 	// 0 means GOMAXPROCS. Results do not depend on this value.
 	Workers int
 
-	// IntervalSecs is the monitoring interval (default 1 s).
-	IntervalSecs float64
-
 	// Seed drives the whole fleet: node i's engine is seeded with
 	// Seed + i, giving every node an independent deterministic stream.
 	Seed int64
-
-	// Deterministic disables all per-node noise sources.
-	Deterministic bool
-
-	// LoadJitterSigma and PowerNoiseSigma are forwarded to every node
-	// engine (zero = engine defaults).
-	LoadJitterSigma float64
-	PowerNoiseSigma float64
-
-	// StragglerFactor flags a node as a straggler when its tail latency
-	// exceeds this multiple of the interval's fleet-median tail
-	// (default telemetry.DefaultStragglerFactor).
-	StragglerFactor float64
 
 	// Federation, when non-nil, periodically merges the per-node RL
 	// lookup tables into one fleet table and broadcasts it back, so the
@@ -195,17 +170,7 @@ func New(opts Options) (*Cluster, error) {
 	if c.workers == 0 {
 		c.workers = runtime.GOMAXPROCS(0)
 	}
-	interval := opts.IntervalSecs
-	if interval == 0 {
-		interval = 1
-	}
-	if math.IsNaN(interval) || math.IsInf(interval, 0) {
-		return nil, fmt.Errorf("cluster: interval %v is not finite", interval)
-	}
-	if interval < 0 {
-		return nil, errors.New("cluster: negative interval")
-	}
-	c.clock = sim.NewClock(interval)
+	c.clock = sim.NewClock(sim.IntervalSecs)
 
 	seen := make(map[policy.Policy]int, len(opts.Nodes))
 	seenBatch := make(map[*batch.Runner]int)
@@ -227,18 +192,12 @@ func New(opts Options) (*Cluster, error) {
 		}
 		f := &feed{}
 		eng, err := engine.New(engine.Options{
-			Spec:            no.Spec,
-			Workload:        no.Workload,
-			Pattern:         f,
-			Policy:          no.Policy,
-			Batch:           no.Batch,
-			IntervalSecs:    interval,
-			Seed:            opts.Seed + int64(i),
-			Deterministic:   opts.Deterministic,
-			LoadJitterSigma: opts.LoadJitterSigma,
-			PowerNoiseSigma: opts.PowerNoiseSigma,
-			InitialConfig:   no.InitialConfig,
-			UseDES:          no.UseDES,
+			Spec:     no.Spec,
+			Workload: no.Workload,
+			Pattern:  f,
+			Policy:   no.Policy,
+			Batch:    no.Batch,
+			Seed:     opts.Seed + int64(i),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
@@ -372,7 +331,7 @@ func (c *Cluster) Step() (telemetry.FleetSample, error) {
 			return c.fail(err)
 		}
 	}
-	fs := c.merger.MergeInterval(c.samples[:c.active], c.opts.StragglerFactor)
+	fs := c.merger.MergeInterval(c.samples[:c.active])
 	// A node activated mid-run carries a local clock that lags fleet
 	// time (it does not tick while asleep), so the fleet sample is
 	// stamped with the fleet clock rather than any node's.

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"hipster/internal/autoscale"
+	"hipster/internal/loadgen"
 	"hipster/internal/names"
 	"hipster/internal/telemetry"
 )
@@ -98,8 +99,8 @@ type Splitter interface {
 
 // SplitChecked runs one boundary's split and checks the boundary's
 // inputs, for the interval-mode cluster and the cluster DES alike:
-// load, the pattern's load fraction at ctx.T, must be finite and >= 0
-// (above 1 is legal overload), and the splitter must return one finite,
+// load, the pattern's load fraction at ctx.T, must pass
+// loadgen.CheckLoad, and the splitter must return one finite,
 // non-negative share per node of ctx, with a finite total. A non-finite
 // input would otherwise hang a request-level run (an infinite or NaN
 // arrival rate never reaches the next boundary), thin the DES's arrival
@@ -107,8 +108,8 @@ type Splitter interface {
 // nothing), or turn fleet energy into NaN. The error names the bad
 // input; callers latch it.
 func SplitChecked(sp Splitter, load float64, ctx SplitContext) ([]float64, error) {
-	if !(load >= 0) || math.IsInf(load, 1) {
-		return nil, fmt.Errorf("pattern returned load %v at t=%v; want a finite value >= 0", load, ctx.T)
+	if err := loadgen.CheckLoad(load, ctx.T); err != nil {
+		return nil, err
 	}
 	shares := sp.Split(ctx)
 	if len(shares) != len(ctx.Nodes) {

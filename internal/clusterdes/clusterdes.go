@@ -144,16 +144,9 @@ type Options struct {
 	// domain. Must not exceed the roster size.
 	Domains int
 
-	// IntervalSecs is the monitoring interval (default 1 s).
-	IntervalSecs float64
-
 	// Seed fully determines the run (arrival, routing and service-time
 	// streams are derived sub-streams).
 	Seed int64
-
-	// StragglerFactor is forwarded to the fleet telemetry merge
-	// (default telemetry.DefaultStragglerFactor).
-	StragglerFactor float64
 
 	// Autoscale, when non-nil, grows and shrinks the active node set.
 	Autoscale *AutoscaleOptions
@@ -686,7 +679,6 @@ type Fleet struct {
 	opts     Options
 	splitter cluster.Splitter
 	workers  int
-	dt       float64
 	fleetCap float64
 	clock    *sim.Clock
 
@@ -767,10 +759,9 @@ type Fleet struct {
 	prevLost    int
 
 	// Predictive-mitigation state (the Predictive mitigation): per-node
-	// EWMA of the drain estimate, and the resolved detector parameters.
-	predictive                      bool
-	predAlpha, predThresh, predFrac float64
-	predEwma                        []float64
+	// EWMA of the drain estimate.
+	predictive bool
+	predEwma   []float64
 
 	stats  Stats
 	failed error
@@ -809,17 +800,7 @@ func New(opts Options) (*Fleet, error) {
 	if f.workers == 0 {
 		f.workers = runtime.GOMAXPROCS(0)
 	}
-	f.dt = opts.IntervalSecs
-	if f.dt == 0 {
-		f.dt = 1
-	}
-	if math.IsNaN(f.dt) || math.IsInf(f.dt, 0) {
-		return nil, fmt.Errorf("clusterdes: interval %v is not finite", f.dt)
-	}
-	if f.dt < 0 {
-		return nil, errors.New("clusterdes: negative interval")
-	}
-	f.clock = sim.NewClock(f.dt)
+	f.clock = sim.NewClock(sim.IntervalSecs)
 
 	switch m := opts.Mitigation.(type) {
 	case nil, None:
@@ -828,41 +809,13 @@ func New(opts Options) (*Fleet, error) {
 			return nil, err
 		}
 	case WorkStealing:
-		if m.MinDepth < 0 {
-			return nil, fmt.Errorf("clusterdes: negative work-stealing min depth %d", m.MinDepth)
-		}
 		f.stealing = true
-		f.minDepth = m.MinDepth
-		if f.minDepth == 0 {
-			f.minDepth = 2
-		}
+		f.minDepth = stealMinDepth
 	case Predictive:
 		if err := f.enableHedging(m.Quantile); err != nil {
 			return nil, err
 		}
-		a := m.Alpha
-		if a == 0 {
-			a = 0.4
-		}
-		if a <= 0 || a > 1 {
-			return nil, fmt.Errorf("clusterdes: predictive EWMA alpha %v out of (0, 1]", m.Alpha)
-		}
-		th := m.Threshold
-		if th == 0 {
-			th = 3
-		}
-		if th <= 1 {
-			return nil, fmt.Errorf("clusterdes: predictive threshold %v must exceed 1", m.Threshold)
-		}
-		hf := m.HedgeFraction
-		if hf == 0 {
-			hf = 0.25
-		}
-		if hf <= 0 || hf > 1 {
-			return nil, fmt.Errorf("clusterdes: predictive hedge fraction %v out of (0, 1]", m.HedgeFraction)
-		}
 		f.predictive = true
-		f.predAlpha, f.predThresh, f.predFrac = a, th, hf
 	default:
 		return nil, fmt.Errorf("clusterdes: unsupported mitigation %q", opts.Mitigation.Name())
 	}
@@ -918,7 +871,7 @@ func New(opts Options) (*Fleet, error) {
 	f.states = make([]cluster.NodeState, len(f.nodes))
 	f.samples = make([]telemetry.Sample, len(f.nodes))
 	f.pool = cluster.NewPool(f.workers)
-	f.sumFn = func(i int) { f.samples[i] = f.nodes[i].finishInterval(f.tEnd, f.dt, f.committed[i] > 0) }
+	f.sumFn = func(i int) { f.samples[i] = f.nodes[i].finishInterval(f.tEnd, sim.IntervalSecs, f.committed[i] > 0) }
 	f.newDomains(opts.Domains)
 	return f, nil
 }
@@ -2217,7 +2170,7 @@ func (f *Fleet) tick() error {
 	}
 	f.rollResilience()
 
-	fs := f.merger.MergeInterval(f.samples[:f.active], f.opts.StragglerFactor)
+	fs := f.merger.MergeInterval(f.samples[:f.active])
 	fs.T = tEnd
 	var energy float64
 	for _, n := range f.nodes {
@@ -2264,7 +2217,7 @@ func (f *Fleet) tick() error {
 	f.breakerOpens = 0
 
 	f.reestimateHedgeDelay()
-	measuredRPS := float64(prim) / f.dt
+	measuredRPS := float64(prim) / sim.IntervalSecs
 	f.stats.Requests += prim
 	for _, l := range f.domains {
 		l.intervalSojourns = l.intervalSojourns[:0]
@@ -2279,7 +2232,7 @@ func (f *Fleet) tick() error {
 	// Services started from here on (migrations, hedge placements, idle
 	// kicks) belong to the interval that begins now.
 	for _, l := range f.domains {
-		l.tickEnd = t + f.dt
+		l.tickEnd = t + sim.IntervalSecs
 	}
 	if err := f.faultStep(t); err != nil {
 		return err
@@ -2371,7 +2324,7 @@ func (f *Fleet) Run(horizon float64) (Result, error) {
 		}
 	}
 	for f.clock.Now() < horizon {
-		f.tEnd = f.clock.Now() + f.dt
+		f.tEnd = f.clock.Now() + sim.IntervalSecs
 		f.pool.Do(len(f.domains), f.stepFn)
 		if err := f.tick(); err != nil {
 			return fail(err)

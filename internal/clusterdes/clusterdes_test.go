@@ -3,7 +3,6 @@ package clusterdes_test
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -379,24 +378,9 @@ func TestValidation(t *testing.T) {
 		{"nil pattern", func(o *clusterdes.Options) { o.Pattern = nil }},
 		{"negative workers", func(o *clusterdes.Options) { o.Workers = -1 }},
 		{"negative queue bound", func(o *clusterdes.Options) { o.MaxQueue = -1 }},
-		{"negative interval", func(o *clusterdes.Options) { o.IntervalSecs = -1 }},
-		{"NaN interval", func(o *clusterdes.Options) { o.IntervalSecs = math.NaN() }},
-		{"infinite interval", func(o *clusterdes.Options) { o.IntervalSecs = math.Inf(1) }},
 		{"bad hedge quantile", func(o *clusterdes.Options) { o.Mitigation = clusterdes.Hedged{Quantile: 1.5} }},
-		{"negative steal depth", func(o *clusterdes.Options) {
-			o.Mitigation = clusterdes.WorkStealing{MinDepth: -1}
-		}},
 		{"bad predictive quantile", func(o *clusterdes.Options) {
 			o.Mitigation = clusterdes.Predictive{Quantile: 1}
-		}},
-		{"bad predictive alpha", func(o *clusterdes.Options) {
-			o.Mitigation = clusterdes.Predictive{Alpha: 1.5}
-		}},
-		{"bad predictive threshold", func(o *clusterdes.Options) {
-			o.Mitigation = clusterdes.Predictive{Threshold: 1}
-		}},
-		{"bad predictive hedge fraction", func(o *clusterdes.Options) {
-			o.Mitigation = clusterdes.Predictive{HedgeFraction: -0.5}
 		}},
 		{"negative retries", func(o *clusterdes.Options) {
 			o.Resilience = &resilience.Options{MaxRetries: -1}

@@ -27,7 +27,7 @@ func (f *Fleet) initFaults(horizon float64) error {
 	if f.faultOpts == nil || f.faultsDrawn {
 		return nil
 	}
-	intervals := int(math.Ceil(horizon / f.dt))
+	intervals := int(math.Ceil(horizon / sim.IntervalSecs))
 	evs, err := faults.Generate(*f.faultOpts, len(f.nodes), intervals,
 		sim.SubRNG(f.opts.Seed, "des-faults"))
 	if err != nil {
@@ -224,11 +224,11 @@ func (f *Fleet) drainQueue(n *desNode, t float64, pred bool) {
 // detectStep is the predictive slow-node detector, run every boundary
 // when the Predictive mitigation is on. Each node's EWMA tracks its
 // drain estimate (backlog over nominal capacity, in seconds); a node
-// whose smoothed estimate exceeds Threshold times the fleet median —
+// whose smoothed estimate exceeds predThreshold times the fleet median —
 // and a floor tied to the workload target, so an idle fleet never
 // flags — becomes a suspect: its queue migrates away now, it receives
 // no hedges or steals, and requests routed to it hedge after only
-// HedgeFraction of the reactive delay. The signal leads the reactive
+// predHedgeFraction of the reactive delay. The signal leads the reactive
 // quantile hedge because a degraded node's backlog grows as soon as
 // service slows, while the sojourn quantile must wait for slow
 // completions to land in the estimate.
@@ -243,7 +243,7 @@ func (f *Fleet) detectStep(t float64) {
 			continue
 		}
 		q := f.samples[i].Backlog / n.state.CapacityRPS
-		f.predEwma[n.id] = f.predAlpha*q + (1-f.predAlpha)*f.predEwma[n.id]
+		f.predEwma[n.id] = predAlpha*q + (1-predAlpha)*f.predEwma[n.id]
 		if !n.draining {
 			f.selScratch = append(f.selScratch, f.predEwma[n.id])
 		}
@@ -255,7 +255,7 @@ func (f *Fleet) detectStep(t float64) {
 	for _, n := range f.nodes[:f.active] {
 		e := f.predEwma[n.id]
 		flag := !n.down && !n.draining &&
-			e > f.predThresh*med && e > 0.25*n.wl.TargetLatency
+			e > predThreshold*med && e > 0.25*n.wl.TargetLatency
 		f.suspect[n.id] = flag
 		if flag {
 			f.stats.PredFlags++
@@ -277,7 +277,7 @@ func (f *Fleet) detectStep(t float64) {
 	// Every domain hedges off the same fleet-wide delay.
 	w := math.Inf(1)
 	if hw := f.domains[0].hedgeWait; !math.IsInf(hw, 1) {
-		w = hw * f.predFrac
+		w = hw * predHedgeFraction
 	}
 	for _, l := range f.domains {
 		l.suspectWait = w

@@ -9,6 +9,7 @@ import (
 	"hipster/internal/platform"
 	"hipster/internal/policy"
 	"hipster/internal/queueing"
+	"hipster/internal/sim"
 	"hipster/internal/stats"
 	"hipster/internal/telemetry"
 )
@@ -174,7 +175,7 @@ func (f *Fleet) learnStep(tEnd float64) error {
 		s := &f.samples[i]
 		obs := policy.Observation{
 			Time:        tEnd,
-			Interval:    f.dt,
+			Interval:    sim.IntervalSecs,
 			LoadFrac:    n.wl.LoadFrac(s.OfferedRPS),
 			TailLatency: s.TailLatency,
 			Target:      s.Target,

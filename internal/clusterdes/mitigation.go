@@ -48,12 +48,12 @@ func (Hedged) Name() string { return "hedged" }
 // nodes participate too), it steals from the active node with the most
 // queued requests. Stealing drains the queue a cold or straggling node
 // has built instead of duplicating work the way hedging does.
-type WorkStealing struct {
-	// MinDepth is the minimum victim queue length worth stealing from
-	// (default 2): single-request queues are about to be served locally
-	// anyway, and stealing them would just bounce requests around.
-	MinDepth int
-}
+type WorkStealing struct{}
+
+// stealMinDepth is the minimum victim queue length worth stealing
+// from: single-request queues are about to be served locally anyway,
+// and stealing them would just bounce requests around.
+const stealMinDepth = 2
 
 // Name implements Mitigation.
 func (WorkStealing) Name() string { return "work-stealing" }
@@ -61,27 +61,31 @@ func (WorkStealing) Name() string { return "work-stealing" }
 // Predictive layers a slow-node detector on top of Hedged: the fleet
 // keeps a per-node EWMA of the drain estimate (backlog over nominal
 // capacity) from the telemetry it already merges each interval, and
-// flags a node as suspect when its EWMA exceeds Threshold times the
+// flags a node as suspect when its EWMA exceeds predThreshold times the
 // fleet median (and a floor tied to the workload target, so an idle
 // fleet never flags). Suspect nodes are drained by migration at every
 // boundary, excluded as hedge/steal targets, and requests routed to
-// them hedge after HedgeFraction of the reactive delay — acting
+// them hedge after predHedgeFraction of the reactive delay — acting
 // *before* the quantile signal observes a slow completion (the
 // predict-then-mitigate discipline of START, arXiv:2111.10241).
 type Predictive struct {
 	// Quantile is the reactive hedge quantile inherited from Hedged, in
 	// (0, 1) (default DefaultHedgeQuantile).
 	Quantile float64
-	// Alpha is the EWMA smoothing factor in (0, 1] (default 0.4);
-	// larger values react faster but flap more.
-	Alpha float64
-	// Threshold is the suspicion multiplier over the fleet-median drain
-	// estimate, > 1 (default 3).
-	Threshold float64
-	// HedgeFraction scales the reactive hedge delay for requests
-	// primary-routed to a suspect node, in (0, 1] (default 0.25).
-	HedgeFraction float64
 }
+
+// The predictive detector's design point.
+const (
+	// predAlpha is the EWMA smoothing factor in (0, 1]; larger values
+	// react faster but flap more.
+	predAlpha = 0.4
+	// predThreshold is the suspicion multiplier over the fleet-median
+	// drain estimate, > 1.
+	predThreshold = 3
+	// predHedgeFraction scales the reactive hedge delay for requests
+	// primary-routed to a suspect node, in (0, 1].
+	predHedgeFraction = 0.25
+)
 
 // Name implements Mitigation.
 func (Predictive) Name() string { return "predictive" }
@@ -93,9 +97,9 @@ func MitigationNames() []string {
 }
 
 // MitigationByName returns a built-in mitigation as its zero value, or
-// an error (wrapping names.ErrUnknown) listing the valid names. Zero
-// fields (Hedged.Quantile, WorkStealing.MinDepth) are resolved to
-// their documented defaults when the fleet is built, not here.
+// an error (wrapping names.ErrUnknown) listing the valid names. A zero
+// Quantile is resolved to its documented default when the fleet is
+// built, not here.
 func MitigationByName(name string) (Mitigation, error) {
 	switch name {
 	case "none":

@@ -35,39 +35,27 @@ type Options struct {
 	// case (the paper's workaround for the Juno perf erratum).
 	Batch *batch.Runner
 
-	// Interference coefficients; zero value uses defaults.
-	Interference *interference.Params
-
-	// IntervalSecs is the monitoring interval (default 1 s, §3.6).
-	IntervalSecs float64
-
 	// Seed drives every stochastic stream of the run.
 	Seed int64
-
-	// LoadJitterSigma is lognormal jitter on the offered load (client
-	// arrival noise). Default 0.03.
-	LoadJitterSigma float64
-	// PowerNoiseSigma is lognormal noise on the power reading handed
-	// to the policy (the energy meter itself integrates true power).
-	// Default 0.01.
-	PowerNoiseSigma float64
-	// Deterministic disables all noise sources (model validation and
-	// config-search experiments).
-	Deterministic bool
 
 	// InitialConfig is the configuration in force during the first
 	// interval; the default is all big cores at maximum DVFS.
 	InitialConfig *platform.Config
-
-	// DisableCPUIdle forces the CPUidle-off behaviour even without
-	// batch jobs.
-	DisableCPUIdle bool
 
 	// UseDES evaluates the latency-critical workload by discrete-event
 	// simulation of every request instead of the analytic queueing
 	// model — slower but approximation-free (see workload.IntervalDES).
 	UseDES bool
 }
+
+const (
+	// loadJitterSigma is lognormal jitter on the offered load (client
+	// arrival noise).
+	loadJitterSigma = 0.03
+	// powerNoiseSigma is lognormal noise on the power reading handed to
+	// the policy (the energy meter itself integrates true power).
+	powerNoiseSigma = 0.01
+)
 
 // Engine executes a configured run.
 type Engine struct {
@@ -127,39 +115,20 @@ func New(opts Options) (*Engine, error) {
 	if err := opts.Workload.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.IntervalSecs == 0 {
-		opts.IntervalSecs = 1
-	}
-	if math.IsNaN(opts.IntervalSecs) || math.IsInf(opts.IntervalSecs, 0) {
-		return nil, fmt.Errorf("engine: interval %v is not finite", opts.IntervalSecs)
-	}
-	if opts.IntervalSecs < 0 {
-		return nil, errors.New("engine: negative interval")
-	}
-	if opts.LoadJitterSigma == 0 {
-		opts.LoadJitterSigma = 0.03
-	}
-	if opts.PowerNoiseSigma == 0 {
-		opts.PowerNoiseSigma = 0.01
-	}
 
 	e := &Engine{
 		opts:  opts,
 		spec:  opts.Spec,
 		wl:    opts.Workload,
-		clock: sim.NewClock(opts.IntervalSecs),
-	}
-	if opts.Interference != nil {
-		e.inter = *opts.Interference
-	} else {
-		e.inter = interference.DefaultParams()
+		inter: interference.DefaultParams(),
+		clock: sim.NewClock(sim.IntervalSecs),
 	}
 	e.loadRNG = sim.SubRNG(opts.Seed, "load")
 	e.wlRNG = sim.SubRNG(opts.Seed, "workload")
 	e.pwrRNG = sim.SubRNG(opts.Seed, "power")
 	e.perfRNG = sim.SubRNG(opts.Seed, "perf")
 
-	e.cpuidleOff = opts.Batch != nil || opts.DisableCPUIdle
+	e.cpuidleOff = opts.Batch != nil
 	e.topo = platform.NewTopology(opts.Spec)
 	e.perf = platform.NewPerfCounters(e.topo, e.cpuidleOff, e.perfRNG)
 
@@ -240,14 +209,15 @@ func (e *Engine) Step() (telemetry.Sample, error) {
 	// Offered load for this interval. Jitter may not push load past
 	// 100% of capacity, but a pattern that itself demands overload (a
 	// cluster front-end can route a node more than its capacity) passes
-	// through, so overload behaves the same with and without noise.
+	// through, so routing mistakes surface as backlog.
 	frac := e.opts.Pattern.LoadAt(tStart)
-	if !e.opts.Deterministic {
-		limit := math.Max(1, frac)
-		frac = sim.Jitter(e.loadRNG, frac, e.opts.LoadJitterSigma)
-		if frac > limit {
-			frac = limit
-		}
+	if err := loadgen.CheckLoad(frac, tStart); err != nil {
+		return telemetry.Sample{}, fmt.Errorf("engine: %w", err)
+	}
+	limit := math.Max(1, frac)
+	frac = sim.Jitter(e.loadRNG, frac, loadJitterSigma)
+	if frac > limit {
+		frac = limit
 	}
 	offered := e.wl.RPSAt(frac)
 
@@ -278,10 +248,6 @@ func (e *Engine) Step() (telemetry.Sample, error) {
 	}
 
 	// Latency-critical workload.
-	var wlRNG *rand.Rand
-	if !e.opts.Deterministic {
-		wlRNG = e.wlRNG
-	}
 	wlIn := workload.IntervalInput{
 		Config:          e.cfg,
 		OfferedRPS:      offered,
@@ -290,7 +256,7 @@ func (e *Engine) Step() (telemetry.Sample, error) {
 		MigratedCores:   e.pendingMig,
 		DVFSChanged:     e.pendingDVFS,
 		DemandInflation: inflation,
-		RNG:             wlRNG,
+		RNG:             e.wlRNG,
 	}
 	var out workload.IntervalOutput
 	var err error
@@ -331,10 +297,7 @@ func (e *Engine) Step() (telemetry.Sample, error) {
 	breakdown := platform.SystemPower(e.spec, load)
 	e.meter.Add(breakdown, dt)
 
-	powerReading := breakdown.Total()
-	if !e.opts.Deterministic {
-		powerReading = sim.Jitter(e.pwrRNG, powerReading, e.opts.PowerNoiseSigma)
-	}
+	powerReading := sim.Jitter(e.pwrRNG, breakdown.Total(), powerNoiseSigma)
 
 	tEnd := e.clock.Tick()
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -29,9 +30,6 @@ func TestNewValidatesOptions(t *testing.T) {
 		func(o *Options) { o.Workload = nil },
 		func(o *Options) { o.Pattern = nil },
 		func(o *Options) { o.Policy = nil },
-		func(o *Options) { o.IntervalSecs = -1 },
-		func(o *Options) { o.IntervalSecs = math.NaN() },
-		func(o *Options) { o.IntervalSecs = math.Inf(1) },
 		func(o *Options) { bad := platform.Config{NBig: 7}; o.InitialConfig = &bad },
 	}
 	for i, mod := range cases {
@@ -373,15 +371,31 @@ func TestInvalidPolicyDecisionSurfacesError(t *testing.T) {
 	}
 }
 
-func TestDeterministicModeHasNoNoise(t *testing.T) {
-	o := baseOpts()
-	o.Deterministic = true
-	e, _ := New(o)
-	tr, _ := e.Run(20)
-	first := tr.Samples[0].TailLatency
-	for _, s := range tr.Samples[1:] {
-		if math.Abs(s.TailLatency-first) > 1e-12 {
-			t.Fatal("deterministic constant-load run should have constant latency")
+// fixedLoad is a pattern that returns one load at every t, unclamped,
+// unlike loadgen.Constant.
+type fixedLoad float64
+
+func (f fixedLoad) LoadAt(float64) float64 { return float64(f) }
+func (f fixedLoad) Duration() float64      { return 0 }
+
+// TestStepRejectsInvalidLoad checks a pattern load that is not a
+// finite value >= 0 fails the step with an error naming it, instead of
+// a run reporting NaN energy.
+func TestStepRejectsInvalidLoad(t *testing.T) {
+	for _, load := range []float64{math.NaN(), -0.5, math.Inf(1)} {
+		o := baseOpts()
+		o.Pattern = fixedLoad(load)
+		e, err := New(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = e.Step()
+		want := fmt.Sprintf("engine: pattern returned load %v at t=0; want a finite value >= 0", load)
+		if err == nil || err.Error() != want {
+			t.Errorf("load %v: error %v, want %q", load, err, want)
+		}
+		if e.Trace().Len() != 0 {
+			t.Errorf("load %v: rejected step recorded a sample", load)
 		}
 	}
 }

@@ -13,76 +13,15 @@ import (
 )
 
 // AutoscaleElasticityOpts parameterise the elastic-vs-static fleet
-// comparison. The zero value selects the defaults below.
+// comparison. The zero value selects the default below.
 type AutoscaleElasticityOpts struct {
-	// Nodes is the roster size (default 8).
-	Nodes int
-	// MinNodes is the elastic fleet's lower bound (default 2).
-	MinNodes int
-	// Seed drives both fleets identically (default DefaultSeed).
-	Seed int64
 	// Horizon is the simulated duration in seconds (default 1440).
 	Horizon float64
-	// LearnSecs is each node's initial learning phase (default 120).
-	LearnSecs float64
-	// UtilTarget is the elastic fleet's target utilisation (default the
-	// policy's 0.7).
-	UtilTarget float64
-	// Target is the QoS-attainment bar both fleets are judged against
-	// (default 0.95).
-	Target float64
-	// Burst shapes the trace: every BurstEverySecs the load jumps from
-	// BaseFrac to PeakFrac of roster capacity for BurstSecs (defaults
-	// 0.3 -> 0.8, every 180 s for 45 s).
-	BaseFrac, PeakFrac        float64
-	BurstEverySecs, BurstSecs float64
-	// SyncEvery is the federation sync interval; federation is what
-	// warm-starts joining nodes (default 5).
-	SyncEvery int
-	// CooldownIntervals and DownAfterIntervals tune the elastic
-	// controller (defaults 3 and 2).
-	CooldownIntervals, DownAfterIntervals int
 }
 
 func (o AutoscaleElasticityOpts) withDefaults() AutoscaleElasticityOpts {
-	if o.Nodes == 0 {
-		o.Nodes = 8
-	}
-	if o.MinNodes == 0 {
-		o.MinNodes = 2
-	}
-	if o.Seed == 0 {
-		o.Seed = DefaultSeed
-	}
 	if o.Horizon == 0 {
 		o.Horizon = 1440
-	}
-	if o.LearnSecs == 0 {
-		o.LearnSecs = 120
-	}
-	if o.Target == 0 {
-		o.Target = 0.95
-	}
-	if o.BaseFrac == 0 {
-		o.BaseFrac = 0.3
-	}
-	if o.PeakFrac == 0 {
-		o.PeakFrac = 0.8
-	}
-	if o.BurstEverySecs == 0 {
-		o.BurstEverySecs = 180
-	}
-	if o.BurstSecs == 0 {
-		o.BurstSecs = 45
-	}
-	if o.SyncEvery == 0 {
-		o.SyncEvery = 5
-	}
-	if o.CooldownIntervals == 0 {
-		o.CooldownIntervals = 3
-	}
-	if o.DownAfterIntervals == 0 {
-		o.DownAfterIntervals = 2
 	}
 	return o
 }
@@ -111,19 +50,23 @@ type AutoscaleElasticityResult struct {
 	NodeIntervalSaving float64
 	// EnergySaving is 1 - elastic/static total energy.
 	EnergySaving float64
-	// TargetMet reports whether BOTH fleets attained Opts.Target — the
+	// TargetMet reports whether BOTH fleets attained 95% QoS — the
 	// saving only counts if elasticity did not buy it with QoS.
 	TargetMet bool
 }
 
-// AutoscaleElasticity runs the same bursty day twice on one seed: a
-// static fleet with the whole roster on all day, and an elastic fleet
-// whose active node set follows the load under the target-utilisation
-// policy, with federation warm-starting every node that joins mid-run.
-// The point of the comparison: the elastic fleet serves the same trace
-// at the QoS-attainment bar while consuming measurably fewer
-// node-intervals (and joules) than the static fleet, because between
-// bursts most of the roster sleeps.
+// AutoscaleElasticity runs the same bursty day twice on DefaultSeed: a
+// static 8-node Memcached fleet with the whole roster on all day, and
+// an elastic fleet whose active node set (2 to 8 nodes) follows the
+// load under the target-utilization policy at its default target, with
+// a 3-interval cooldown and 2-interval hysteresis. Every node learns
+// for 120 s, and federation (a sync round every 5 intervals)
+// warm-starts every node that joins mid-run. Every 180 s the load
+// jumps from 30% to 80% of roster capacity for 45 s. The point of the
+// comparison: the elastic fleet serves the same trace at the 95%
+// QoS-attainment bar while consuming measurably fewer node-intervals
+// (and joules) than the static fleet, because between bursts most of
+// the roster sleeps. The experiment behind examples/autoscale.
 func AutoscaleElasticity(spec *platform.Spec, o AutoscaleElasticityOpts) (AutoscaleElasticityResult, error) {
 	o = o.withDefaults()
 	res := AutoscaleElasticityResult{Opts: o}
@@ -131,29 +74,25 @@ func AutoscaleElasticity(spec *platform.Spec, o AutoscaleElasticityOpts) (Autosc
 	run := func(elastic bool) (AutoscaleElasticityRun, error) {
 		wl := workload.Memcached()
 		params := core.DefaultParams()
-		params.LearnSecs = o.LearnSecs
-		nodes, err := cluster.Uniform(o.Nodes, spec, wl, func(nodeID int) (policy.Policy, error) {
-			return core.New(core.In, spec, params, o.Seed+int64(nodeID))
+		params.LearnSecs = 120
+		nodes, err := cluster.Uniform(8, spec, wl, func(nodeID int) (policy.Policy, error) {
+			return core.New(core.In, spec, params, DefaultSeed+int64(nodeID))
 		})
 		if err != nil {
 			return AutoscaleElasticityRun{}, err
 		}
 		opts := cluster.Options{
-			Nodes: nodes,
-			Pattern: loadgen.Spike{
-				Base: o.BaseFrac, Peak: o.PeakFrac,
-				EverySecs: o.BurstEverySecs, SpikeSecs: o.BurstSecs,
-				Horizon: o.Horizon,
-			},
-			Seed:       o.Seed,
-			Federation: &cluster.FederationOptions{SyncEvery: o.SyncEvery},
+			Nodes:      nodes,
+			Pattern:    loadgen.Spike{Base: 0.3, Peak: 0.8, EverySecs: 180, SpikeSecs: 45, Horizon: o.Horizon},
+			Seed:       DefaultSeed,
+			Federation: &cluster.FederationOptions{SyncEvery: 5},
 		}
 		if elastic {
 			opts.Autoscale = &cluster.AutoscaleOptions{
-				Policy:             autoscale.TargetUtilization{Target: o.UtilTarget},
-				MinNodes:           o.MinNodes,
-				CooldownIntervals:  o.CooldownIntervals,
-				DownAfterIntervals: o.DownAfterIntervals,
+				Policy:             autoscale.TargetUtilization{},
+				MinNodes:           2,
+				CooldownIntervals:  3,
+				DownAfterIntervals: 2,
 			}
 		}
 		cl, err := cluster.New(opts)
@@ -189,6 +128,6 @@ func AutoscaleElasticity(spec *platform.Spec, o AutoscaleElasticityOpts) (Autosc
 	if res.Static.TotalEnergyJ > 0 {
 		res.EnergySaving = 1 - res.Elastic.TotalEnergyJ/res.Static.TotalEnergyJ
 	}
-	res.TargetMet = res.Static.QoSAttainment >= o.Target && res.Elastic.QoSAttainment >= o.Target
+	res.TargetMet = res.Static.QoSAttainment >= 0.95 && res.Elastic.QoSAttainment >= 0.95
 	return res, nil
 }

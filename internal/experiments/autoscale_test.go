@@ -21,8 +21,8 @@ func TestAutoscaleElasticity(t *testing.T) {
 	}
 
 	if !res.TargetMet {
-		t.Fatalf("QoS target missed: static %.4f, elastic %.4f, bar %.2f",
-			res.Static.QoSAttainment, res.Elastic.QoSAttainment, res.Opts.Target)
+		t.Fatalf("QoS target missed: static %.4f, elastic %.4f, bar 0.95",
+			res.Static.QoSAttainment, res.Elastic.QoSAttainment)
 	}
 	if res.Elastic.NodeIntervals >= res.Static.NodeIntervals {
 		t.Fatalf("no elasticity win: elastic %d node-intervals vs static %d",
@@ -45,7 +45,8 @@ func TestAutoscaleElasticity(t *testing.T) {
 	if st.Flushes == 0 {
 		t.Fatal("no departing node flushed its delta")
 	}
-	if st.PeakActive > res.Opts.Nodes || st.MinActive < res.Opts.MinNodes {
+	// The experiment's roster is 8 nodes with a floor of 2.
+	if st.PeakActive > 8 || st.MinActive < 2 {
 		t.Fatalf("bounds violated: %+v", st)
 	}
 	if res.Static.Stats != (autoscale.Stats{}) {

@@ -10,39 +10,20 @@ import (
 	"hipster/internal/workload"
 )
 
-// ClusterDESOpts parameterise the request-level cluster experiments.
-// The zero value selects the defaults below. Web-Search is the
-// workload: its tens of requests per second keep event counts tractable
-// while its 500 ms p90 target leaves room between "queue is building"
-// and "tail has crossed the target" — the window the queue-depth
-// scaling signal exploits.
+// ClusterDESOpts parameterise HedgingTail; the zero value selects the
+// default below. Web-Search is the workload of the request-level
+// experiments: its tens of requests per second keep event counts
+// tractable while its 500 ms p90 target leaves room between "queue is
+// building" and "tail has crossed the target" — the window the
+// queue-depth scaling signal exploits.
 type ClusterDESOpts struct {
-	// Nodes is the roster size (default 8).
-	Nodes int
-	// Seed drives every variant identically (default DefaultSeed).
-	Seed int64
 	// Horizon is the simulated duration in seconds (default 600).
 	Horizon float64
-	// LoadFrac is the steady offered load for the mitigation comparison
-	// (default 0.6 of fleet capacity).
-	LoadFrac float64
-	// HedgeQuantile is the hedged variant's delay quantile (default the
-	// mitigation's own 0.95).
-	HedgeQuantile float64
 }
 
 func (o ClusterDESOpts) withDefaults() ClusterDESOpts {
-	if o.Nodes == 0 {
-		o.Nodes = 8
-	}
-	if o.Seed == 0 {
-		o.Seed = DefaultSeed
-	}
 	if o.Horizon == 0 {
 		o.Horizon = 600
-	}
-	if o.LoadFrac == 0 {
-		o.LoadFrac = 0.6
 	}
 	return o
 }
@@ -61,11 +42,11 @@ type HedgingTailRow struct {
 	Stragglers int
 }
 
-// HedgingTail runs the same fleet, load and seed through each
-// straggler-mitigation policy and reports the end-to-end latency
-// distribution of every variant: the experiment behind
-// examples/hedging, quantifying how much fleet P99 the splitter-level
-// mitigations recover from cross-node queueing that the
+// HedgingTail runs the same 8-node fleet, 60% load and seed through
+// each straggler-mitigation policy at its default settings and reports
+// the end-to-end latency distribution of every variant: the experiment
+// behind examples/hedging, quantifying how much fleet P99 the
+// splitter-level mitigations recover from cross-node queueing that the
 // interval-granularity model cannot even see.
 func HedgingTail(o ClusterDESOpts) ([]HedgingTailRow, error) {
 	o = o.withDefaults()
@@ -80,19 +61,15 @@ func HedgingTail(o ClusterDESOpts) ([]HedgingTailRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		if h, ok := mit.(clusterdes.Hedged); ok && o.HedgeQuantile != 0 {
-			h.Quantile = o.HedgeQuantile
-			mit = h
-		}
-		nodes, err := clusterdes.Uniform(o.Nodes, spec, wl)
+		nodes, err := clusterdes.Uniform(8, spec, wl)
 		if err != nil {
 			return nil, err
 		}
 		fl, err := clusterdes.New(clusterdes.Options{
 			Nodes:      nodes,
-			Pattern:    loadgen.Constant{Frac: o.LoadFrac},
+			Pattern:    loadgen.Constant{Frac: 0.6},
 			Mitigation: mit,
-			Seed:       o.Seed,
+			Seed:       DefaultSeed,
 		})
 		if err != nil {
 			return nil, err
@@ -115,57 +92,6 @@ func HedgingTail(o ClusterDESOpts) ([]HedgingTailRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// WarmupSignalOpts parameterise the scaling-signal race. The zero
-// value selects the defaults below: a fleet idling at a low base load
-// whose burst pushes the minimum active set close to (but not past)
-// saturation — the regime where a queue builds for several intervals
-// before the measured tail crosses the target.
-type WarmupSignalOpts struct {
-	// Nodes and MinNodes shape the roster (defaults 8 and 2).
-	Nodes, MinNodes int
-	// Seed (default DefaultSeed) and Horizon (default 300 s).
-	Seed    int64
-	Horizon float64
-	// BaseFrac and PeakFrac are the bursty day's load levels as
-	// fractions of roster capacity (defaults 0.15 and 0.25); the burst
-	// fires every BurstEverySecs for BurstSecs (defaults 100 and 40).
-	BaseFrac, PeakFrac        float64
-	BurstEverySecs, BurstSecs float64
-	// WarmupIntervals is the activation warm-up (default 3).
-	WarmupIntervals int
-}
-
-func (o WarmupSignalOpts) withDefaults() WarmupSignalOpts {
-	if o.Nodes == 0 {
-		o.Nodes = 8
-	}
-	if o.MinNodes == 0 {
-		o.MinNodes = 2
-	}
-	if o.Seed == 0 {
-		o.Seed = DefaultSeed
-	}
-	if o.Horizon == 0 {
-		o.Horizon = 300
-	}
-	if o.BaseFrac == 0 {
-		o.BaseFrac = 0.15
-	}
-	if o.PeakFrac == 0 {
-		o.PeakFrac = 0.25
-	}
-	if o.BurstEverySecs == 0 {
-		o.BurstEverySecs = 100
-	}
-	if o.BurstSecs == 0 {
-		o.BurstSecs = 40
-	}
-	if o.WarmupIntervals == 0 {
-		o.WarmupIntervals = 3
-	}
-	return o
 }
 
 // tailSignal is the distilled "last interval's tail" scaling signal
@@ -208,38 +134,35 @@ type WarmupSignalResult struct {
 
 // WarmupSignal races the queue-depth scaling signal against the
 // tail-violation signal on the same bursty day, same seed, same
-// warm-up: the burst drives the minimum active set near saturation, so
-// a queue builds for several intervals before the measured tail
-// crosses the 500 ms target. The tail-violation policy (see tailSignal)
-// cannot move until the damage is visible; the queue-depth policy sees
-// the queue the interval it forms and wakes the node earlier — which
-// matters precisely because a woken node spends WarmupIntervals warming
-// before it helps.
-func WarmupSignal(o WarmupSignalOpts) (WarmupSignalResult, error) {
-	o = o.withDefaults()
+// warm-up. An 8-node roster with a 2-node floor idles at 15% of roster
+// capacity; every 100 s a 40-s burst to 25% drives the minimum active
+// set near (but not past) saturation, so a queue builds for several
+// intervals before the measured tail crosses the 500 ms target. The
+// tail-violation policy (see tailSignal) cannot move until the damage
+// is visible; the queue-depth policy sees the queue the interval it
+// forms and wakes the node earlier — which matters precisely because a
+// woken node spends three intervals warming before it helps.
+func WarmupSignal() (WarmupSignalResult, error) {
+	const horizon = 300
 	run := func(pol autoscale.Policy) (clusterdes.Result, error) {
-		nodes, err := clusterdes.Uniform(o.Nodes, platform.JunoR1(), workload.WebSearch())
+		nodes, err := clusterdes.Uniform(8, platform.JunoR1(), workload.WebSearch())
 		if err != nil {
 			return clusterdes.Result{}, err
 		}
 		fl, err := clusterdes.New(clusterdes.Options{
-			Nodes: nodes,
-			Pattern: loadgen.Spike{
-				Base: o.BaseFrac, Peak: o.PeakFrac,
-				EverySecs: o.BurstEverySecs, SpikeSecs: o.BurstSecs,
-				Horizon: o.Horizon,
-			},
-			Seed: o.Seed,
+			Nodes:   nodes,
+			Pattern: loadgen.Spike{Base: 0.15, Peak: 0.25, EverySecs: 100, SpikeSecs: 40, Horizon: horizon},
+			Seed:    DefaultSeed,
 			Autoscale: &clusterdes.AutoscaleOptions{
 				Policy:          pol,
-				MinNodes:        o.MinNodes,
-				WarmupIntervals: o.WarmupIntervals,
+				MinNodes:        2,
+				WarmupIntervals: 3,
 			},
 		})
 		if err != nil {
 			return clusterdes.Result{}, err
 		}
-		return fl.Run(o.Horizon)
+		return fl.Run(horizon)
 	}
 	tail, err := run(tailSignal{})
 	if err != nil {

@@ -59,7 +59,7 @@ func TestHedgingTailDeterministic(t *testing.T) {
 }
 
 func TestWarmupSignalQueueLeadsTail(t *testing.T) {
-	res, err := WarmupSignal(WarmupSignalOpts{})
+	res, err := WarmupSignal()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,6 @@ import (
 type DESLearningOpts struct {
 	// Nodes is the fleet size (default 6).
 	Nodes int
-	// Seed drives both training runs identically; evaluation uses
-	// Seed+1000 so neither table is graded on its own training day
-	// (default DefaultSeed).
-	Seed int64
 	// TrainSecs is the training horizon (default 600).
 	TrainSecs float64
 	// EvalSecs is the evaluation horizon (default 300).
@@ -29,19 +25,11 @@ type DESLearningOpts struct {
 	// the managers cross into exploitation mid-way through training, so
 	// the tables get polish under their own decisions).
 	LearnSecs float64
-	// Domains shards the DES fleet (training and evaluation) into this
-	// many routing domains (default 2 — the sharded substrate the
-	// learning loop was built on; results are a pure function of
-	// (Seed, Domains)).
-	Domains int
 }
 
 func (o DESLearningOpts) withDefaults() DESLearningOpts {
 	if o.Nodes == 0 {
 		o.Nodes = 6
-	}
-	if o.Seed == 0 {
-		o.Seed = DefaultSeed
 	}
 	if o.TrainSecs == 0 {
 		o.TrainSecs = 600
@@ -51,9 +39,6 @@ func (o DESLearningOpts) withDefaults() DESLearningOpts {
 	}
 	if o.LearnSecs == 0 {
 		o.LearnSecs = 300
-	}
-	if o.Domains == 0 {
-		o.Domains = 2
 	}
 	return o
 }
@@ -100,9 +85,13 @@ func burstyDay(horizon float64) loadgen.Pattern {
 // DESLearning trains one set of hybrid managers inside the request-level
 // DES (reward computed from measured request tails) and one set in
 // interval mode (reward from the analytic tail estimate) — same fleet,
-// same bursty day, same seed, same hyperparameters — then grades both
-// table sets in the DES, the ground truth, on a held-out seed with the
-// managers switched to exploitation. The experiment behind
+// same bursty day, same seed (DefaultSeed), same hyperparameters — then
+// grades both table sets in the DES, the ground truth, on a held-out
+// seed (DefaultSeed+1000, so neither table is graded on its own
+// training day) with the managers switched to exploitation. The DES
+// fleet runs in two routing domains, the sharded substrate the
+// learning loop was built on, in training and evaluation alike. The
+// experiment behind
 // examples/deslearning: tables trained on the signal the paper actually
 // cares about (measured tails) meet at least the interval-trained QoS
 // at no more energy.
@@ -117,7 +106,7 @@ func DESLearning(o DESLearningOpts) (DESLearningResult, error) {
 	newManagers := func() ([]*core.Manager, error) {
 		mgrs := make([]*core.Manager, o.Nodes)
 		for i := range mgrs {
-			m, err := core.New(core.In, spec, params, o.Seed+int64(i))
+			m, err := core.New(core.In, spec, params, DefaultSeed+int64(i))
 			if err != nil {
 				return nil, err
 			}
@@ -133,7 +122,7 @@ func DESLearning(o DESLearningOpts) (DESLearningResult, error) {
 		return clusterdes.New(clusterdes.Options{
 			Nodes:   nodes,
 			Pattern: pattern,
-			Domains: o.Domains,
+			Domains: 2,
 			Seed:    seed,
 			Learn: &clusterdes.LearnOptions{
 				BuildPolicy: func(nodeID int) (policy.Policy, error) { return mgrs[nodeID], nil },
@@ -146,7 +135,7 @@ func DESLearning(o DESLearningOpts) (DESLearningResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("experiments: DES-trained managers: %w", err)
 	}
-	train, err := desFleet(desMgrs, burstyDay(o.TrainSecs), o.Seed)
+	train, err := desFleet(desMgrs, burstyDay(o.TrainSecs), DefaultSeed)
 	if err != nil {
 		return res, fmt.Errorf("experiments: DES training fleet: %w", err)
 	}
@@ -169,7 +158,7 @@ func DESLearning(o DESLearningOpts) (DESLearningResult, error) {
 	cl, err := cluster.New(cluster.Options{
 		Nodes:   defs,
 		Pattern: burstyDay(o.TrainSecs),
-		Seed:    o.Seed,
+		Seed:    DefaultSeed,
 	})
 	if err != nil {
 		return res, fmt.Errorf("experiments: interval training fleet: %w", err)
@@ -186,7 +175,7 @@ func DESLearning(o DESLearningOpts) (DESLearningResult, error) {
 			m.EndEpisode()
 			m.StartExploiting()
 		}
-		fl, err := desFleet(mgrs, burstyDay(o.EvalSecs), o.Seed+1000)
+		fl, err := desFleet(mgrs, burstyDay(o.EvalSecs), DefaultSeed+1000)
 		if err != nil {
 			return DESLearningRow{}, err
 		}

@@ -10,66 +10,21 @@ import (
 )
 
 // FaultToleranceOpts parameterise the fault-injection experiments. The
-// zero value selects the defaults below: a fleet busy enough (70% of
-// capacity) that a degraded node's backlog grows immediately, which is
-// the signal the predictive detector reads.
+// zero value selects the defaults below.
 type FaultToleranceOpts struct {
-	// Nodes is the roster size (default 8).
-	Nodes int
-	// Seed drives every variant identically (default DefaultSeed).
-	Seed int64
 	// Horizon is the simulated duration in seconds (default 300).
 	Horizon float64
-	// LoadFrac is the steady offered load (default 0.7 of capacity).
-	LoadFrac float64
-	// SlowNode, SlowAt, SlowSecs and SlowFactor script the detector
-	// race's degradation: node SlowNode serves at SlowFactor of nominal
-	// speed from interval SlowAt for SlowSecs seconds (defaults: node 5,
-	// interval 60, 120 s, factor 0.3 — a machine suddenly 3x slower,
-	// the fail-slow regime of production straggler studies). Moderate
-	// degradation is the interesting race: a node slowed into the
-	// zero-completion regime trips the telemetry's capped dead-interval
-	// tail immediately, so both signals see it at once.
-	SlowNode, SlowAt int
-	SlowSecs         int
-	SlowFactor       float64
-	// Soup rates for the background-fault mix (defaults: CrashRate
-	// 0.01, PartitionRate 0.01, SpotFraction 0.25, RevokeRate 0.05).
-	Soup faults.Options
+	// SlowSecs is how long the detector race's scripted node stays
+	// degraded (default 120).
+	SlowSecs int
 }
 
 func (o FaultToleranceOpts) withDefaults() FaultToleranceOpts {
-	if o.Nodes == 0 {
-		o.Nodes = 8
-	}
-	if o.Seed == 0 {
-		o.Seed = DefaultSeed
-	}
 	if o.Horizon == 0 {
 		o.Horizon = 300
 	}
-	if o.LoadFrac == 0 {
-		o.LoadFrac = 0.7
-	}
-	if o.SlowNode == 0 {
-		o.SlowNode = 5
-	}
-	if o.SlowAt == 0 {
-		o.SlowAt = 60
-	}
 	if o.SlowSecs == 0 {
 		o.SlowSecs = 120
-	}
-	if o.SlowFactor == 0 {
-		o.SlowFactor = 0.3
-	}
-	if !o.Soup.Enabled() {
-		o.Soup = faults.Options{
-			CrashRate:     0.01,
-			PartitionRate: 0.01,
-			SpotFraction:  0.25,
-			RevokeRate:    0.05,
-		}
 	}
 	return o
 }
@@ -115,22 +70,23 @@ type FaultToleranceResult struct {
 	Soup SoupResult
 }
 
-// slowScript builds the detector race's scripted degradation.
-func (o FaultToleranceOpts) slowScript() *faults.Options {
-	return &faults.Options{Script: []faults.Event{
-		{Interval: o.SlowAt, Kind: faults.SlowStart, Node: o.SlowNode, Factor: o.SlowFactor},
-		{Interval: o.SlowAt + o.SlowSecs, Kind: faults.SlowEnd, Node: o.SlowNode},
-	}}
-}
-
 // FaultTolerance runs the fault-injection experiments behind
 // examples/faults.
 //
-// The detector race serves the same fleet, load, seed and scripted
-// fail-slow node twice: once under the reactive quantile hedge
-// (re-issue after the p95 of recent sojourns), once under the
-// predictive detector (EWMA of each node's backlog drain estimate
-// against the fleet median). The reactive signal is built from
+// Both run an 8-node Web-Search fleet at 70% of capacity on
+// DefaultSeed: busy enough that a degraded node's backlog grows
+// immediately, which is the signal the predictive detector reads.
+//
+// The detector race serves that fleet twice with node 5 scripted to
+// serve at 0.3 of nominal speed from interval 60 for SlowSecs — a
+// machine suddenly 3x slower, the fail-slow regime of production
+// straggler studies. Moderate degradation is the interesting race: a
+// node slowed into the zero-completion regime trips the telemetry's
+// capped dead-interval tail immediately, so both signals see it at
+// once. One run uses the reactive quantile hedge (re-issue after the
+// p95 of recent sojourns), the other the predictive detector (EWMA of
+// each node's backlog drain estimate against the fleet median). The
+// reactive signal is built from
 // completed-request sojourns, so it cannot move until requests served
 // at the degraded rate finish and push the node's measured tail past
 // the straggler factor — a couple of intervals after onset, during
@@ -140,23 +96,28 @@ func (o FaultToleranceOpts) slowScript() *faults.Options {
 // first, migrates its queue, excludes it from hedge targets and hedges
 // its requests early, which is what cuts the fleet P99 tail.
 //
-// The soup run then turns every fault class on at once — crashes,
-// partitions, spot revocations — over a drained horizon, reporting the
-// full disposition ledger under the four-way conservation law.
+// The soup run then turns every fault class on at once — crashes
+// (rate 0.01), partitions (0.01), revocations (0.05) of a 25% spot
+// pool — over a drained horizon, reporting the full disposition ledger
+// under the four-way conservation law.
 func FaultTolerance(o FaultToleranceOpts) (FaultToleranceResult, error) {
 	o = o.withDefaults()
+	const slowNode, slowAt = 5, 60
 	var out FaultToleranceResult
 	for _, mit := range []clusterdes.Mitigation{clusterdes.Hedged{}, clusterdes.Predictive{}} {
-		nodes, err := clusterdes.Uniform(o.Nodes, platform.JunoR1(), workload.WebSearch())
+		nodes, err := clusterdes.Uniform(8, platform.JunoR1(), workload.WebSearch())
 		if err != nil {
 			return out, err
 		}
 		fl, err := clusterdes.New(clusterdes.Options{
 			Nodes:      nodes,
-			Pattern:    loadgen.Constant{Frac: o.LoadFrac},
+			Pattern:    loadgen.Constant{Frac: 0.7},
 			Mitigation: mit,
-			Seed:       o.Seed,
-			Faults:     o.slowScript(),
+			Seed:       DefaultSeed,
+			Faults: &faults.Options{Script: []faults.Event{
+				{Interval: slowAt, Kind: faults.SlowStart, Node: slowNode, Factor: 0.3},
+				{Interval: slowAt + o.SlowSecs, Kind: faults.SlowEnd, Node: slowNode},
+			}},
 		})
 		if err != nil {
 			return out, err
@@ -174,15 +135,14 @@ func FaultTolerance(o FaultToleranceOpts) (FaultToleranceResult, error) {
 			HedgeWins:         res.Stats.HedgeWins,
 			PredMigrations:    res.Stats.PredMigrations,
 			PredictInterval:   res.Stats.FirstPredictInterval,
-			StragglerInterval: firstNodeStragglerFrom(res, o.SlowNode, o.SlowAt),
+			StragglerInterval: firstNodeStragglerFrom(res, slowNode, slowAt),
 		})
 	}
 
-	nodes, err := clusterdes.Uniform(o.Nodes, platform.JunoR1(), workload.WebSearch())
+	nodes, err := clusterdes.Uniform(8, platform.JunoR1(), workload.WebSearch())
 	if err != nil {
 		return out, err
 	}
-	soup := o.Soup
 	fl, err := clusterdes.New(clusterdes.Options{
 		Nodes: nodes,
 		// Stop offering load well before the horizon so the run drains
@@ -190,9 +150,14 @@ func FaultTolerance(o FaultToleranceOpts) (FaultToleranceResult, error) {
 		// resilience layer: a pending hedge or deadline timer re-issues
 		// a crashed node's work, so the bare fleet is the one where
 		// crash-destroyed requests are terminally Lost.
-		Pattern: stormPattern{peak: o.LoadFrac, secs: o.Horizon - 60, span: o.Horizon},
-		Seed:    o.Seed,
-		Faults:  &soup,
+		Pattern: stormPattern{peak: 0.7, secs: o.Horizon - 60, span: o.Horizon},
+		Seed:    DefaultSeed,
+		Faults: &faults.Options{
+			CrashRate:     0.01,
+			PartitionRate: 0.01,
+			SpotFraction:  0.25,
+			RevokeRate:    0.05,
+		},
 	})
 	if err != nil {
 		return out, err

@@ -51,60 +51,6 @@ func (p phasedWeights) Split(ctx cluster.SplitContext) []float64 {
 	return out
 }
 
-// FederationConvergenceOpts parameterise the federated-vs-independent
-// convergence comparison. The zero value selects the defaults below.
-type FederationConvergenceOpts struct {
-	// Nodes is the fleet size (default 4).
-	Nodes int
-	// Seed drives both fleets identically (default DefaultSeed).
-	Seed int64
-	// Horizon is the simulated duration in seconds; the diurnal day is
-	// compressed to this period (default 1440).
-	Horizon float64
-	// LearnSecs is each node's initial learning phase (default 120 —
-	// deliberately short, so exploitation starts from an undertrained
-	// table and the value of pooling fleet experience is visible).
-	LearnSecs float64
-	// SyncEvery is the federation sync interval in monitoring
-	// intervals (default 5).
-	SyncEvery int
-	// Merge is the federation merge policy (default VisitWeighted).
-	Merge federation.MergePolicy
-	// StalenessIntervals is the federation staleness bound K (default
-	// 0: disabled).
-	StalenessIntervals int
-	// Threshold is the trailing-window fleet QoS attainment a fleet
-	// must reach and hold to count as converged (default 0.95).
-	Threshold float64
-	// Window is the trailing window length in intervals (default 40).
-	Window int
-}
-
-func (o FederationConvergenceOpts) withDefaults() FederationConvergenceOpts {
-	if o.Nodes == 0 {
-		o.Nodes = 4
-	}
-	if o.Seed == 0 {
-		o.Seed = DefaultSeed
-	}
-	if o.Horizon == 0 {
-		o.Horizon = 1440
-	}
-	if o.LearnSecs == 0 {
-		o.LearnSecs = 120
-	}
-	if o.SyncEvery == 0 {
-		o.SyncEvery = 5
-	}
-	if o.Threshold == 0 {
-		o.Threshold = 0.95
-	}
-	if o.Window == 0 {
-		o.Window = 40
-	}
-	return o
-}
-
 // FederationConvergenceRun is one fleet's outcome.
 type FederationConvergenceRun struct {
 	Federated bool
@@ -121,30 +67,34 @@ type FederationConvergenceRun struct {
 
 // FederationConvergenceResult compares the two fleets.
 type FederationConvergenceResult struct {
-	Opts        FederationConvergenceOpts
 	Independent FederationConvergenceRun
 	Federated   FederationConvergenceRun
 }
 
-// FederationConvergence runs the same fleet twice on one seed — N
-// independent Hipster learners, then the identical fleet with federated
-// table sharing — and reports when each fleet's trailing-window QoS
-// attainment converges. The two fleets are bit-identical during the
-// learning phase (decisions come from the heuristic mapper either way),
-// so any difference in convergence is attributable to the quality of
-// the tables exploitation starts from: each independent node has only
-// its own LearnSecs of experience, while every federated node starts
-// from the merged experience of the whole fleet.
-func FederationConvergence(spec *platform.Spec, o FederationConvergenceOpts) (FederationConvergenceResult, error) {
-	o = o.withDefaults()
-	res := FederationConvergenceResult{Opts: o}
+// FederationConvergence runs the same 4-node Memcached fleet twice on
+// DefaultSeed — 4 independent Hipster learners, then the identical
+// fleet with federated table sharing (visit-weighted, a sync round
+// every 5 intervals, no staleness bound) — over one 1440-s diurnal day,
+// and reports when each fleet's trailing 40-interval QoS attainment
+// converges on 95%. The two fleets are bit-identical during the
+// 120-s learning phase (decisions come from the heuristic mapper
+// either way), so any difference in convergence is attributable to the
+// quality of the tables exploitation starts from: each independent
+// node has only its own learning phase of experience, while every
+// federated node starts from the merged experience of the whole fleet.
+// The phase is deliberately short, so exploitation starts from an
+// undertrained table and the value of pooling fleet experience is
+// visible. The experiment behind examples/federation.
+func FederationConvergence(spec *platform.Spec) (FederationConvergenceResult, error) {
+	const horizon = 1440
+	var res FederationConvergenceResult
 
 	run := func(fed *cluster.FederationOptions) (FederationConvergenceRun, error) {
 		wl := workload.Memcached()
 		params := core.DefaultParams()
-		params.LearnSecs = o.LearnSecs
-		nodes, err := cluster.Uniform(o.Nodes, spec, wl, func(nodeID int) (policy.Policy, error) {
-			return core.New(core.In, spec, params, o.Seed+int64(nodeID))
+		params.LearnSecs = 120
+		nodes, err := cluster.Uniform(4, spec, wl, func(nodeID int) (policy.Policy, error) {
+			return core.New(core.In, spec, params, DefaultSeed+int64(nodeID))
 		})
 		if err != nil {
 			return FederationConvergenceRun{}, err
@@ -155,21 +105,21 @@ func FederationConvergence(spec *platform.Spec, o FederationConvergenceOpts) (Fe
 			// fleet capacity, so per-node load (weight-skewed up to
 			// ~1.6x) approaches but does not exceed node capacity:
 			// violations reflect management quality, not raw overload.
-			Pattern:    loadgen.Diurnal{PeriodSecs: o.Horizon, Min: 0.05, Max: 0.65, StartPhase: 0.25, Days: 1},
-			Splitter:   phasedWeights{periodSecs: o.Horizon, amp: 0.6},
-			Seed:       o.Seed,
+			Pattern:    loadgen.Diurnal{PeriodSecs: horizon, Min: 0.05, Max: 0.65, StartPhase: 0.25, Days: 1},
+			Splitter:   phasedWeights{periodSecs: horizon, amp: 0.6},
+			Seed:       DefaultSeed,
 			Federation: fed,
 		})
 		if err != nil {
 			return FederationConvergenceRun{}, err
 		}
-		out, err := cl.Run(o.Horizon)
+		out, err := cl.Run(horizon)
 		if err != nil {
 			return FederationConvergenceRun{}, err
 		}
 		r := FederationConvergenceRun{
 			Federated:     fed != nil,
-			ConvergedAt:   convergedAt(out.Fleet, o.Threshold, o.Window),
+			ConvergedAt:   convergedAt(out.Fleet, 0.95, 40),
 			QoSAttainment: out.Fleet.QoSAttainment(),
 			TotalEnergyJ:  out.Fleet.TotalEnergyJ(),
 		}
@@ -183,11 +133,7 @@ func FederationConvergence(spec *platform.Spec, o FederationConvergenceOpts) (Fe
 	if res.Independent, err = run(nil); err != nil {
 		return res, fmt.Errorf("experiments: independent fleet: %w", err)
 	}
-	res.Federated, err = run(&cluster.FederationOptions{
-		SyncEvery:          o.SyncEvery,
-		Merge:              o.Merge,
-		StalenessIntervals: o.StalenessIntervals,
-	})
+	res.Federated, err = run(&cluster.FederationOptions{SyncEvery: 5})
 	if err != nil {
 		return res, fmt.Errorf("experiments: federated fleet: %w", err)
 	}

@@ -14,7 +14,7 @@ import (
 // overall attainment.
 func TestFederationConvergesFaster(t *testing.T) {
 	spec := platform.JunoR1()
-	res, err := FederationConvergence(spec, FederationConvergenceOpts{})
+	res, err := FederationConvergence(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,14 +33,14 @@ func TestFederationConvergesFaster(t *testing.T) {
 	}
 
 	// The comparison must really have run a federation: one sync round
-	// per SyncEvery intervals, with every node reporting each round.
-	opts := res.Opts
-	wantRounds := int(opts.Horizon) / opts.SyncEvery
+	// every 5 of the 1440 intervals, with all 4 nodes reporting each
+	// round.
+	wantRounds := 1440 / 5
 	if fed.Stats.Rounds != wantRounds {
 		t.Fatalf("sync rounds = %d, want %d", fed.Stats.Rounds, wantRounds)
 	}
-	if fed.Stats.Reports != wantRounds*opts.Nodes {
-		t.Fatalf("reports = %d, want %d", fed.Stats.Reports, wantRounds*opts.Nodes)
+	if fed.Stats.Reports != wantRounds*4 {
+		t.Fatalf("reports = %d, want %d", fed.Stats.Reports, wantRounds*4)
 	}
 	if fed.Stats.MergedVisits == 0 || fed.Stats.MergedCells == 0 {
 		t.Fatalf("nothing merged: %+v", fed.Stats)

@@ -8,58 +8,17 @@ import (
 )
 
 // RetryStormOpts parameterise the retry-storm comparison. The zero
-// value selects the defaults below: a fleet at comfortable base load
-// hit by one overload spike long enough to drive every in-flight
-// request past its deadline.
+// value selects the default below.
 type RetryStormOpts struct {
-	// Nodes is the roster size (default 8).
-	Nodes int
-	// Seed drives every variant identically (default DefaultSeed).
-	Seed int64
 	// Horizon is the simulated duration in seconds (default 300); the
 	// long post-spike stretch is what separates a fleet that recovers
 	// from one stuck in the metastable state.
 	Horizon float64
-	// BaseFrac is the steady offered load (default 0.5 of capacity);
-	// SpikeFrac is the overload level (default 1.6), held from
-	// SpikeStart for SpikeSecs (defaults 60 and 30).
-	BaseFrac, SpikeFrac   float64
-	SpikeStart, SpikeSecs float64
-	// Timeout is the per-attempt deadline (default 0.3 s, comfortably
-	// above the healthy tail and far below spike queueing delays);
-	// MaxRetries is the retry budget of the retrying variants
-	// (default 20).
-	Timeout    float64
-	MaxRetries int
 }
 
 func (o RetryStormOpts) withDefaults() RetryStormOpts {
-	if o.Nodes == 0 {
-		o.Nodes = 8
-	}
-	if o.Seed == 0 {
-		o.Seed = DefaultSeed
-	}
 	if o.Horizon == 0 {
 		o.Horizon = 300
-	}
-	if o.BaseFrac == 0 {
-		o.BaseFrac = 0.5
-	}
-	if o.SpikeFrac == 0 {
-		o.SpikeFrac = 1.6
-	}
-	if o.SpikeStart == 0 {
-		o.SpikeStart = 60
-	}
-	if o.SpikeSecs == 0 {
-		o.SpikeSecs = 30
-	}
-	if o.Timeout == 0 {
-		o.Timeout = 0.3
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 20
 	}
 	return o
 }
@@ -103,15 +62,19 @@ type RetryStormRow struct {
 // RetryStorm reproduces the classic metastable failure mode of naive
 // retries (cf. the retry-storm analyses in arXiv:2111.10241's lineage)
 // and the circuit-breaker escape from it, on one seed and one request
-// stream. Three variants of the same fleet and spike:
+// stream. An 8-node Web-Search fleet at a comfortable 50% of capacity
+// is hit by one spike to 1.6x capacity from t=60 s for 30 s, long
+// enough to drive every in-flight request past its 0.3-s per-attempt
+// deadline (comfortably above the healthy tail and far below spike
+// queueing delays). Three variants of the same fleet and spike:
 //
 //   - no-retry: per-attempt deadlines only. The spike saturates the
 //     fleet, timed-out requests are simply dropped, and the backlog
 //     drains shortly after the spike ends.
-//   - naive-retry: every timeout re-issues the request (large budget,
-//     near-zero backoff, no breaker). During the spike each arrival
-//     multiplies into many attempts; after the spike the retry traffic
-//     alone exceeds capacity, so the fleet stays saturated — the
+//   - naive-retry: every timeout re-issues the request (a budget of
+//     20 retries, near-zero backoff, no breaker). During the spike
+//     each arrival multiplies into many attempts; after the spike the
+//     retry traffic alone exceeds capacity, so the fleet stays saturated — the
 //     metastable state. Its completed-request P99 is strictly worse
 //     than the no-retry baseline's.
 //   - breaker: the same naive retries behind a per-node circuit
@@ -121,10 +84,11 @@ type RetryStormRow struct {
 //     back to the healthy state the baseline reaches.
 func RetryStorm(o RetryStormOpts) ([]RetryStormRow, error) {
 	o = o.withDefaults()
+	const timeout = 0.3
 	naive := func() *resilience.Options {
 		return &resilience.Options{
-			Timeout:    o.Timeout,
-			MaxRetries: o.MaxRetries,
+			Timeout:    timeout,
+			MaxRetries: 20,
 			Backoff:    resilience.Backoff{Base: 0.01, Cap: 0.02, Jitter: 0.1},
 		}
 	}
@@ -137,24 +101,24 @@ func RetryStorm(o RetryStormOpts) ([]RetryStormRow, error) {
 		name  string
 		resil *resilience.Options
 	}{
-		{"no-retry", &resilience.Options{Timeout: o.Timeout}},
+		{"no-retry", &resilience.Options{Timeout: timeout}},
 		{"naive-retry", naive()},
 		{"breaker", broken},
 	}
 	var rows []RetryStormRow
 	for _, v := range variants {
-		nodes, err := clusterdes.Uniform(o.Nodes, platform.JunoR1(), workload.WebSearch())
+		nodes, err := clusterdes.Uniform(stormNodes, platform.JunoR1(), workload.WebSearch())
 		if err != nil {
 			return nil, err
 		}
 		fl, err := clusterdes.New(clusterdes.Options{
 			Nodes: nodes,
 			Pattern: stormPattern{
-				base: o.BaseFrac, peak: o.SpikeFrac,
-				start: o.SpikeStart, secs: o.SpikeSecs,
+				base: 0.5, peak: 1.6,
+				start: stormStart, secs: stormSecs,
 				span: o.Horizon,
 			},
-			Seed:       o.Seed,
+			Seed:       DefaultSeed,
 			Resilience: v.resil,
 		})
 		if err != nil {
@@ -174,25 +138,31 @@ func RetryStorm(o RetryStormOpts) ([]RetryStormRow, error) {
 			Retries:           res.Stats.Retries,
 			Timeouts:          res.Stats.Timeouts,
 			BreakerOpens:      res.Stats.BreakerOpens,
-			RecoveredInterval: recoveredAt(res, o),
+			RecoveredInterval: recoveredAt(res),
 		})
 	}
 	return rows, nil
 }
 
+// The retry storm's fleet size and spike window, which recoveredAt
+// reads too.
+const (
+	stormNodes            = 8
+	stormStart, stormSecs = 60.0, 30.0
+)
+
 // recoveredAt scans the fleet trace from the spike's end for the first
 // interval whose backlog stays below two queued requests per node for
 // the rest of the run (base-load noise stays well under that line; a
 // retry storm holds the backlog orders of magnitude above it).
-func recoveredAt(res clusterdes.Result, o RetryStormOpts) int {
+func recoveredAt(res clusterdes.Result) int {
 	samples := res.Fleet.Samples
-	spikeEnd := o.SpikeStart + o.SpikeSecs
 	recovered := -1
 	for i, s := range samples {
-		if s.T < spikeEnd {
+		if s.T < stormStart+stormSecs {
 			continue
 		}
-		if s.Backlog < 2*float64(o.Nodes) {
+		if s.Backlog < 2*stormNodes {
 			if recovered < 0 {
 				recovered = i
 			}

@@ -11,20 +11,12 @@ import (
 type TuningOpts struct {
 	// Nodes is the fleet size under tuning (default 6).
 	Nodes int
-	// Seed seeds the run: the search stream uses Seed, the training
-	// seeds default to {Seed, Seed+1}, and the held-out evaluation uses
-	// Seed+1000 so the winner is never graded on a day it trained on
-	// (default DefaultSeed).
-	Seed int64
 	// EvalSecs is the simulated horizon of every evaluation, training
 	// and held-out alike (default 300).
 	EvalSecs float64
-	// TrainSeeds override the training seeds (default {Seed, Seed+1}).
-	TrainSeeds []int64
-	// Rounds, Neighbors, Patience and Restarts bound the search
-	// (defaults: 12 rounds and 3 restarts; Neighbors and Patience take
-	// the tuning package's 4 and 2).
-	Rounds, Neighbors, Patience, Restarts int
+	// Rounds, Neighbors and Restarts bound the search (defaults: 12
+	// rounds and 3 restarts; Neighbors takes the tuning package's 4).
+	Rounds, Neighbors, Restarts int
 	// Workers parallelises candidate evaluation; 0 means GOMAXPROCS.
 	// The result does not depend on it.
 	Workers int
@@ -34,14 +26,8 @@ func (o TuningOpts) withDefaults() TuningOpts {
 	if o.Nodes == 0 {
 		o.Nodes = 6
 	}
-	if o.Seed == 0 {
-		o.Seed = DefaultSeed
-	}
 	if o.EvalSecs == 0 {
 		o.EvalSecs = 300
-	}
-	if len(o.TrainSeeds) == 0 {
-		o.TrainSeeds = []int64{o.Seed, o.Seed + 1}
 	}
 	// A deeper search than the package defaults: the interesting region
 	// (high autoscale target, short learning phase, a mitigation) is
@@ -77,23 +63,28 @@ type TuningResult struct {
 	// evaluation ledger — the artifact cmd/hipster writes to disk.
 	Tune tuning.Result
 	// Default and Tuned grade the untuned and winning configurations on
-	// the held-out seed (Seed+1000), the day neither ever trained on.
+	// the held-out seed (DefaultSeed+1000), the day neither ever trained
+	// on.
 	Default, Tuned TuningRow
 	// HeldOutSeed is the seed both rows were graded under.
 	HeldOutSeed int64
 }
 
 // Tuning runs the offline tuner over the learn-enabled cluster DES —
-// seeded hill-climbing with random restarts across the training seeds
-// — then grades the winning configuration against the untuned default
-// on a held-out day. The experiment behind examples/tuning and the
-// claim the artifact carries: the tuned configuration beats the
-// default where it was never trained — a lower request tail at no
-// worse QoS attainment or energy. The whole run is reproducible: same
-// opts, same winner, same ledger, at any worker count.
+// seeded hill-climbing (search stream DefaultSeed, the tuning
+// package's patience) with random restarts across the training seeds
+// DefaultSeed and DefaultSeed+1 — then grades the winning
+// configuration against the untuned default on a held-out day
+// (DefaultSeed+1000) neither ever trained on. The experiment behind
+// examples/tuning and the claim the artifact carries: the tuned
+// configuration beats the default where it was never trained — a lower
+// request tail at no worse QoS attainment or energy. The whole run is
+// reproducible: same opts, same winner, same ledger, at any worker
+// count.
 func Tuning(o TuningOpts) (TuningResult, error) {
 	o = o.withDefaults()
-	res := TuningResult{Opts: o, HeldOutSeed: o.Seed + 1000}
+	res := TuningResult{Opts: o, HeldOutSeed: DefaultSeed + 1000}
+	trainSeeds := []int64{DefaultSeed, DefaultSeed + 1}
 
 	ev := tuning.FleetEvaluator{Nodes: o.Nodes, Horizon: o.EvalSecs}
 	space, err := ev.Space()
@@ -107,25 +98,24 @@ func Tuning(o TuningOpts) (TuningResult, error) {
 	// "no worse energy than the default" becomes part of the objective
 	// rather than an after-the-fact hope.
 	var capW float64
-	for _, seed := range o.TrainSeeds {
+	for _, seed := range trainSeeds {
 		m, err := evaluate(space.Default(), seed)
 		if err != nil {
 			return res, fmt.Errorf("experiments: baseline evaluation under seed %d: %w", seed, err)
 		}
 		capW += m.MeanPowerW
 	}
-	capW /= float64(len(o.TrainSeeds))
+	capW /= float64(len(trainSeeds))
 	weights := tuning.DefaultWeights()
 	weights.PowerCapW = capW
 
 	res.Tune, err = tuning.Tune(tuning.Options{
 		Space:     space,
 		Evaluate:  evaluate,
-		Seeds:     o.TrainSeeds,
-		Seed:      o.Seed,
+		Seeds:     trainSeeds,
+		Seed:      DefaultSeed,
 		Neighbors: o.Neighbors,
 		MaxRounds: o.Rounds,
-		Patience:  o.Patience,
 		Restarts:  o.Restarts,
 		Workers:   o.Workers,
 		Weights:   weights,

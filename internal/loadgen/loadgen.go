@@ -23,6 +23,18 @@ type Pattern interface {
 	Duration() float64
 }
 
+// CheckLoad reports an error naming the load when a pattern's load
+// fraction at time t is not a finite value >= 0 (above 1 is legal
+// overload). Every simulator checks each load it reads before using
+// it: a NaN or infinite load would otherwise turn energy into NaN or
+// hang a request-level run.
+func CheckLoad(load, t float64) error {
+	if !(load >= 0) || math.IsInf(load, 1) {
+		return fmt.Errorf("pattern returned load %v at t=%v; want a finite value >= 0", load, t)
+	}
+	return nil
+}
+
 func clamp01(x float64) float64 {
 	if x < 0 {
 		return 0

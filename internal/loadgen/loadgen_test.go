@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -197,5 +198,23 @@ func TestScale(t *testing.T) {
 	over := Scale{Inner: Constant{Frac: 0.8}, Factor: 2}
 	if got := over.LoadAt(0); got != 1 {
 		t.Errorf("scaled load should clamp to 1, got %v", got)
+	}
+}
+
+// TestCheckLoad pins the load check every simulator applies: zero and
+// overload pass, and anything that is not a finite value >= 0 fails
+// with an error naming the load and the time.
+func TestCheckLoad(t *testing.T) {
+	for _, load := range []float64{0, 0.5, 1, 1.7} {
+		if err := CheckLoad(load, 3); err != nil {
+			t.Errorf("load %v rejected: %v", load, err)
+		}
+	}
+	for _, load := range []float64{math.NaN(), -0.5, math.Inf(-1), math.Inf(1)} {
+		err := CheckLoad(load, 3)
+		want := fmt.Sprintf("pattern returned load %v at t=3; want a finite value >= 0", load)
+		if err == nil || err.Error() != want {
+			t.Errorf("load %v: error %v, want %q", load, err, want)
+		}
 	}
 }

@@ -2,6 +2,12 @@ package sim
 
 import "fmt"
 
+// IntervalSecs is the monitoring interval, in seconds, of every
+// simulator built on Clock: the single-node engine, the interval-mode
+// cluster and the cluster DES all sample and decide once per second
+// (§3.6).
+const IntervalSecs float64 = 1
+
 // Clock advances simulated time in fixed monitoring intervals, mirroring
 // the paper's one-second sampling interval (§3.6). Time is expressed in
 // seconds as float64 throughout the simulator.

@@ -85,14 +85,14 @@ func (f FleetSample) QoSAttainment() float64 {
 }
 
 // MergeInterval folds the per-node samples of one monitoring interval
-// into a FleetSample. stragglerFactor <= 0 uses
-// DefaultStragglerFactor. The per-node samples must all carry the same
-// interval-end timestamp; the merge is a pure function of the inputs,
-// so fleet aggregates are identical however node stepping was
-// parallelised.
-func MergeInterval(samples []Sample, stragglerFactor float64) FleetSample {
+// into a FleetSample, counting as stragglers the nodes whose tail
+// exceeds DefaultStragglerFactor times the fleet median. The per-node
+// samples must all carry the same interval-end timestamp; the merge is
+// a pure function of the inputs, so fleet aggregates are identical
+// however node stepping was parallelised.
+func MergeInterval(samples []Sample) FleetSample {
 	var m Merger
-	return m.MergeInterval(samples, stragglerFactor)
+	return m.MergeInterval(samples)
 }
 
 // Merger computes interval merges through a reusable scratch buffer, so
@@ -104,10 +104,7 @@ type Merger struct {
 }
 
 // MergeInterval is MergeInterval through the Merger's scratch.
-func (m *Merger) MergeInterval(samples []Sample, stragglerFactor float64) FleetSample {
-	if stragglerFactor <= 0 {
-		stragglerFactor = DefaultStragglerFactor
-	}
+func (m *Merger) MergeInterval(samples []Sample) FleetSample {
 	fs := FleetSample{Nodes: len(samples)}
 	if len(samples) == 0 {
 		return fs
@@ -147,7 +144,7 @@ func (m *Merger) MergeInterval(samples []Sample, stragglerFactor float64) FleetS
 	}
 	if fs.MedianTail > 0 {
 		for _, s := range samples {
-			if s.TailLatency > stragglerFactor*fs.MedianTail {
+			if s.TailLatency > DefaultStragglerFactor*fs.MedianTail {
 				fs.Stragglers++
 			}
 		}

@@ -24,7 +24,7 @@ func TestMergeInterval(t *testing.T) {
 		nodeSample(1, 0.030, 0.010, 4, 4, 300), // violator and straggler
 		nodeSample(1, 0.010, 0.010, 5, 5, 400),
 	}
-	fs := MergeInterval(samples, 0)
+	fs := MergeInterval(samples)
 
 	if fs.Nodes != 4 || fs.T != 1 {
 		t.Fatalf("shape: %+v", fs)
@@ -58,14 +58,14 @@ func TestMergeInterval(t *testing.T) {
 }
 
 func TestMergeIntervalEmpty(t *testing.T) {
-	fs := MergeInterval(nil, 0)
+	fs := MergeInterval(nil)
 	if fs.Nodes != 0 || fs.Stragglers != 0 || fs.QoSAttainment() != 0 {
 		t.Fatalf("empty merge: %+v", fs)
 	}
 }
 
 func TestMergeIntervalSingleNodeHasNoStragglers(t *testing.T) {
-	fs := MergeInterval([]Sample{nodeSample(1, 0.5, 0.01, 1, 1, 10)}, 0)
+	fs := MergeInterval([]Sample{nodeSample(1, 0.5, 0.01, 1, 1, 10)})
 	if fs.Stragglers != 0 {
 		t.Fatalf("a lone node cannot straggle behind itself: %+v", fs)
 	}
@@ -79,11 +79,11 @@ func TestFleetTraceAggregates(t *testing.T) {
 	ft.Add(MergeInterval([]Sample{
 		nodeSample(1, 0.008, 0.010, 2, 2, 100),
 		nodeSample(1, 0.030, 0.010, 2, 2, 100),
-	}, 0))
+	}))
 	ft.Add(MergeInterval([]Sample{
 		nodeSample(2, 0.008, 0.010, 4, 6, 200),
 		nodeSample(2, 0.009, 0.010, 4, 6, 200),
-	}, 0))
+	}))
 
 	if ft.Len() != 2 {
 		t.Fatalf("len = %d", ft.Len())
@@ -119,16 +119,16 @@ func TestFleetTraceElasticNodeCount(t *testing.T) {
 	var ft FleetTrace
 	ft.Add(MergeInterval([]Sample{
 		nodeSample(1, 0.008, 0.010, 2, 2, 100),
-	}, 0))
+	}))
 	ft.Add(MergeInterval([]Sample{
 		nodeSample(2, 0.008, 0.010, 2, 4, 100),
 		nodeSample(2, 0.009, 0.010, 2, 4, 100),
 		nodeSample(2, 0.009, 0.010, 2, 4, 100),
-	}, 0))
+	}))
 	ft.Add(MergeInterval([]Sample{
 		nodeSample(3, 0.008, 0.010, 2, 6, 100),
 		nodeSample(3, 0.012, 0.010, 2, 6, 100),
-	}, 0))
+	}))
 
 	if got := ft.NodeIntervals(); got != 6 {
 		t.Fatalf("node-intervals = %d, want 1+3+2", got)
