@@ -1,16 +1,18 @@
 // Command benchgate is the CI benchmark-regression gate: it parses a
 // `go test -bench` run (the -json event stream by default), writes the
-// summarized per-benchmark ns/op results to a report file (the
+// summarized per-benchmark results to a report file (the
 // BENCH_<sha>.json artifact), and fails when any gated benchmark
 // regressed more than the allowed fraction against the committed
-// baseline.
+// baseline, or any budgeted benchmark exceeded its allocs/op or B/op
+// budget.
 //
-//	go test -json -bench . -benchtime 3x -count 3 -run '^$' . |
+//	go test -json -bench . -benchtime 3x -count 3 -benchmem -run '^$' . |
 //	  benchgate -baseline ci/bench_baseline.json -out BENCH_$SHA.json
 //
-// Refreshing the committed baseline after an intentional change:
+// Refreshing the committed baseline after an intentional change (the
+// hand-set budgets are kept):
 //
-//	go test -json -bench . -benchtime 3x -count 3 -run '^$' . |
+//	go test -json -bench . -benchtime 3x -count 3 -benchmem -run '^$' . |
 //	  benchgate -baseline ci/bench_baseline.json -update-baseline -note "PR 2 baseline"
 package main
 
@@ -98,13 +100,13 @@ func run(in, format, baseline, out, gate string, maxReg float64, update bool, no
 		if err != nil {
 			return err
 		}
-		// The report reuses the baseline schema; its alloc_budgets carry
-		// the observed allocs/op of this run, not hand-set ceilings.
+		// The report reuses the baseline schema; its budgets carry the
+		// observed allocs/op and B/op of this run, not hand-set ceilings.
 		report := benchparse.Baseline{
-			Note:         "benchgate run report (alloc_budgets = observed allocs/op)",
+			Note:         "benchgate run report (alloc_budgets and bytes_budgets = observed allocs/op and B/op)",
 			Benchmarks:   nsOnly,
 			AllocBudgets: observedAllocs,
-			BytesPerOp:   observedBytes,
+			BytesBudgets: observedBytes,
 		}
 		if err := report.WriteBaseline(f); err != nil {
 			f.Close()
@@ -124,7 +126,7 @@ func run(in, format, baseline, out, gate string, maxReg float64, update bool, no
 	}
 	if update {
 		// Refresh the ns/op reference but keep the hand-set allocation
-		// budgets from the previous baseline, if one exists.
+		// and byte budgets from the previous baseline, if one exists.
 		b := benchparse.Baseline{Note: note, Benchmarks: nsOnly}
 		if prev, err := os.Open(baseline); err == nil {
 			old, rerr := benchparse.ReadBaseline(prev)
@@ -132,7 +134,7 @@ func run(in, format, baseline, out, gate string, maxReg float64, update bool, no
 			if rerr != nil {
 				return fmt.Errorf("existing baseline unreadable (fix or remove it): %w", rerr)
 			}
-			b.AllocBudgets = old.AllocBudgets
+			b.AllocBudgets, b.BytesBudgets = old.AllocBudgets, old.BytesBudgets
 		}
 		f, err := os.Create(baseline)
 		if err != nil {
@@ -169,7 +171,7 @@ func run(in, format, baseline, out, gate string, maxReg float64, update bool, no
 		return err
 	}
 	if len(regressions) > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed more than %.0f%% vs %s", len(regressions), 100*maxReg, baseline)
+		return fmt.Errorf("%d regression(s) vs %s (ns/op limit +%.0f%%, budgets exact)", len(regressions), baseline, 100*maxReg)
 	}
 	fmt.Printf("gate %q passed (limit +%.0f%% vs %s)\n", gate, 100*maxReg, baseline)
 	return nil

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -204,10 +205,9 @@ type Baseline struct {
 	// benchgate -update-baseline refreshes Benchmarks but preserves
 	// these budgets.
 	AllocBudgets map[string]float64 `json:"alloc_budgets,omitempty"`
-	// BytesPerOp is informational: benchgate's run reports record the
-	// observed B/op here. It is not gated and a committed baseline
-	// need not carry it.
-	BytesPerOp map[string]float64 `json:"bytes_per_op,omitempty"`
+	// BytesBudgets maps benchmark name to the maximum allowed B/op,
+	// checked and preserved exactly like AllocBudgets.
+	BytesBudgets map[string]float64 `json:"bytes_budgets,omitempty"`
 }
 
 // ReadBaseline decodes a baseline file.
@@ -229,9 +229,9 @@ func (b Baseline) WriteBaseline(w io.Writer) error {
 // Gate compares the summarized current run against the baseline: the
 // ns/op of every baseline benchmark whose name starts with any of the
 // comma-separated prefixes (current more than maxRegress above
-// baseline fails, e.g. 0.20 = +20%), plus every allocation budget in
-// the baseline regardless of prefix (allocs/op above the budget fails;
-// budgets are exempt from maxRegress since allocation counts are
+// baseline fails, e.g. 0.20 = +20%), plus every allocation and byte
+// budget in the baseline regardless of prefix (allocs/op or B/op above
+// the budget fails; budgets are exempt from maxRegress since both are
 // near-deterministic). Every prefix must match at least one baseline
 // benchmark — a stale prefix in the gate list means a renamed or
 // deleted benchmark, which must fail rather than silently retire its
@@ -288,34 +288,43 @@ func Gate(current map[string]Summary, base Baseline, prefix string, maxRegress f
 		return nil, fmt.Errorf("benchparse: none of the %d gated baseline benchmarks ran; gate would be vacuous", len(names))
 	}
 
-	var budgeted []string
-	for name := range base.AllocBudgets {
-		budgeted = append(budgeted, name)
-	}
-	sort.Strings(budgeted)
-	var unchecked []string
-	for _, name := range budgeted {
-		cur, ok := current[name]
-		if !ok || !cur.HasMem {
-			// Unlike the ns gate, a budgeted benchmark that did not run
-			// with -benchmem is an error, not a skip: budgets name
-			// machine-independent benchmarks, so an absence means a
-			// rename, a deleted benchmark, or a bench command missing
-			// -benchmem — each of which would otherwise retire the
-			// budget silently while CI stays green.
-			unchecked = append(unchecked, name)
-			continue
-		}
-		if budget := base.AllocBudgets[name]; cur.AllocsPerOp > budget {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: %.0f allocs/op over budget %.0f",
-				name, cur.AllocsPerOp, budget))
-		}
-	}
+	allocRegs, unchecked := overBudget(current, base.AllocBudgets, "allocs/op", func(s Summary) float64 { return s.AllocsPerOp })
+	byteRegs, uncheckedBytes := overBudget(current, base.BytesBudgets, "B/op", func(s Summary) float64 { return s.BytesPerOp })
+	regressions = append(append(regressions, allocRegs...), byteRegs...)
+	unchecked = append(unchecked, uncheckedBytes...)
+	slices.Sort(unchecked)
+	unchecked = slices.Compact(unchecked)
 	if len(unchecked) > 0 {
 		// Return the ns/op regressions found so far alongside the
 		// error, so a vacuous budget gate cannot hide a real one.
-		return regressions, fmt.Errorf("benchparse: allocation-budgeted benchmark(s) %s did not run with -benchmem; fix the bench command or remove the stale budget", strings.Join(unchecked, ", "))
+		return regressions, fmt.Errorf("benchparse: budgeted benchmark(s) %s did not run with -benchmem; fix the bench command or remove the stale budget", strings.Join(unchecked, ", "))
 	}
 	return regressions, nil
+}
+
+// overBudget checks every budget, in name order, against the run's
+// -benchmem column that value reads: a value above its budget is a
+// regression, and a budgeted benchmark missing from the run or run
+// without -benchmem is unchecked. Unlike the ns gate, an absence is
+// not a skip: budgets name machine-independent benchmarks, so it means
+// a rename, a deleted benchmark, or a bench command missing -benchmem,
+// each of which would otherwise retire the budget silently while CI
+// stays green.
+func overBudget(current map[string]Summary, budgets map[string]float64, unit string, value func(Summary) float64) (regressions, unchecked []string) {
+	names := make([]string, 0, len(budgets))
+	for name := range budgets {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		cur, ok := current[name]
+		if !ok || !cur.HasMem {
+			unchecked = append(unchecked, name)
+			continue
+		}
+		if v, budget := value(cur), budgets[name]; v > budget {
+			regressions = append(regressions, fmt.Sprintf("%s: %.0f %s over budget %.0f", name, v, unit, budget))
+		}
+	}
+	return regressions, unchecked
 }

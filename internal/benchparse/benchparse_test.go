@@ -273,3 +273,81 @@ func TestGateAllocBudgets(t *testing.T) {
 		t.Fatalf("ns regressions lost alongside the budget error: %v", regs)
 	}
 }
+
+func TestGateBytesBudgets(t *testing.T) {
+	base := Baseline{
+		Benchmarks:   map[string]float64{"BenchmarkClusterDES256Nodes/serial": 100},
+		AllocBudgets: map[string]float64{"BenchmarkClusterDES256Nodes/serial": 7000},
+		BytesBudgets: map[string]float64{
+			"BenchmarkClusterDES256Nodes/serial": 10_000_000,
+			"BenchmarkClusterAutoscale":          4_000_000,
+		},
+	}
+	current := map[string]Summary{
+		"BenchmarkClusterDES256Nodes/serial": {NsPerOp: 100, BytesPerOp: 9_700_000, AllocsPerOp: 6600, HasMem: true},
+		"BenchmarkClusterAutoscale":          {NsPerOp: 50, BytesPerOp: 4_000_000, AllocsPerOp: 24000, HasMem: true},
+	}
+
+	// At or under every ceiling: clean. Byte budgets, like allocation
+	// budgets, apply beyond the ns prefix.
+	regs, err := Gate(current, base, "BenchmarkClusterDES256Nodes", 0.20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) != 0 {
+		t.Fatalf("unexpected regressions: %v", regs)
+	}
+
+	// One byte over: reported, with no percentage slack, and the
+	// allocation budget of the same benchmark still holds.
+	current["BenchmarkClusterAutoscale"] = Summary{NsPerOp: 50, BytesPerOp: 4_000_001, AllocsPerOp: 24000, HasMem: true}
+	regs, err = Gate(current, base, "BenchmarkClusterDES256Nodes", 0.20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) != 1 || !strings.Contains(regs[0], "BenchmarkClusterAutoscale") || !strings.Contains(regs[0], "B/op over budget") {
+		t.Fatalf("regressions = %v", regs)
+	}
+
+	// Both budgets of a second benchmark over as well: three
+	// regressions in all.
+	current["BenchmarkClusterDES256Nodes/serial"] = Summary{NsPerOp: 100, BytesPerOp: 16_000_000, AllocsPerOp: 7001, HasMem: true}
+	regs, _ = Gate(current, base, "BenchmarkClusterDES256Nodes", 0.20)
+	if len(regs) != 3 {
+		t.Fatalf("want the allocs/op and both B/op regressions, got %v", regs)
+	}
+
+	// A byte-budgeted benchmark without -benchmem data, or missing
+	// from the run, is a stale budget: an error naming it once, even
+	// when it also carries an allocation budget.
+	noMem := map[string]Summary{
+		"BenchmarkClusterDES256Nodes/serial": {NsPerOp: 100},
+	}
+	_, err = Gate(noMem, base, "BenchmarkClusterDES256Nodes", 0.20)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkClusterAutoscale") ||
+		strings.Count(err.Error(), "BenchmarkClusterDES256Nodes/serial") != 1 {
+		t.Fatalf("want one stale-budget error naming both benchmarks once, got %v", err)
+	}
+}
+
+func TestBaselineRoundTripKeepsBudgets(t *testing.T) {
+	b := Baseline{
+		Benchmarks:   map[string]float64{"BenchmarkX": 100},
+		AllocBudgets: map[string]float64{"BenchmarkX": 7},
+		BytesBudgets: map[string]float64{"BenchmarkX": 4096},
+	}
+	var buf bytes.Buffer
+	if err := b.WriteBaseline(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"bytes_budgets"`) {
+		t.Fatalf("byte budgets not written under bytes_budgets:\n%s", buf.String())
+	}
+	got, err := ReadBaseline(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.AllocBudgets["BenchmarkX"] != 7 || got.BytesBudgets["BenchmarkX"] != 4096 {
+		t.Fatalf("round-trip = %+v", got)
+	}
+}

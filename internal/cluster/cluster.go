@@ -170,7 +170,7 @@ func New(opts Options) (*Cluster, error) {
 	if c.workers == 0 {
 		c.workers = runtime.GOMAXPROCS(0)
 	}
-	c.clock = sim.NewClock(sim.IntervalSecs)
+	c.clock = sim.NewClock()
 
 	seen := make(map[policy.Policy]int, len(opts.Nodes))
 	seenBatch := make(map[*batch.Runner]int)

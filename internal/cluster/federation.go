@@ -58,7 +58,7 @@ type Federation struct {
 	coord       *federation.Coordinator
 	nodeIDs     []int                  // ascending; fixes report order
 	providers   []policy.TableProvider // parallel to nodeIDs
-	base        []rl.Checkpoint        // parallel to nodeIDs
+	base        []rl.Checkpoint        // parallel to nodeIDs; held only here, so re-captured in place
 	index       map[int]int            // node ID -> position in the slices above
 }
 
@@ -174,7 +174,7 @@ func (f *Federation) Sync(interval int, active func(nodeID int) bool) error {
 		if err := tab.Absorb(bc.Values, bc.Visits); err != nil {
 			return fmt.Errorf("cluster: federation broadcast to node %d: %w", id, err)
 		}
-		f.base[k] = tab.Checkpoint()
+		tab.CheckpointInto(&f.base[k])
 	}
 	return nil
 }
@@ -207,7 +207,7 @@ func (f *Federation) WarmStart(id, interval int, bc *federation.Broadcast) (bool
 	if err := f.coord.MarkSynced(id, interval); err != nil {
 		return false, err
 	}
-	f.base[k] = tab.Checkpoint()
+	tab.CheckpointInto(&f.base[k])
 	return true, nil
 }
 
@@ -228,7 +228,7 @@ func (f *Federation) Flush(id, interval int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	f.base[k] = tab.Checkpoint()
+	tab.CheckpointInto(&f.base[k])
 	if d.Empty() {
 		return false, nil
 	}

@@ -20,6 +20,7 @@ type Scaler struct {
 	ctl    *autoscale.Controller
 	roster []autoscale.NodeInfo
 	stats  autoscale.Stats
+	floor  int
 }
 
 // NewScaler resolves the options against an n-node roster (the policy
@@ -59,10 +60,15 @@ func NewScaler(opts AutoscaleOptions, n int) (*Scaler, int, error) {
 	if initial < lo || initial > hi {
 		return nil, 0, fmt.Errorf("cluster: autoscale initial nodes %d outside [%d, %d]", initial, lo, hi)
 	}
-	s := &Scaler{ctl: ctl, roster: make([]autoscale.NodeInfo, n)}
+	s := &Scaler{ctl: ctl, roster: make([]autoscale.NodeInfo, n), floor: lo}
 	s.stats.PeakActive, s.stats.MinActive = initial, initial
 	return s, initial, nil
 }
+
+// MinNodes returns the resolved minimum active count. The controller
+// never targets fewer nodes, so the owner's active prefix always
+// covers the first MinNodes nodes.
+func (s *Scaler) MinNodes() int { return s.floor }
 
 // Roster returns the policy's view of the fleet, one entry per node in
 // ascending ID order, for the owner to fill before each Decide.

@@ -45,6 +45,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 
 	"hipster/internal/autoscale"
 	"hipster/internal/cluster"
@@ -528,16 +529,32 @@ type desNode struct {
 // latRecorder is the end-to-end latency record. Storing every sojourn
 // of a memcached-scale day would need gigabytes, so the sample is a
 // deterministic systematic one: every stride-th winning completion is
-// kept, and when the buffer reaches latSampleCap it is decimated in
+// kept, and when the sample reaches latSampleCap it is decimated in
 // place and the stride doubled. Below the cap (every Web-Search-scale
 // run) the record is exact. The count and mean are always exact.
+//
+// The kept sample lives in fixed-size blocks, kept sojourn i at
+// blocks[i>>latBlockBits][i&latBlockMask], so filling it never copies
+// more than the first block: that one grows by doubling (a small run
+// pays for what it keeps, not for a full block), every later block is
+// allocated once at full size, and decimation keeps every block's
+// storage for the refill.
 type latRecorder struct {
-	sample []float64
+	blocks [][]float64
+	n      int // kept sample length
 	stride int64
 	seen   int64
 	sum    float64
 	limit  int // sample length that triggers decimation: latSampleCap, lowered only by tests
 }
+
+// The latency sample's block length: 1<<16 float64s (512 KiB), so a
+// full latSampleCap sample is 64 blocks.
+const (
+	latBlockBits = 16
+	latBlockLen  = 1 << latBlockBits
+	latBlockMask = latBlockLen - 1
+)
 
 // newLatRecorder returns an empty exact recorder.
 func newLatRecorder() latRecorder { return latRecorder{stride: 1, limit: latSampleCap} }
@@ -800,7 +817,7 @@ func New(opts Options) (*Fleet, error) {
 	if f.workers == 0 {
 		f.workers = runtime.GOMAXPROCS(0)
 	}
-	f.clock = sim.NewClock(sim.IntervalSecs)
+	f.clock = sim.NewClock()
 
 	switch m := opts.Mitigation.(type) {
 	case nil, None:
@@ -871,7 +888,7 @@ func New(opts Options) (*Fleet, error) {
 	f.states = make([]cluster.NodeState, len(f.nodes))
 	f.samples = make([]telemetry.Sample, len(f.nodes))
 	f.pool = cluster.NewPool(f.workers)
-	f.sumFn = func(i int) { f.samples[i] = f.nodes[i].finishInterval(f.tEnd, sim.IntervalSecs, f.committed[i] > 0) }
+	f.sumFn = func(i int) { f.samples[i] = f.nodes[i].finishInterval(f.tEnd, f.committed[i] > 0) }
 	f.newDomains(opts.Domains)
 	return f, nil
 }
@@ -1794,19 +1811,54 @@ const latSampleCap = 1 << 22
 func (lr *latRecorder) record(soj float64) {
 	lr.seen++
 	lr.sum += soj
-	if lr.seen%lr.stride == 0 {
-		lr.sample = append(lr.sample, soj)
-		if len(lr.sample) >= lr.limit {
-			// Decimate in place: keeping every 2nd kept element turns a
-			// stride-k systematic sample into a stride-2k one.
-			half := len(lr.sample) / 2
-			for i := 0; i < half; i++ {
-				lr.sample[i] = lr.sample[2*i+1]
-			}
-			lr.sample = lr.sample[:half]
-			lr.stride *= 2
-		}
+	if lr.seen%lr.stride != 0 {
+		return
 	}
+	b := lr.n >> latBlockBits
+	if b == len(lr.blocks) {
+		var blk []float64
+		if b > 0 {
+			blk = make([]float64, 0, latBlockLen)
+		}
+		lr.blocks = append(lr.blocks, blk)
+	}
+	blk := lr.blocks[b]
+	if len(blk) == cap(blk) {
+		// Only the first block fills below the block length. It doubles
+		// from 256, allocating under twice the 512 KiB it ends up
+		// keeping; append's growth would allocate 4.8 times that.
+		blk = append(make([]float64, 0, min(max(2*cap(blk), 256), latBlockLen)), blk...)
+	}
+	lr.blocks[b] = append(blk, soj)
+	lr.n++
+	if lr.n >= lr.limit {
+		lr.decimate()
+	}
+}
+
+// decimate halves the kept sample in place: keeping every 2nd kept
+// element (s[i] = s[2i+1] over logical indices, across block edges)
+// turns a stride-k systematic sample into a stride-2k one. Each block
+// is re-sliced to its share of the new length and keeps its storage.
+func (lr *latRecorder) decimate() {
+	half := lr.n / 2
+	for i := 0; i < half; i++ {
+		j := 2*i + 1
+		lr.blocks[i>>latBlockBits][i&latBlockMask] = lr.blocks[j>>latBlockBits][j&latBlockMask]
+	}
+	for b := range lr.blocks {
+		lr.blocks[b] = lr.blocks[b][:min(max(half-b<<latBlockBits, 0), latBlockLen)]
+	}
+	lr.n = half
+	lr.stride *= 2
+}
+
+// appendSample appends the kept sample, in order, to dst.
+func (lr *latRecorder) appendSample(dst []float64) []float64 {
+	for _, blk := range lr.blocks {
+		dst = append(dst, blk...)
+	}
+	return dst
 }
 
 // runInterval drains the loop's events and arrival process up to the
@@ -1940,7 +1992,7 @@ func (f *Fleet) refreshInterval(t float64) error {
 // queued or in-service work (a non-zero committed count). It touches
 // only the node's own state plus pure model evaluations, so the
 // coordinator runs it for all nodes in parallel.
-func (n *desNode) finishInterval(t, dt float64, inFlight bool) telemetry.Sample {
+func (n *desNode) finishInterval(t float64, inFlight bool) telemetry.Sample {
 	if n.down {
 		// Dead sample: a crashed or revoked node reports the tail cap —
 		// the fleet observes it as a hard QoS failure (straggler signal,
@@ -1984,7 +2036,7 @@ func (n *desNode) finishInterval(t, dt float64, inFlight bool) telemetry.Sample 
 	// charges its core's utilisation here, because the core really is
 	// executing until the in-flight service completes.
 	for s := range n.busy {
-		u := n.busy[s] / dt
+		u := n.busy[s] / sim.IntervalSecs
 		if u > 1 {
 			u = 1
 		}
@@ -2003,16 +2055,16 @@ func (n *desNode) finishInterval(t, dt float64, inFlight bool) telemetry.Sample 
 		SmallFreq:    n.spec.Small.MaxFreq(),
 		BigUtils:     n.bigUtils,
 		SmallUtils:   n.smallUtils,
-		DeliveredIPS: float64(n.completed) * n.wl.DemandInstr / dt,
+		DeliveredIPS: float64(n.completed) * n.wl.DemandInstr / sim.IntervalSecs,
 	})
-	n.meter.Add(breakdown, dt)
+	n.meter.Add(breakdown, sim.IntervalSecs)
 	n.lastEnergyJ = n.meter.TotalJ()
 
 	s := telemetry.Sample{
 		T:           t,
-		LoadFrac:    float64(n.arrived) / dt / n.capacity,
-		OfferedRPS:  float64(n.arrived) / dt,
-		AchievedRPS: float64(n.completed) / dt,
+		LoadFrac:    float64(n.arrived) / sim.IntervalSecs / n.capacity,
+		OfferedRPS:  float64(n.arrived) / sim.IntervalSecs,
+		AchievedRPS: float64(n.completed) / sim.IntervalSecs,
 		Backlog:     float64(n.queue.Len()),
 		TailLatency: tail,
 		Target:      n.wl.TargetLatency,
@@ -2030,12 +2082,12 @@ func (n *desNode) finishInterval(t, dt float64, inFlight bool) telemetry.Sample 
 	n.arrived, n.completed = 0, 0
 	n.sojourns = n.sojourns[:0]
 	// A service spanning the boundary charges the next interval the
-	// part of its duration that falls there (possibly the whole dt:
+	// part of its duration that falls there (possibly the whole interval:
 	// warm-up-stretched services can span several intervals).
 	for i := range n.busy {
 		n.busy[i] = 0
 		if n.busyUntil[i] > t {
-			n.busy[i] = math.Min(n.busyUntil[i]-t, dt)
+			n.busy[i] = math.Min(n.busyUntil[i]-t, sim.IntervalSecs)
 		}
 	}
 	return s
@@ -2315,6 +2367,11 @@ func (f *Fleet) Run(horizon float64) (Result, error) {
 	if err := f.initFaults(horizon); err != nil {
 		return fail(err)
 	}
+	// A horizon past MaxInt32 intervals cannot finish; it only skips
+	// the reserve.
+	if ivs := math.Ceil((horizon - f.clock.Now()) / sim.IntervalSecs); ivs > 0 && ivs <= math.MaxInt32 {
+		f.reserve(int(ivs))
+	}
 	if f.clock.Steps() == 0 && f.fleet.Len() == 0 {
 		for _, l := range f.domains {
 			l.nextArrival = math.Inf(1)
@@ -2331,6 +2388,24 @@ func (f *Fleet) Run(horizon float64) (Result, error) {
 		}
 	}
 	return f.result(), nil
+}
+
+// reserve sizes the run's traces for k more intervals. Every tick adds
+// one fleet sample and one sample per active node, and the active set
+// never shrinks below the floor (the whole roster without an
+// autoscaler, the scaler's minimum with one), so the fleet trace and
+// every trace below the floor grow exactly once, here. Traces above the
+// floor grow by append as their nodes join; reserving them would hold
+// memory for intervals an elastic fleet never runs.
+func (f *Fleet) reserve(k int) {
+	f.fleet.Samples = slices.Grow(f.fleet.Samples, k)
+	floor := len(f.nodes)
+	if f.scaler != nil {
+		floor = f.scaler.MinNodes()
+	}
+	for _, n := range f.nodes[:floor] {
+		n.trace.Samples = slices.Grow(n.trace.Samples, k)
+	}
 }
 
 // result assembles the run's record: the fleet trace and stats, plus
@@ -2359,9 +2434,9 @@ func (f *Fleet) result() Result {
 	var seen int64
 	var sum float64
 	dropped, timedOut, lost := f.coordDropped, 0, f.coordLost
-	total := len(f.lat.sample)
+	total := f.lat.n
 	for _, l := range f.domains {
-		total += len(l.lat.sample)
+		total += l.lat.n
 	}
 	sample := make([]float64, 0, total)
 	for _, l := range f.domains {
@@ -2370,11 +2445,11 @@ func (f *Fleet) result() Result {
 		dropped += l.dropped
 		timedOut += l.timedOut
 		lost += l.lost
-		sample = append(sample, l.lat.sample...)
+		sample = l.lat.appendSample(sample)
 	}
 	seen += f.lat.seen
 	sum += f.lat.sum
-	sample = append(sample, f.lat.sample...)
+	sample = f.lat.appendSample(sample)
 	res.Latency.Completed = int(seen)
 	res.Latency.Dropped = dropped
 	res.Latency.TimedOut = timedOut

@@ -4,13 +4,17 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"hipster/internal/autoscale"
 	"hipster/internal/faults"
 	"hipster/internal/loadgen"
 	"hipster/internal/platform"
 	"hipster/internal/resilience"
+	"hipster/internal/telemetry"
 	"hipster/internal/workload"
 )
 
@@ -592,6 +596,90 @@ func TestDeepQueueCountMatchesRecount(t *testing.T) {
 	}
 }
 
+// appendRecorder is the latency recorder the block recorder replaced,
+// kept as its reference: one slice grown by append and decimated in
+// place by keeping every 2nd kept element.
+type appendRecorder struct {
+	sample []float64
+	stride int64
+	seen   int64
+	sum    float64
+	limit  int
+}
+
+func (lr *appendRecorder) record(soj float64) {
+	lr.seen++
+	lr.sum += soj
+	if lr.seen%lr.stride == 0 {
+		lr.sample = append(lr.sample, soj)
+		if len(lr.sample) >= lr.limit {
+			half := len(lr.sample) / 2
+			for i := 0; i < half; i++ {
+				lr.sample[i] = lr.sample[2*i+1]
+			}
+			lr.sample = lr.sample[:half]
+			lr.stride *= 2
+		}
+	}
+}
+
+// TestLatRecorderMatchesAppendRecorder feeds generated sojourn streams
+// to the block recorder and the append recorder it replaced, with the
+// decimation point below one block, at exactly one block, and spanning
+// several blocks at a non-multiple of the block length. After every
+// record the kept sample, stride, count and sum must be equal: lengths
+// and the newest kept element are compared on every record, the whole
+// sample after every decimation, so by induction the samples agree
+// throughout. Interleaved result reads (appendSample) must return the
+// reference's sample and leave the live one alone.
+func TestLatRecorderMatchesAppendRecorder(t *testing.T) {
+	limits := []int{1000, latBlockLen, 3*latBlockLen + 12345}
+	for _, limit := range limits {
+		for seed := int64(1); seed <= 2; seed++ {
+			t.Run(fmt.Sprintf("limit=%d/seed=%d", limit, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				got := newLatRecorder()
+				got.limit = limit
+				want := appendRecorder{stride: 1, limit: limit}
+				// Enough records for four decimations at the largest limit.
+				records := 16 * limit
+				for k := 0; k < records; k++ {
+					soj := rng.ExpFloat64() * 1e-3
+					stride := want.stride
+					got.record(soj)
+					want.record(soj)
+					if got.n != len(want.sample) || got.stride != want.stride || got.seen != want.seen || got.sum != want.sum {
+						t.Fatalf("record %d: n %d stride %d seen %d sum %v, want %d %d %d %v",
+							k, got.n, got.stride, got.seen, got.sum, len(want.sample), want.stride, want.seen, want.sum)
+					}
+					if want.stride != stride {
+						if s := got.appendSample(nil); !slices.Equal(s, want.sample) {
+							t.Fatalf("record %d: decimated sample differs from the reference", k)
+						}
+					} else if n := got.n; n > 0 && got.blocks[(n-1)>>latBlockBits][(n-1)&latBlockMask] != want.sample[n-1] {
+						t.Fatalf("record %d: newest kept element differs", k)
+					}
+					if k%(limit/3+1) == 0 {
+						s := got.appendSample(make([]float64, 0, got.n))
+						if !slices.Equal(s, want.sample) {
+							t.Fatalf("record %d: result read differs from the reference", k)
+						}
+						// The result is the caller's: reordering it (as
+						// selection does) leaves the live sample alone.
+						slices.Reverse(s)
+					}
+				}
+				if got.stride < 16 {
+					t.Fatalf("stride %d after %d records: the sample decimated fewer than four times", got.stride, records)
+				}
+				if want := (limit-1)>>latBlockBits + 1; len(got.blocks) != want {
+					t.Errorf("%d blocks for limit %d, want %d", len(got.blocks), limit, want)
+				}
+			})
+		}
+	}
+}
+
 // memcachedFleet builds the 8-node Memcached fleet of the continued-run
 // regression: Constant 0.6, capacity-weighted routing, two workers,
 // with the latency sample's decimation point lowered to limit so a
@@ -674,5 +762,88 @@ func TestRunAllocsIndependentOfWorkers(t *testing.T) {
 	if d := math.Abs(four - one); d > 32 {
 		t.Errorf("a 60-interval run allocates %v times at 4 workers and %v at 1: %v apart, want at most 32",
 			four, one, d)
+	}
+}
+
+// recordBytes is what the run's record costs to allocate: every trace
+// at its capacity, the latency blocks (the first grown by doubling, as
+// the recorder grows it, the rest allocated at full size), and
+// result's one copy of the kept sample.
+func recordBytes(f *Fleet) int {
+	total := cap(f.fleet.Samples) * int(unsafe.Sizeof(telemetry.FleetSample{}))
+	for _, n := range f.nodes {
+		total += cap(n.trace.Samples) * int(unsafe.Sizeof(telemetry.Sample{}))
+	}
+	recs := []*latRecorder{&f.lat}
+	for _, l := range f.domains {
+		recs = append(recs, &l.lat)
+	}
+	for _, lr := range recs {
+		total += 8 * lr.n
+		for b, blk := range lr.blocks {
+			if b > 0 {
+				total += 8 * cap(blk)
+				continue
+			}
+			for c := 0; c < cap(blk); {
+				c = min(max(2*c, 256), latBlockLen)
+				total += 8 * c
+			}
+		}
+	}
+	return total
+}
+
+// TestOneShotRunAllocatesItsRecord pins that a run's record costs one
+// allocation of its final size: the latency sample fills its blocks
+// without copying, and the traces are reserved for the horizon, so a
+// one-shot run allocates at most 1.25 times its record. The Memcached
+// fleet's sample spans 14 blocks and dominates its run; the other
+// cost is each node's per-interval sojourn buffer, which grows once to
+// an interval's completions. The many-interval Web-Search fleet's
+// record is nearly all node traces. Growing the sample or the traces
+// by append instead costs two to five times their final size. Byte
+// counts from a race-detector build say nothing about the normal one,
+// so the test skips there.
+func TestOneShotRunAllocatesItsRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates differently")
+	}
+	cases := []struct {
+		name    string
+		wl      *workload.Model
+		nodes   int
+		load    float64
+		horizon float64
+		blocks  int
+	}{
+		{"memcached-sample", workload.Memcached(), 2, 0.6, 20, 10},
+		{"websearch-traces", workload.WebSearch(), 16, 0.02, 2000, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			nodes, err := Uniform(c.nodes, platform.JunoR1(), c.wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fl, err := New(Options{Nodes: nodes, Pattern: loadgen.Constant{Frac: c.load}, Workers: 2, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := fl.Run(c.horizon); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if got := len(fl.domains[0].lat.blocks); got < c.blocks {
+				t.Fatalf("the kept sample spans %d blocks, want at least %d", got, c.blocks)
+			}
+			alloc, record := after.TotalAlloc-before.TotalAlloc, recordBytes(fl)
+			if float64(alloc) > 1.25*float64(record) {
+				t.Errorf("the run allocated %d bytes for a %d-byte record (%.2fx), want at most 1.25x",
+					alloc, record, float64(alloc)/float64(record))
+			}
+		})
 	}
 }

@@ -119,3 +119,55 @@ func fleetSizes(tr *telemetry.FleetTrace) []int {
 	}
 	return sizes
 }
+
+// TestRunReservesTracesBelowTheFloor pins the trace reserve on an
+// elastic fleet. The fleet trace and the trace of every node below the
+// scaler's minimum record one sample per interval, so after a one-shot
+// run each holds exactly the storage one reserve of the horizon gives
+// (slices.Grow rounds it to the allocator's size class): reserved once,
+// never regrown. Nodes above the floor join late and are not reserved
+// for intervals they never run.
+func TestRunReservesTracesBelowTheFloor(t *testing.T) {
+	const horizon, floor = 45, 2
+	script := scriptPolicy(func(iv int) int {
+		if iv >= 10 && iv < 20 {
+			return 4
+		}
+		return floor
+	})
+	nodes, err := clusterdes.Uniform(4, platform.JunoR1(), workload.WebSearch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err := clusterdes.New(clusterdes.Options{
+		Nodes:     nodes,
+		Pattern:   loadgen.Constant{Frac: 0.5},
+		Workers:   1,
+		Seed:      7,
+		Autoscale: &clusterdes.AutoscaleOptions{Policy: script, MinNodes: floor},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fl.Run(horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Ups == 0 {
+		t.Fatal("the fleet never scaled above its floor")
+	}
+	reserved := cap(slices.Grow([]telemetry.Sample(nil), horizon))
+	for i, tr := range res.Nodes {
+		n, c := len(tr.Samples), cap(tr.Samples)
+		switch {
+		case i < floor && (n != horizon || c != reserved):
+			t.Errorf("node %d below the floor: len %d cap %d, want len %d cap %d", i, n, c, horizon, reserved)
+		case i >= floor && (n >= horizon || c >= reserved):
+			t.Errorf("node %d above the floor: len %d cap %d, want fewer than %d samples in less than the reserve", i, n, c, horizon)
+		}
+	}
+	fleet := res.Fleet.Samples
+	if want := cap(slices.Grow([]telemetry.FleetSample(nil), horizon)); len(fleet) != horizon || cap(fleet) != want {
+		t.Errorf("fleet trace: len %d cap %d, want len %d cap %d", len(fleet), cap(fleet), horizon, want)
+	}
+}

@@ -121,7 +121,7 @@ func New(opts Options) (*Engine, error) {
 		spec:  opts.Spec,
 		wl:    opts.Workload,
 		inter: interference.DefaultParams(),
-		clock: sim.NewClock(sim.IntervalSecs),
+		clock: sim.NewClock(),
 	}
 	e.loadRNG = sim.SubRNG(opts.Seed, "load")
 	e.wlRNG = sim.SubRNG(opts.Seed, "workload")
@@ -203,7 +203,7 @@ func (e *Engine) bigClusterFreq(hasBatchCores bool) platform.FreqMHz {
 // Step advances the simulation by one monitoring interval and returns
 // the recorded sample.
 func (e *Engine) Step() (telemetry.Sample, error) {
-	dt := e.clock.Interval()
+	dt := sim.IntervalSecs
 	tStart := e.clock.Now()
 
 	// Offered load for this interval. Jitter may not push load past

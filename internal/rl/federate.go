@@ -53,6 +53,23 @@ func (t *Table) Checkpoint() Checkpoint {
 	return cp
 }
 
+// CheckpointInto re-captures the table's visit counts into cp, copying
+// into cp's rows when its shape matches the table's and allocating as
+// Checkpoint does otherwise. The caller must be cp's only holder.
+func (t *Table) CheckpointInto(cp *Checkpoint) {
+	if len(cp.visits) != len(t.visits) {
+		*cp = t.Checkpoint()
+		return
+	}
+	for i, row := range t.visits {
+		if len(cp.visits[i]) != len(row) {
+			*cp = t.Checkpoint()
+			return
+		}
+		copy(cp.visits[i], row)
+	}
+}
+
 // DeltaSince returns the cells updated since the checkpoint, in
 // row-major order (deterministic for a given table history). A cell
 // whose visit count decreased — the table was reset since the

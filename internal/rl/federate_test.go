@@ -2,6 +2,7 @@ package rl
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -97,6 +98,64 @@ func TestCheckpointAndDeltaSince(t *testing.T) {
 	}
 	if !d.Empty() {
 		t.Fatalf("reset table yielded delta %+v", d)
+	}
+}
+
+// TestCheckpointIntoMatchesCheckpoint replays generated update
+// histories on tables whose shape changes twice (more states, then
+// fewer actions per state): after each round's re-checkpoint and the
+// next round's updates, a checkpoint re-captured in place must give the
+// same delta as a fresh Checkpoint. A reused checkpoint of another
+// shape is replaced, and one that aliased the table would miss every
+// later update.
+func TestCheckpointIntoMatchesCheckpoint(t *testing.T) {
+	shapes := []struct{ states, actions int }{{3, 3}, {6, 3}, {6, 2}}
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var reused Checkpoint
+		for _, sh := range shapes {
+			tab, err := NewTable(sh.states, actions()[:sh.actions])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 30; round++ {
+				fresh := tab.Checkpoint()
+				tab.CheckpointInto(&reused)
+				for k := rng.Intn(3 * sh.states); k > 0; k-- {
+					tab.Update(rng.Intn(sh.states), rng.Intn(sh.actions), rng.Intn(sh.states), rng.NormFloat64(), 0.5, 0.9)
+				}
+				want, err := tab.DeltaSince(fresh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := tab.DeltaSince(reused)
+				if err != nil {
+					t.Fatalf("seed %d, %dx%d round %d: %v", seed, sh.states, sh.actions, round, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d, %dx%d round %d: delta %+v, want %+v", seed, sh.states, sh.actions, round, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCheckpointIntoReusesRows pins that re-checkpointing a table into
+// its previous checkpoint allocates nothing.
+func TestCheckpointIntoReusesRows(t *testing.T) {
+	tab, err := NewTable(16, actions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := tab.Checkpoint()
+	s := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		tab.Update(s%16, s%3, (s+1)%16, 1, 0.5, 0.9)
+		s++
+		tab.CheckpointInto(&cp)
+	})
+	if allocs != 0 {
+		t.Errorf("CheckpointInto allocates %v times per call, want 0", allocs)
 	}
 }
 

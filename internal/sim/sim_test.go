@@ -90,42 +90,19 @@ func TestJitterNoopCases(t *testing.T) {
 }
 
 func TestClock(t *testing.T) {
-	c := NewClock(0.5)
+	c := NewClock()
 	if c.Now() != 0 || c.Steps() != 0 {
 		t.Fatal("fresh clock should be at zero")
 	}
-	if c.Interval() != 0.5 {
-		t.Fatalf("interval = %v", c.Interval())
-	}
-	for i := 1; i <= 10; i++ {
-		got := c.Tick()
-		want := 0.5 * float64(i)
-		if math.Abs(got-want) > 1e-12 {
-			t.Fatalf("tick %d: got %v want %v", i, got, want)
+	// Time is steps times the interval, never a running sum, so it
+	// stays exact however long the run.
+	for i := 1; i <= 1000; i++ {
+		if got, want := c.Tick(), float64(i)*IntervalSecs; got != want || c.Now() != want || c.Steps() != i {
+			t.Fatalf("tick %d: got %v (now %v, steps %d), want %v", i, got, c.Now(), c.Steps(), want)
 		}
 	}
 	c.Reset()
 	if c.Now() != 0 || c.Steps() != 0 {
 		t.Fatal("reset should rewind")
 	}
-}
-
-func TestClockNoDrift(t *testing.T) {
-	// Repeated addition of 0.1 drifts; the clock must not.
-	c := NewClock(0.1)
-	for i := 0; i < 1000; i++ {
-		c.Tick()
-	}
-	if got, want := c.Now(), 100.0; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("drift after 1000 ticks: %v", got-want)
-	}
-}
-
-func TestClockPanicsOnBadInterval(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero interval")
-		}
-	}()
-	NewClock(0)
 }

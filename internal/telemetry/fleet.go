@@ -84,17 +84,6 @@ func (f FleetSample) QoSAttainment() float64 {
 	return float64(f.QoSMet) / float64(f.Nodes)
 }
 
-// MergeInterval folds the per-node samples of one monitoring interval
-// into a FleetSample, counting as stragglers the nodes whose tail
-// exceeds DefaultStragglerFactor times the fleet median. The per-node
-// samples must all carry the same interval-end timestamp; the merge is
-// a pure function of the inputs, so fleet aggregates are identical
-// however node stepping was parallelised.
-func MergeInterval(samples []Sample) FleetSample {
-	var m Merger
-	return m.MergeInterval(samples)
-}
-
 // Merger computes interval merges through a reusable scratch buffer, so
 // a coordinator merging every interval of a long run does not allocate
 // per interval. The zero value is ready to use; a Merger is not safe
@@ -103,7 +92,12 @@ type Merger struct {
 	tails []float64
 }
 
-// MergeInterval is MergeInterval through the Merger's scratch.
+// MergeInterval folds the per-node samples of one monitoring interval
+// into a FleetSample, counting as stragglers the nodes whose tail
+// exceeds DefaultStragglerFactor times the fleet median. The per-node
+// samples must all carry the same interval-end timestamp; the merge is
+// a pure function of the inputs, so fleet aggregates are identical
+// however node stepping was parallelised.
 func (m *Merger) MergeInterval(samples []Sample) FleetSample {
 	fs := FleetSample{Nodes: len(samples)}
 	if len(samples) == 0 {

@@ -24,7 +24,8 @@ func TestMergeInterval(t *testing.T) {
 		nodeSample(1, 0.030, 0.010, 4, 4, 300), // violator and straggler
 		nodeSample(1, 0.010, 0.010, 5, 5, 400),
 	}
-	fs := MergeInterval(samples)
+	var m Merger
+	fs := m.MergeInterval(samples)
 
 	if fs.Nodes != 4 || fs.T != 1 {
 		t.Fatalf("shape: %+v", fs)
@@ -58,14 +59,16 @@ func TestMergeInterval(t *testing.T) {
 }
 
 func TestMergeIntervalEmpty(t *testing.T) {
-	fs := MergeInterval(nil)
+	var m Merger
+	fs := m.MergeInterval(nil)
 	if fs.Nodes != 0 || fs.Stragglers != 0 || fs.QoSAttainment() != 0 {
 		t.Fatalf("empty merge: %+v", fs)
 	}
 }
 
 func TestMergeIntervalSingleNodeHasNoStragglers(t *testing.T) {
-	fs := MergeInterval([]Sample{nodeSample(1, 0.5, 0.01, 1, 1, 10)})
+	var m Merger
+	fs := m.MergeInterval([]Sample{nodeSample(1, 0.5, 0.01, 1, 1, 10)})
 	if fs.Stragglers != 0 {
 		t.Fatalf("a lone node cannot straggle behind itself: %+v", fs)
 	}
@@ -76,11 +79,12 @@ func TestMergeIntervalSingleNodeHasNoStragglers(t *testing.T) {
 
 func TestFleetTraceAggregates(t *testing.T) {
 	ft := &FleetTrace{}
-	ft.Add(MergeInterval([]Sample{
+	var m Merger
+	ft.Add(m.MergeInterval([]Sample{
 		nodeSample(1, 0.008, 0.010, 2, 2, 100),
 		nodeSample(1, 0.030, 0.010, 2, 2, 100),
 	}))
-	ft.Add(MergeInterval([]Sample{
+	ft.Add(m.MergeInterval([]Sample{
 		nodeSample(2, 0.008, 0.010, 4, 6, 200),
 		nodeSample(2, 0.009, 0.010, 4, 6, 200),
 	}))
@@ -117,15 +121,16 @@ func TestFleetTraceAggregates(t *testing.T) {
 // summary's Nodes is the peak.
 func TestFleetTraceElasticNodeCount(t *testing.T) {
 	var ft FleetTrace
-	ft.Add(MergeInterval([]Sample{
+	var m Merger
+	ft.Add(m.MergeInterval([]Sample{
 		nodeSample(1, 0.008, 0.010, 2, 2, 100),
 	}))
-	ft.Add(MergeInterval([]Sample{
+	ft.Add(m.MergeInterval([]Sample{
 		nodeSample(2, 0.008, 0.010, 2, 4, 100),
 		nodeSample(2, 0.009, 0.010, 2, 4, 100),
 		nodeSample(2, 0.009, 0.010, 2, 4, 100),
 	}))
-	ft.Add(MergeInterval([]Sample{
+	ft.Add(m.MergeInterval([]Sample{
 		nodeSample(3, 0.008, 0.010, 2, 6, 100),
 		nodeSample(3, 0.012, 0.010, 2, 6, 100),
 	}))
