@@ -436,11 +436,13 @@ func (c *clusterFlags) validate(fs *flag.FlagSet) error {
 		"partition", "spot-fraction", "spot-notice", "tuned"); err != nil {
 		return err
 	}
-	// The engines turn a zero autoscale floor into 1 and a negative
-	// duration into the pattern's whole day, and the tuner's evaluator
-	// turns a zero fleet size or horizon into its own default; refuse
-	// each explicitly. Unset flags always pass, so checking before the
-	// -tuned fallback below is the same as checking after it.
+	// The engines turn a zero autoscale floor into 1, and the tuner's
+	// evaluator turns a zero fleet size or horizon into its own
+	// default; refuse each explicitly. A negative duration is refused
+	// here to name the flag (the engines refuse any horizon that is
+	// not finite and positive). Unset flags always pass, so checking
+	// before the -tuned fallback below is the same as checking after
+	// it.
 	switch {
 	case c.nodes < 1:
 		return fmt.Errorf("-nodes %d must be at least 1", c.nodes)

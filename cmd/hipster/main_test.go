@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -179,6 +181,26 @@ func TestRunRejectsNegativeDuration(t *testing.T) {
 	err := run("memcached", "hipster-in", "diurnal", -5, 42, "", "", false)
 	if err == nil || !strings.Contains(err.Error(), "-duration") {
 		t.Fatalf("run with -duration -5: error %v, want one naming -duration", err)
+	}
+}
+
+// TestRejectsNonFiniteDuration checks a NaN or infinite -duration
+// fails the single-node command and both cluster modes with an error
+// naming the horizon: a NaN horizon used to run no interval and exit
+// 0, and an infinite one never stopped.
+func TestRejectsNonFiniteDuration(t *testing.T) {
+	for _, d := range []float64{math.NaN(), math.Inf(1)} {
+		want := fmt.Sprintf("horizon %v; want a finite number of seconds > 0", d)
+		if err := run("memcached", "hipster-in", "diurnal", d, 42, "", "", false); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("run with -duration %v: error %v, want one containing %q", d, err, want)
+		}
+		for _, mode := range []string{"interval", "des"} {
+			err := runCluster([]string{"-mode", mode, "-nodes", "2",
+				"-pattern", "constant:0.5", "-duration", fmt.Sprint(d), "-series=false"})
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("cluster -mode %s -duration %v: error %v, want one containing %q", mode, d, err, want)
+			}
+		}
 	}
 }
 

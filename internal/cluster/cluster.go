@@ -12,8 +12,10 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"slices"
 
 	"hipster/internal/batch"
 	"hipster/internal/engine"
@@ -122,6 +124,9 @@ type Cluster struct {
 	active int
 	// nodeIntervals counts the active node-intervals stepped so far.
 	nodeIntervals int
+	// reserved records that the traces were reserved, by Run or by
+	// the first Step of a cluster stepped by hand.
+	reserved bool
 
 	// failed latches the first Step error: some engines may already
 	// have stepped and recorded that interval, so the fleet is
@@ -274,6 +279,11 @@ func (c *Cluster) Step() (telemetry.FleetSample, error) {
 	if c.failed != nil {
 		return telemetry.FleetSample{}, c.failed
 	}
+	if !c.reserved {
+		// Stepped by hand: the pattern's own length is the horizon
+		// Run(0) would use.
+		c.reserve(c.opts.Pattern.Duration())
+	}
 	t := c.clock.Now()
 	load := c.opts.Pattern.LoadAt(t)
 	totalRPS := load * c.fleetCap
@@ -412,16 +422,17 @@ type Result struct {
 func (r Result) Summarize() telemetry.FleetSummary { return r.Fleet.Summarize() }
 
 // Run executes the cluster for the given horizon (seconds); a zero
-// horizon uses the pattern's natural duration. Run retires the worker
-// pool on return (a further Run or Step transparently restarts it).
+// horizon uses the pattern's natural duration (loadgen.ResolveHorizon).
+// Every call reserves the traces for the intervals it has left to run.
+// Run retires the worker pool on return (a further Run or Step
+// transparently restarts it).
 func (c *Cluster) Run(horizon float64) (Result, error) {
-	if horizon <= 0 {
-		horizon = c.opts.Pattern.Duration()
-	}
-	if horizon <= 0 {
-		return Result{}, errors.New("cluster: no horizon (unbounded pattern and no explicit duration)")
+	horizon, err := loadgen.ResolveHorizon(c.opts.Pattern, horizon)
+	if err != nil {
+		return Result{}, fmt.Errorf("cluster: %w", err)
 	}
 	defer c.Close()
+	c.reserve(horizon)
 	for c.clock.Now() < horizon {
 		if _, err := c.Step(); err != nil {
 			return Result{}, err
@@ -432,6 +443,33 @@ func (c *Cluster) Run(horizon float64) (Result, error) {
 		res.Nodes[i] = n.eng.Trace()
 	}
 	return res, nil
+}
+
+// reserve sizes the run's traces for the intervals left before
+// horizon, as clusterdes.Fleet.reserve does. Every Step adds one fleet
+// sample and one sample per active node, and the active set never
+// shrinks below the floor (the whole roster without an autoscaler, the
+// scaler's minimum with one), so the fleet trace and every trace below
+// the floor grow once, here. Traces above the floor grow by append as
+// their nodes join; reserving them would hold memory for intervals an
+// elastic fleet never runs. A horizon that is not a finite time ahead
+// reserves nothing.
+func (c *Cluster) reserve(horizon float64) {
+	c.reserved = true
+	ivs := math.Ceil((horizon - c.clock.Now()) / sim.IntervalSecs)
+	if !(ivs > 0 && ivs <= math.MaxInt32) {
+		return
+	}
+	k := int(ivs)
+	c.fleet.Samples = slices.Grow(c.fleet.Samples, k)
+	floor := len(c.nodes)
+	if c.scaler != nil {
+		floor = c.scaler.MinNodes()
+	}
+	for _, n := range c.nodes[:floor] {
+		tr := n.eng.Trace()
+		tr.Samples = slices.Grow(tr.Samples, k)
+	}
 }
 
 // Uniform builds n identical node definitions over one spec and

@@ -51,7 +51,10 @@ const DefaultSyncInterval = 10
 // a live RL table), and each node's delta checkpoint. All methods run
 // in the owning coordinator's serial section — they are not safe for
 // concurrent use, and callers must not be stepping nodes while a round
-// runs.
+// runs. Once its buffers have grown to a round's size, a round, a warm
+// start and a flush allocate nothing: checkpoints are re-captured in
+// place, deltas land in one cell buffer, and the fleet table is copied
+// straight from the coordinator into each node's table.
 type Federation struct {
 	syncEvery   int
 	participate func(nodeID, interval int) bool
@@ -60,6 +63,12 @@ type Federation struct {
 	providers   []policy.TableProvider // parallel to nodeIDs
 	base        []rl.Checkpoint        // parallel to nodeIDs; held only here, so re-captured in place
 	index       map[int]int            // node ID -> position in the slices above
+
+	// cells holds every delta of the current round back to back, and
+	// reports slices it, one report per node; both are truncated and
+	// reused by every round and flush.
+	cells   []rl.DeltaCell
+	reports []federation.Report
 }
 
 // NewFederation resolves the options against the fleet's per-node
@@ -147,23 +156,26 @@ func (f *Federation) Sync(interval int, active func(nodeID int) bool) error {
 	in := func(id int) bool {
 		return active(id) && (f.participate == nil || f.participate(id, interval))
 	}
-	reports := make([]federation.Report, 0, len(f.nodeIDs))
+	f.cells, f.reports = f.cells[:0], f.reports[:0]
 	for k, id := range f.nodeIDs {
 		if !in(id) {
 			continue
 		}
-		tab := f.providers[k].LiveTable()
-		d, err := tab.DeltaSince(f.base[k])
+		from := len(f.cells)
+		var err error
+		f.cells, err = f.providers[k].LiveTable().DeltaSince(f.base[k], f.cells)
 		if err != nil {
 			// The policy was reset to a differently-shaped table
 			// mid-run; resynchronise from scratch rather than merging
 			// a bogus delta.
 			return fmt.Errorf("cluster: federation delta for node %d: %w", id, err)
 		}
-		reports = append(reports, federation.Report{Node: id, Delta: d})
+		// An append that moves the buffer leaves the earlier reports
+		// on the old array, which holds their cells and is never
+		// written again.
+		f.reports = append(f.reports, federation.Report{Node: id, Delta: rl.Delta{Cells: f.cells[from:]}})
 	}
-	bc, err := f.coord.Sync(interval, reports)
-	if err != nil {
+	if err := f.coord.Sync(interval, f.reports); err != nil {
 		return err
 	}
 	for k, id := range f.nodeIDs {
@@ -171,7 +183,7 @@ func (f *Federation) Sync(interval int, active func(nodeID int) bool) error {
 			continue
 		}
 		tab := f.providers[k].LiveTable()
-		if err := tab.Absorb(bc.Values, bc.Visits); err != nil {
+		if err := f.coord.BroadcastTo(tab); err != nil {
 			return fmt.Errorf("cluster: federation broadcast to node %d: %w", id, err)
 		}
 		tab.CheckpointInto(&f.base[k])
@@ -185,23 +197,15 @@ func (f *Federation) Sync(interval int, active func(nodeID int) bool) error {
 // staleness clock resets too: holding a fresh copy of the fleet table
 // is a sync, and without the reset the node's first post-rejoin delta
 // would be aged across its sleep and wrongly discarded as stale.
-//
-// bc caches the fleet-table copy across one scale-up event (the
-// coordinator does not change between the event's activations), so a
-// burst that wakes k nodes copies the matrices once, not k times; the
-// copy is also skipped entirely when no activating node is federated.
 // Returns false when the node is not federated (no table-bearing
 // policy): it cold-starts with whatever table it holds.
-func (f *Federation) WarmStart(id, interval int, bc *federation.Broadcast) (bool, error) {
+func (f *Federation) WarmStart(id, interval int) (bool, error) {
 	k, ok := f.index[id]
 	if !ok {
 		return false, nil
 	}
-	if bc.Values == nil {
-		*bc = f.coord.Table()
-	}
 	tab := f.providers[k].LiveTable()
-	if err := tab.Absorb(bc.Values, bc.Visits); err != nil {
+	if err := f.coord.BroadcastTo(tab); err != nil {
 		return false, err
 	}
 	if err := f.coord.MarkSynced(id, interval); err != nil {
@@ -224,15 +228,16 @@ func (f *Federation) Flush(id, interval int) (bool, error) {
 		return false, nil
 	}
 	tab := f.providers[k].LiveTable()
-	d, err := tab.DeltaSince(f.base[k])
-	if err != nil {
+	var err error
+	if f.cells, err = tab.DeltaSince(f.base[k], f.cells[:0]); err != nil {
 		return false, err
 	}
 	tab.CheckpointInto(&f.base[k])
-	if d.Empty() {
+	if len(f.cells) == 0 {
 		return false, nil
 	}
-	if _, err := f.coord.Sync(interval, []federation.Report{{Node: id, Delta: d}}); err != nil {
+	f.reports = append(f.reports[:0], federation.Report{Node: id, Delta: rl.Delta{Cells: f.cells}})
+	if err := f.coord.Sync(interval, f.reports); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -240,6 +245,3 @@ func (f *Federation) Flush(id, interval int) (bool, error) {
 
 // Stats returns the coordinator-side federation counters.
 func (f *Federation) Stats() federation.Stats { return f.coord.Stats() }
-
-// Table returns a copy of the coordinator's current fleet table.
-func (f *Federation) Table() federation.Broadcast { return f.coord.Table() }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hipster/internal/autoscale"
-	"hipster/internal/federation"
 )
 
 // Scaler is the coordinator-side autoscale machinery shared by the
@@ -91,16 +90,14 @@ func (s *Scaler) Decide(interval int, t, offeredRPS float64, active int) autosca
 // differ (Decide reported Scaled). With federation (fed non-nil), each
 // joining node is warm-started from the fleet table before join is
 // called for it, and each leaving node flushes its unsynced delta
-// before leave is called for it; one fleet-table copy serves every
-// activation of the event. The owner must already have resized its
-// active set to `to`: the DES's leave hook migrates the departing
+// before leave is called for it. The owner must already have resized
+// its active set to `to`: the DES's leave hook migrates the departing
 // node's queue, and only to survivors.
 func (s *Scaler) Apply(from, to, interval int, fed *Federation, join, leave func(id int)) error {
 	if to > from {
-		var bc federation.Broadcast
 		for id := from; id < to; id++ {
 			if fed != nil {
-				warmed, err := fed.WarmStart(id, interval, &bc)
+				warmed, err := fed.WarmStart(id, interval)
 				if err != nil {
 					return fmt.Errorf("cluster: autoscale warm-start of node %d: %w", id, err)
 				}

@@ -2346,19 +2346,17 @@ func (f *Fleet) countDownWarmup() {
 }
 
 // Run executes the fleet DES for the given horizon (seconds); a zero
-// horizon uses the pattern's natural duration. A run continues from
-// where the previous Run stopped: every domain steps to the next
-// boundary (in parallel when there are several), then the coordinator
-// runs the boundary tick.
+// horizon uses the pattern's natural duration (loadgen.ResolveHorizon).
+// A run continues from where the previous Run stopped: every domain
+// steps to the next boundary (in parallel when there are several),
+// then the coordinator runs the boundary tick.
 func (f *Fleet) Run(horizon float64) (Result, error) {
 	if f.failed != nil {
 		return Result{}, f.failed
 	}
-	if horizon <= 0 {
-		horizon = f.opts.Pattern.Duration()
-	}
-	if horizon <= 0 {
-		return Result{}, errors.New("clusterdes: no horizon (unbounded pattern and no explicit duration)")
+	horizon, err := loadgen.ResolveHorizon(f.opts.Pattern, horizon)
+	if err != nil {
+		return Result{}, fmt.Errorf("clusterdes: %w", err)
 	}
 	fail := func(err error) (Result, error) {
 		f.failed = err

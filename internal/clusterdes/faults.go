@@ -13,7 +13,6 @@ import (
 	"math"
 
 	"hipster/internal/faults"
-	"hipster/internal/federation"
 	"hipster/internal/policy"
 	"hipster/internal/sim"
 	"hipster/internal/stats"
@@ -131,8 +130,7 @@ func (f *Fleet) reviveNode(id int) error {
 	n.down = false
 	n.draining = false
 	if f.fed != nil && id < f.active && f.sameSide(id, 0) {
-		var bc federation.Broadcast
-		warmed, err := f.fed.WarmStart(id, f.clock.Steps(), &bc)
+		warmed, err := f.fed.WarmStart(id, f.clock.Steps())
 		if err != nil {
 			return fmt.Errorf("clusterdes: warm-start of recovered node %d: %w", id, err)
 		}

@@ -68,7 +68,6 @@ type Engine struct {
 	loadRNG *rand.Rand
 	wlRNG   *rand.Rand
 	pwrRNG  *rand.Rand
-	perfRNG *rand.Rand
 
 	topo  *platform.Topology
 	perf  *platform.PerfCounters
@@ -126,11 +125,10 @@ func New(opts Options) (*Engine, error) {
 	e.loadRNG = sim.SubRNG(opts.Seed, "load")
 	e.wlRNG = sim.SubRNG(opts.Seed, "workload")
 	e.pwrRNG = sim.SubRNG(opts.Seed, "power")
-	e.perfRNG = sim.SubRNG(opts.Seed, "perf")
 
 	e.cpuidleOff = opts.Batch != nil
 	e.topo = platform.NewTopology(opts.Spec)
-	e.perf = platform.NewPerfCounters(e.topo, e.cpuidleOff, e.perfRNG)
+	e.perf = platform.NewPerfCounters(e.topo, e.cpuidleOff)
 
 	if opts.InitialConfig != nil {
 		e.cfg = opts.InitialConfig.Normalize(opts.Spec)
@@ -356,13 +354,11 @@ func (e *Engine) Step() (telemetry.Sample, error) {
 }
 
 // Run executes the simulation for the given horizon (seconds); a zero
-// horizon uses the pattern's natural duration.
+// horizon uses the pattern's natural duration (loadgen.ResolveHorizon).
 func (e *Engine) Run(horizon float64) (*telemetry.Trace, error) {
-	if horizon <= 0 {
-		horizon = e.opts.Pattern.Duration()
-	}
-	if horizon <= 0 {
-		return nil, errors.New("engine: no horizon (unbounded pattern and no explicit duration)")
+	horizon, err := loadgen.ResolveHorizon(e.opts.Pattern, horizon)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
 	for e.clock.Now() < horizon {
 		if _, err := e.Step(); err != nil {

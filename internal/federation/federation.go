@@ -13,7 +13,8 @@
 // The coordinator is plain serial code operating on value/visit
 // matrices: callers (the cluster layer) invoke Sync from exactly one
 // goroutine, which keeps federated cluster runs bit-identical for any
-// worker count.
+// worker count. The fleet table never leaves the coordinator on the
+// sync path: BroadcastTo copies it straight into a node's table.
 package federation
 
 import (
@@ -95,8 +96,8 @@ type Report struct {
 	Delta rl.Delta
 }
 
-// Broadcast is the merged fleet table handed back to every node after
-// a sync round. The matrices are copies; callers may retain them.
+// Broadcast is a copy of the merged fleet table, as Table returns it.
+// The matrices are copies; callers may retain them.
 type Broadcast struct {
 	Values [][]float64
 	Visits [][]int
@@ -180,10 +181,9 @@ func (c *Coordinator) MarkSynced(node, interval int) error {
 	return nil
 }
 
-// Table returns a copy of the current fleet table.
-func (c *Coordinator) Table() Broadcast { return c.broadcast() }
-
-func (c *Coordinator) broadcast() Broadcast {
+// Table returns a copy of the current fleet table, for inspection;
+// the sync path uses BroadcastTo, which makes no copy of its own.
+func (c *Coordinator) Table() Broadcast {
 	b := Broadcast{
 		Values: make([][]float64, len(c.vals)),
 		Visits: make([][]int, len(c.visits)),
@@ -197,13 +197,20 @@ func (c *Coordinator) broadcast() Broadcast {
 	return b
 }
 
+// BroadcastTo overwrites tab's values and visit counts with the fleet
+// table (rl.Table.Absorb copies the matrices; tab never aliases them).
+// It is how a sync round, a warm start or a revival hands the fleet
+// table to a node, and it allocates nothing.
+func (c *Coordinator) BroadcastTo(tab *rl.Table) error { return tab.Absorb(c.vals, c.visits) }
+
 // Sync runs one merge round at the given monitoring interval: it folds
 // the reports into the fleet table in the order given (the cluster
 // layer reports nodes in ascending ID order, which fixes the NewestWins
-// and tie-break semantics) and returns the merged table for broadcast.
-// Reports older than the staleness bound are discarded; the node's
-// clock still resets, so it resumes from the broadcast fleet table.
-func (c *Coordinator) Sync(interval int, reports []Report) (Broadcast, error) {
+// and tie-break semantics). The caller then hands the merged table to
+// each participating node with BroadcastTo. Reports older than the
+// staleness bound are discarded; the node's clock still resets, so it
+// resumes from the broadcast fleet table.
+func (c *Coordinator) Sync(interval int, reports []Report) error {
 	for s := range c.roundMax {
 		for a := range c.roundMax[s] {
 			c.roundMax[s][a] = 0
@@ -211,10 +218,10 @@ func (c *Coordinator) Sync(interval int, reports []Report) (Broadcast, error) {
 	}
 	for _, r := range reports {
 		if r.Node < 0 || r.Node >= c.cfg.Nodes {
-			return Broadcast{}, fmt.Errorf("federation: report from unknown node %d (fleet size %d)", r.Node, c.cfg.Nodes)
+			return fmt.Errorf("federation: report from unknown node %d (fleet size %d)", r.Node, c.cfg.Nodes)
 		}
 		if interval < c.lastSync[r.Node] {
-			return Broadcast{}, fmt.Errorf("federation: node %d reported interval %d before its last sync %d", r.Node, interval, c.lastSync[r.Node])
+			return fmt.Errorf("federation: node %d reported interval %d before its last sync %d", r.Node, interval, c.lastSync[r.Node])
 		}
 		c.stats.Reports++
 		age := interval - c.lastSync[r.Node]
@@ -224,11 +231,11 @@ func (c *Coordinator) Sync(interval int, reports []Report) (Broadcast, error) {
 			continue
 		}
 		if err := c.merge(r.Delta); err != nil {
-			return Broadcast{}, fmt.Errorf("federation: node %d: %w", r.Node, err)
+			return fmt.Errorf("federation: node %d: %w", r.Node, err)
 		}
 	}
 	c.stats.Rounds++
-	return c.broadcast(), nil
+	return nil
 }
 
 // merge folds one delta into the fleet table under the configured

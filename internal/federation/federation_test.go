@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hipster/internal/platform"
 	"hipster/internal/rl"
 )
 
@@ -15,6 +16,15 @@ func coordinator(t *testing.T, cfg Config) *Coordinator {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// syncTable runs one merge round and returns the fleet table after it.
+func syncTable(t *testing.T, c *Coordinator, interval int, reports []Report) Broadcast {
+	t.Helper()
+	if err := c.Sync(interval, reports); err != nil {
+		t.Fatal(err)
+	}
+	return c.Table()
 }
 
 func cell(s, a int, v float64, n int) rl.DeltaCell {
@@ -56,13 +66,10 @@ func TestVisitWeightedMerge(t *testing.T) {
 	c := coordinator(t, Config{Nodes: 2, States: 2, Actions: 2})
 	// Node 0 reports 3 visits at value 2, node 1 reports 1 visit at
 	// value 6: the fleet value is the visit-weighted mean 3.
-	bc, err := c.Sync(10, []Report{
+	bc := syncTable(t, c, 10, []Report{
 		{Node: 0, Delta: rl.Delta{Cells: []rl.DeltaCell{cell(0, 1, 2, 3)}}},
 		{Node: 1, Delta: rl.Delta{Cells: []rl.DeltaCell{cell(0, 1, 6, 1)}}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got := bc.Values[0][1]; math.Abs(got-3) > 1e-12 {
 		t.Fatalf("fleet value = %v, want 3", got)
 	}
@@ -72,12 +79,9 @@ func TestVisitWeightedMerge(t *testing.T) {
 
 	// A later round folds against the accumulated fleet weight:
 	// (4*3 + 4*9)/8 = 6.
-	bc, err = c.Sync(20, []Report{
+	bc = syncTable(t, c, 20, []Report{
 		{Node: 0, Delta: rl.Delta{Cells: []rl.DeltaCell{cell(0, 1, 9, 4)}}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got := bc.Values[0][1]; math.Abs(got-6) > 1e-12 {
 		t.Fatalf("second-round fleet value = %v, want 6", got)
 	}
@@ -94,15 +98,9 @@ func TestVisitWeightedOrderIndependent(t *testing.T) {
 		{Node: 2, Delta: rl.Delta{Cells: []rl.DeltaCell{cell(1, 0, 10, 3)}}},
 	}
 	fwd := coordinator(t, Config{Nodes: 3, States: 2, Actions: 1})
-	a, err := fwd.Sync(5, reports)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := syncTable(t, fwd, 5, reports)
 	rev := coordinator(t, Config{Nodes: 3, States: 2, Actions: 1})
-	b, err := rev.Sync(5, []Report{reports[2], reports[1], reports[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := syncTable(t, rev, 5, []Report{reports[2], reports[1], reports[0]})
 	if math.Abs(a.Values[1][0]-b.Values[1][0]) > 1e-12 || a.Visits[1][0] != b.Visits[1][0] {
 		t.Fatalf("visit-weighted merge depends on report order: %v vs %v", a.Values[1][0], b.Values[1][0])
 	}
@@ -110,14 +108,11 @@ func TestVisitWeightedOrderIndependent(t *testing.T) {
 
 func TestMaxConfidenceMerge(t *testing.T) {
 	c := coordinator(t, Config{Nodes: 3, States: 1, Actions: 1, Merge: MaxConfidence})
-	bc, err := c.Sync(10, []Report{
+	bc := syncTable(t, c, 10, []Report{
 		{Node: 0, Delta: rl.Delta{Cells: []rl.DeltaCell{cell(0, 0, 1, 2)}}},
 		{Node: 1, Delta: rl.Delta{Cells: []rl.DeltaCell{cell(0, 0, 7, 5)}}},
 		{Node: 2, Delta: rl.Delta{Cells: []rl.DeltaCell{cell(0, 0, 3, 5)}}}, // tie: earlier reporter keeps the cell
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if bc.Values[0][0] != 7 {
 		t.Fatalf("max-confidence value = %v, want node 1's 7", bc.Values[0][0])
 	}
@@ -127,12 +122,9 @@ func TestMaxConfidenceMerge(t *testing.T) {
 
 	// The round scratch resets: a small next-round report still wins
 	// its round even though the fleet count is now large.
-	bc, err = c.Sync(20, []Report{
+	bc = syncTable(t, c, 20, []Report{
 		{Node: 0, Delta: rl.Delta{Cells: []rl.DeltaCell{cell(0, 0, -2, 1)}}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if bc.Values[0][0] != -2 {
 		t.Fatalf("second-round value = %v, want -2", bc.Values[0][0])
 	}
@@ -140,13 +132,10 @@ func TestMaxConfidenceMerge(t *testing.T) {
 
 func TestNewestWinsMerge(t *testing.T) {
 	c := coordinator(t, Config{Nodes: 2, States: 1, Actions: 1, Merge: NewestWins})
-	bc, err := c.Sync(10, []Report{
+	bc := syncTable(t, c, 10, []Report{
 		{Node: 0, Delta: rl.Delta{Cells: []rl.DeltaCell{cell(0, 0, 1, 100)}}},
 		{Node: 1, Delta: rl.Delta{Cells: []rl.DeltaCell{cell(0, 0, 9, 1)}}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if bc.Values[0][0] != 9 {
 		t.Fatalf("newest-wins value = %v, want the last reporter's 9", bc.Values[0][0])
 	}
@@ -156,17 +145,14 @@ func TestStalenessBoundDiscards(t *testing.T) {
 	c := coordinator(t, Config{Nodes: 2, States: 1, Actions: 1, StalenessBound: 10})
 	// Node 0 syncs on time; node 1 first reports at interval 25, so its
 	// delta spans 25 > 10 intervals and is discarded.
-	if _, err := c.Sync(10, []Report{
+	if err := c.Sync(10, []Report{
 		{Node: 0, Delta: rl.Delta{Cells: []rl.DeltaCell{cell(0, 0, 4, 2)}}},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	bc, err := c.Sync(25, []Report{
+	bc := syncTable(t, c, 25, []Report{
 		{Node: 1, Delta: rl.Delta{Cells: []rl.DeltaCell{cell(0, 0, 100, 50)}}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if bc.Values[0][0] != 4 || bc.Visits[0][0] != 2 {
 		t.Fatalf("stale delta merged: value %v visits %d", bc.Values[0][0], bc.Visits[0][0])
 	}
@@ -176,12 +162,9 @@ func TestStalenessBoundDiscards(t *testing.T) {
 
 	// The discard reset node 1's sync clock: a report 10 intervals
 	// later is fresh again.
-	bc, err = c.Sync(35, []Report{
+	bc = syncTable(t, c, 35, []Report{
 		{Node: 1, Delta: rl.Delta{Cells: []rl.DeltaCell{cell(0, 0, 10, 2)}}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got := bc.Values[0][0]; math.Abs(got-7) > 1e-12 {
 		t.Fatalf("post-reset merge = %v, want (2*4+2*10)/4 = 7", got)
 	}
@@ -189,42 +172,61 @@ func TestStalenessBoundDiscards(t *testing.T) {
 
 func TestSyncValidation(t *testing.T) {
 	c := coordinator(t, Config{Nodes: 2, States: 2, Actions: 2})
-	if _, err := c.Sync(5, []Report{{Node: 7}}); err == nil {
+	if err := c.Sync(5, []Report{{Node: 7}}); err == nil {
 		t.Fatal("want error for unknown node")
 	}
 	c = coordinator(t, Config{Nodes: 2, States: 2, Actions: 2})
-	if _, err := c.Sync(5, []Report{
+	if err := c.Sync(5, []Report{
 		{Node: 0, Delta: rl.Delta{Cells: []rl.DeltaCell{cell(5, 0, 1, 1)}}},
 	}); err == nil {
 		t.Fatal("want error for out-of-range cell")
 	}
 	c = coordinator(t, Config{Nodes: 2, States: 2, Actions: 2})
-	if _, err := c.Sync(5, []Report{
+	if err := c.Sync(5, []Report{
 		{Node: 0, Delta: rl.Delta{Cells: []rl.DeltaCell{cell(0, 0, 1, 0)}}},
 	}); err == nil {
 		t.Fatal("want error for zero-visit cell")
 	}
 	c = coordinator(t, Config{Nodes: 2, States: 2, Actions: 2})
-	if _, err := c.Sync(5, []Report{{Node: 0}}); err != nil {
+	if err := c.Sync(5, []Report{{Node: 0}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Sync(3, []Report{{Node: 0}}); err == nil {
+	if err := c.Sync(3, []Report{{Node: 0}}); err == nil {
 		t.Fatal("want error for a report older than the node's last sync")
 	}
 }
 
+// TestBroadcastIsCopy pins that the fleet table never leaves the
+// coordinator by reference: Table returns matrices the caller may
+// overwrite, and BroadcastTo copies into a node's table, which then
+// learns on without moving the fleet table.
 func TestBroadcastIsCopy(t *testing.T) {
 	c := coordinator(t, Config{Nodes: 1, States: 1, Actions: 1})
-	bc, err := c.Sync(1, []Report{
+	bc := syncTable(t, c, 1, []Report{
 		{Node: 0, Delta: rl.Delta{Cells: []rl.DeltaCell{cell(0, 0, 5, 1)}}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	bc.Values[0][0] = 999
 	bc.Visits[0][0] = 999
 	if got := c.Table(); got.Values[0][0] != 5 || got.Visits[0][0] != 1 {
-		t.Fatalf("broadcast aliases coordinator state: %+v", got)
+		t.Fatalf("Table aliases coordinator state: %+v", got)
+	}
+
+	tab, err := rl.NewTable(1, []platform.Config{{NBig: 1, BigFreq: 1100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.BroadcastTo(tab); err != nil {
+		t.Fatal(err)
+	}
+	if tab.Value(0, 0) != 5 || tab.Visits(0, 0) != 1 {
+		t.Fatalf("BroadcastTo gave value %v visits %d, want 5 and 1", tab.Value(0, 0), tab.Visits(0, 0))
+	}
+	tab.Update(0, 0, 0, 100, 1, 0)
+	if got := c.Table(); got.Values[0][0] != 5 || got.Visits[0][0] != 1 {
+		t.Fatalf("a node's update after BroadcastTo moved the fleet table: %+v", got)
+	}
+	if err := c.BroadcastTo(&rl.Table{}); err == nil {
+		t.Fatal("BroadcastTo accepted a table of another shape")
 	}
 }
 
@@ -241,7 +243,7 @@ func TestDeterministicReplay(t *testing.T) {
 					cell(round%4, n%3, float64(round*10+n), round+n),
 				}}})
 			}
-			if _, err := c.Sync(round*10, reports); err != nil {
+			if err := c.Sync(round*10, reports); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -35,6 +35,26 @@ func CheckLoad(load, t float64) error {
 	return nil
 }
 
+// ResolveHorizon resolves a run's horizon in seconds: 0 means the
+// pattern's natural duration. It reports an error naming the value
+// when the horizon it resolves to is not a finite value > 0, so every
+// simulator refuses a bad horizon the same way: a NaN horizon would
+// run no interval and report an empty run, and an infinite one would
+// never stop.
+func ResolveHorizon(p Pattern, horizon float64) (float64, error) {
+	what := "horizon"
+	if horizon == 0 {
+		horizon, what = p.Duration(), "pattern duration"
+		if horizon == 0 {
+			return 0, errors.New("no horizon (unbounded pattern and no explicit duration)")
+		}
+	}
+	if !(horizon > 0) || math.IsInf(horizon, 1) {
+		return 0, fmt.Errorf("%s %v; want a finite number of seconds > 0 (0 = the pattern's own length)", what, horizon)
+	}
+	return horizon, nil
+}
+
 func clamp01(x float64) float64 {
 	if x < 0 {
 		return 0

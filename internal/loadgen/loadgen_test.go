@@ -3,6 +3,7 @@ package loadgen
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -215,6 +216,49 @@ func TestCheckLoad(t *testing.T) {
 		want := fmt.Sprintf("pattern returned load %v at t=3; want a finite value >= 0", load)
 		if err == nil || err.Error() != want {
 			t.Errorf("load %v: error %v, want %q", load, err, want)
+		}
+	}
+}
+
+// durationOnly is a pattern whose natural horizon is d.
+type durationOnly float64
+
+func (durationOnly) LoadAt(float64) float64 { return 0.5 }
+func (d durationOnly) Duration() float64    { return float64(d) }
+
+func TestResolveHorizon(t *testing.T) {
+	ok := []struct {
+		pattern      Pattern
+		horizon, got float64
+	}{
+		{DefaultDiurnal(), 0, 1440},     // 0 is the pattern's own length
+		{DefaultDiurnal(), 60, 60},      // an explicit horizon wins
+		{Constant{Frac: 0.5}, 0.5, 0.5}, // any finite positive horizon
+		{Constant{Frac: 0.5}, math.MaxFloat64, math.MaxFloat64},
+	}
+	for _, c := range ok {
+		if got, err := ResolveHorizon(c.pattern, c.horizon); err != nil || got != c.got {
+			t.Errorf("ResolveHorizon(%v, %v) = %v, %v; want %v", c.pattern, c.horizon, got, err, c.got)
+		}
+	}
+	bad := []struct {
+		pattern Pattern
+		horizon float64
+		want    string
+	}{
+		{Constant{Frac: 0.5}, 0, "no horizon (unbounded pattern and no explicit duration)"},
+		{DefaultDiurnal(), math.NaN(), "horizon NaN; want"},
+		{DefaultDiurnal(), math.Inf(1), "horizon +Inf; want"},
+		{DefaultDiurnal(), math.Inf(-1), "horizon -Inf; want"},
+		{DefaultDiurnal(), -5, "horizon -5; want"},
+		{durationOnly(math.NaN()), 0, "pattern duration NaN; want"},
+		{durationOnly(math.Inf(1)), 0, "pattern duration +Inf; want"},
+		{durationOnly(-1), 0, "pattern duration -1; want"},
+	}
+	for _, c := range bad {
+		_, err := ResolveHorizon(c.pattern, c.horizon)
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("ResolveHorizon(%v, %v): error %v, want one starting %q", c.pattern, c.horizon, err, c.want)
 		}
 	}
 }

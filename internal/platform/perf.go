@@ -1,9 +1,6 @@
 package platform
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // CoreID identifies a physical core. Cores are numbered with the big
 // cluster first: on Juno R1, cores 0-1 are Cortex-A57 and 2-5 are
@@ -78,20 +75,16 @@ func (r PerfReading) TotalInstr() float64 {
 type PerfCounters struct {
 	topo            *Topology
 	cpuidleDisabled bool
-	rng             *rand.Rand
 
 	cumInstr []float64
 	last     PerfReading
 }
 
-// NewPerfCounters builds counters for a topology. rng feeds the garbage
-// values produced under the erratum; it may be nil when CPUidle is
-// disabled.
-func NewPerfCounters(topo *Topology, cpuidleDisabled bool, rng *rand.Rand) *PerfCounters {
+// NewPerfCounters builds counters for a topology.
+func NewPerfCounters(topo *Topology, cpuidleDisabled bool) *PerfCounters {
 	return &PerfCounters{
 		topo:            topo,
 		cpuidleDisabled: cpuidleDisabled,
-		rng:             rng,
 		cumInstr:        make([]float64, topo.NumCores()),
 	}
 }
@@ -113,14 +106,12 @@ func (p *PerfCounters) Tick(instrPerCore []float64, anyIdle bool) {
 	}
 	reading := PerfReading{InstrPerCore: p.last.InstrPerCore}
 	if anyIdle && !p.cpuidleDisabled {
-		// Erratum: all cores read garbage for this interval.
+		// Erratum: all cores read garbage for this interval. A caller
+		// must check Garbage and trust none of the values, so each
+		// core reads one fixed, implausible count.
 		reading.Garbage = true
 		for i := range reading.InstrPerCore {
-			if p.rng != nil {
-				reading.InstrPerCore[i] = p.rng.Float64() * 1e12
-			} else {
-				reading.InstrPerCore[i] = 1e12
-			}
+			reading.InstrPerCore[i] = 1e12
 		}
 	} else {
 		copy(reading.InstrPerCore, instrPerCore)

@@ -280,14 +280,16 @@ func TestEnergyMeter(t *testing.T) {
 func TestPerfCountersErratum(t *testing.T) {
 	spec := juno(t)
 	topo := NewTopology(spec)
-	rng := rand.New(rand.NewSource(1))
 
 	// CPUidle enabled: an idle core corrupts the whole reading.
-	pc := NewPerfCounters(topo, false, rng)
+	pc := NewPerfCounters(topo, false)
 	instr := []float64{1e9, 1e9, 5e8, 5e8, 5e8, 5e8}
 	pc.Tick(instr, true)
 	if !pc.LastInterval().Garbage {
 		t.Fatal("idle interval with CPUidle on must read garbage")
+	}
+	if got := pc.LastInterval().TotalInstr(); got != 6e12 {
+		t.Fatalf("garbage reading totals %v, want the fixed 1e12 on each of 6 cores", got)
 	}
 	for _, v := range pc.Cumulative() {
 		if v != 0 {
@@ -303,7 +305,7 @@ func TestPerfCountersErratum(t *testing.T) {
 	}
 
 	// CPUidle disabled: no corruption even with idling cores.
-	pc2 := NewPerfCounters(topo, true, rng)
+	pc2 := NewPerfCounters(topo, true)
 	pc2.Tick(instr, true)
 	if pc2.LastInterval().Garbage {
 		t.Fatal("CPUidle disabled should prevent the erratum")

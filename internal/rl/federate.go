@@ -24,9 +24,6 @@ type Delta struct {
 	Cells []DeltaCell `json:"cells"`
 }
 
-// Empty reports whether the delta carries no updates.
-func (d Delta) Empty() bool { return len(d.Cells) == 0 }
-
 // TotalVisits sums the per-cell update counts.
 func (d Delta) TotalVisits() int {
 	n := 0
@@ -70,28 +67,29 @@ func (t *Table) CheckpointInto(cp *Checkpoint) {
 	}
 }
 
-// DeltaSince returns the cells updated since the checkpoint, in
-// row-major order (deterministic for a given table history). A cell
+// DeltaSince appends the cells updated since the checkpoint to dst, in
+// row-major order (deterministic for a given table history), and
+// returns the extended buffer; a caller that passes its previous
+// buffer back, truncated, extracts deltas without allocating. A cell
 // whose visit count decreased — the table was reset since the
 // checkpoint — contributes nothing.
-func (t *Table) DeltaSince(cp Checkpoint) (Delta, error) {
+func (t *Table) DeltaSince(cp Checkpoint, dst []DeltaCell) ([]DeltaCell, error) {
 	if len(cp.visits) != len(t.visits) {
-		return Delta{}, fmt.Errorf("rl: checkpoint has %d states, table %d", len(cp.visits), len(t.visits))
+		return dst, fmt.Errorf("rl: checkpoint has %d states, table %d", len(cp.visits), len(t.visits))
 	}
-	var d Delta
 	for s, row := range t.visits {
 		if len(cp.visits[s]) != len(row) {
-			return Delta{}, fmt.Errorf("rl: checkpoint state %d has %d actions, table %d", s, len(cp.visits[s]), len(row))
+			return dst, fmt.Errorf("rl: checkpoint state %d has %d actions, table %d", s, len(cp.visits[s]), len(row))
 		}
 		for a, n := range row {
 			if grew := n - cp.visits[s][a]; grew > 0 {
-				d.Cells = append(d.Cells, DeltaCell{
+				dst = append(dst, DeltaCell{
 					State: s, Action: a, Value: t.vals[s][a], Visits: grew,
 				})
 			}
 		}
 	}
-	return d, nil
+	return dst, nil
 }
 
 // Absorb overwrites the table's values and visit counts with the given

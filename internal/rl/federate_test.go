@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -51,11 +52,12 @@ func TestCheckpointAndDeltaSince(t *testing.T) {
 	cp := tab.Checkpoint()
 
 	// Nothing new yet.
-	d, err := tab.DeltaSince(cp)
+	cells, err := tab.DeltaSince(cp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Empty() || d.TotalVisits() != 0 {
+	d := Delta{Cells: cells}
+	if len(d.Cells) != 0 || d.TotalVisits() != 0 {
 		t.Fatalf("fresh checkpoint yielded delta %+v", d)
 	}
 
@@ -64,10 +66,11 @@ func TestCheckpointAndDeltaSince(t *testing.T) {
 	tab.Update(0, 1, 0, 8, 1, 0)
 	tab.Update(0, 1, 0, 6, 1, 0)
 	tab.Update(2, 0, 2, -1, 1, 0)
-	d, err = tab.DeltaSince(cp)
+	cells, err = tab.DeltaSince(cp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d = Delta{Cells: cells}
 	want := Delta{Cells: []DeltaCell{
 		{State: 0, Action: 1, Value: tab.Value(0, 1), Visits: 2},
 		{State: 2, Action: 0, Value: tab.Value(2, 0), Visits: 1},
@@ -81,23 +84,23 @@ func TestCheckpointAndDeltaSince(t *testing.T) {
 
 	// The checkpoint is a deep copy: extracting a delta does not move
 	// it, and the same diff comes out twice.
-	again, err := tab.DeltaSince(cp)
+	again, err := tab.DeltaSince(cp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(again, d) {
+	if !reflect.DeepEqual(again, d.Cells) {
 		t.Fatal("DeltaSince moved the checkpoint")
 	}
 
 	// A table reset (fewer visits than the baseline) yields nothing
 	// rather than negative growth.
 	fresh, _ := NewTable(3, actions())
-	d, err = fresh.DeltaSince(cp)
+	cells, err = fresh.DeltaSince(cp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Empty() {
-		t.Fatalf("reset table yielded delta %+v", d)
+	if len(cells) != 0 {
+		t.Fatalf("reset table yielded delta %+v", cells)
 	}
 }
 
@@ -105,14 +108,18 @@ func TestCheckpointAndDeltaSince(t *testing.T) {
 // histories on tables whose shape changes twice (more states, then
 // fewer actions per state): after each round's re-checkpoint and the
 // next round's updates, a checkpoint re-captured in place must give the
-// same delta as a fresh Checkpoint. A reused checkpoint of another
-// shape is replaced, and one that aliased the table would miss every
-// later update.
+// same delta as a fresh Checkpoint, and DeltaSince must append exactly
+// the cells a plain scan finds. A reused checkpoint of another shape is
+// replaced, and one that aliased the table would miss every later
+// update. The delta buffer is reused across rounds and still holds the
+// previous round's cells when the next delta is appended to it; those
+// must stay untouched in front of the new ones.
 func TestCheckpointIntoMatchesCheckpoint(t *testing.T) {
 	shapes := []struct{ states, actions int }{{3, 3}, {6, 3}, {6, 2}}
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var reused Checkpoint
+		var buf []DeltaCell
 		for _, sh := range shapes {
 			tab, err := NewTable(sh.states, actions()[:sh.actions])
 			if err != nil {
@@ -124,20 +131,38 @@ func TestCheckpointIntoMatchesCheckpoint(t *testing.T) {
 				for k := rng.Intn(3 * sh.states); k > 0; k-- {
 					tab.Update(rng.Intn(sh.states), rng.Intn(sh.actions), rng.Intn(sh.states), rng.NormFloat64(), 0.5, 0.9)
 				}
-				want, err := tab.DeltaSince(fresh)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := tab.DeltaSince(reused)
+				want := scanDelta(tab, fresh)
+				held := slices.Clone(buf)
+				got, err := tab.DeltaSince(reused, buf)
 				if err != nil {
 					t.Fatalf("seed %d, %dx%d round %d: %v", seed, sh.states, sh.actions, round, err)
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d, %dx%d round %d: delta %+v, want %+v", seed, sh.states, sh.actions, round, got, want)
+				if !slices.Equal(got[:len(held)], held) || !slices.Equal(got[len(held):], want) {
+					t.Fatalf("seed %d, %dx%d round %d: appended onto %+v gave %+v, want the held cells then %+v",
+						seed, sh.states, sh.actions, round, held, got, want)
+				}
+				if buf, err = tab.DeltaSince(reused, got[:0]); err != nil || !slices.Equal(buf, want) {
+					t.Fatalf("seed %d, %dx%d round %d: into the truncated buffer %+v (%v), want %+v",
+						seed, sh.states, sh.actions, round, buf, err, want)
 				}
 			}
 		}
 	}
+}
+
+// scanDelta is the plain extraction DeltaSince must match: every cell
+// whose visit count grew since cp, in row-major order, in a fresh
+// slice.
+func scanDelta(tab *Table, cp Checkpoint) []DeltaCell {
+	var out []DeltaCell
+	for s := 0; s < tab.NumStates(); s++ {
+		for a := 0; a < tab.NumActions(); a++ {
+			if grew := tab.Visits(s, a) - cp.visits[s][a]; grew > 0 {
+				out = append(out, DeltaCell{State: s, Action: a, Value: tab.Value(s, a), Visits: grew})
+			}
+		}
+	}
+	return out
 }
 
 // TestCheckpointIntoReusesRows pins that re-checkpointing a table into
@@ -162,7 +187,7 @@ func TestCheckpointIntoReusesRows(t *testing.T) {
 func TestDeltaSinceShapeMismatch(t *testing.T) {
 	small, _ := NewTable(2, actions())
 	big, _ := NewTable(3, actions())
-	if _, err := big.DeltaSince(small.Checkpoint()); err == nil {
+	if _, err := big.DeltaSince(small.Checkpoint(), nil); err == nil {
 		t.Fatal("want error for mismatched checkpoint shape")
 	}
 }

@@ -76,10 +76,11 @@ func TestDeltaSaveLoadRoundTrip(t *testing.T) {
 	tab.Update(0, 2, 1, 5, 0.6, 0.9)
 	tab.Update(2, 1, 2, -2, 0.6, 0.9)
 	tab.Update(2, 1, 2, -3, 0.6, 0.9)
-	src, err := tab.DeltaSince(cp)
+	cells, err := tab.DeltaSince(cp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	src := Delta{Cells: cells}
 
 	var buf bytes.Buffer
 	if err := src.Save(&buf); err != nil {

@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"sort"
-
-	"hipster/internal/stats"
-)
+import "hipster/internal/stats"
 
 // DefaultStragglerFactor flags a node as a straggler when its tail
 // latency exceeds this multiple of the fleet-median tail latency for the
@@ -129,10 +125,9 @@ func (m *Merger) MergeInterval(samples []Sample) FleetSample {
 		}
 	}
 	fs.MeanTardiness /= float64(len(samples))
-	// The median sorts the scratch in place — same values, same sort,
-	// same result as the copying stats.Percentile.
-	sort.Float64s(tails)
-	median, err := stats.PercentileSorted(tails, 0.5)
+	// The median is selected in the scratch, which it reorders: the
+	// same order statistics the sorted read takes, without the sort.
+	median, err := stats.SelectPercentile(tails, 0.5)
 	if err == nil {
 		fs.MedianTail = median
 	}
