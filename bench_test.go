@@ -14,8 +14,13 @@ import (
 	"testing"
 
 	"hipster"
+	"hipster/internal/autoscale"
+	"hipster/internal/cluster"
+	"hipster/internal/core"
 	"hipster/internal/experiments"
+	"hipster/internal/loadgen"
 	"hipster/internal/platform"
+	"hipster/internal/policy"
 	"hipster/internal/workload"
 )
 
@@ -673,6 +678,42 @@ func BenchmarkClusterAutoscale(b *testing.B) {
 		saved = 100 * (1 - float64(st.NodeIntervals)/float64(16*res.Fleet.Len()))
 	}
 	b.ReportMetric(saved, "node-intervals-saved%")
+}
+
+// BenchmarkBuildIntervalFleet builds, without running, the end-to-end
+// benchmark's interval-fleet shape: 512 HipsterIn Memcached nodes on
+// Juno R1, least-loaded splitting, federation every 10 intervals and
+// target-utilization autoscaling with a floor of 128, over the four-day
+// diurnal pattern. Each op seeds 2,048 RNG streams (four per node) and
+// orders 512 state-machine ladders. Its alloc and byte budgets in
+// ci/bench_baseline.json keep construction from regressing; the name
+// stays off the ns/op-gated prefixes.
+func BenchmarkBuildIntervalFleet(b *testing.B) {
+	spec := platform.JunoR1()
+	params := core.DefaultParams()
+	day := loadgen.DefaultDiurnal()
+	day.Days = 4
+	for i := 0; i < b.N; i++ {
+		nodes, err := cluster.Uniform(512, spec, workload.Memcached(), func(id int) (policy.Policy, error) {
+			return core.New(core.In, spec, params, 42+int64(id))
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cluster.New(cluster.Options{
+			Nodes:      nodes,
+			Pattern:    day,
+			Splitter:   cluster.LeastLoaded{},
+			Seed:       42,
+			Federation: &cluster.FederationOptions{SyncEvery: 10},
+			Autoscale: &cluster.AutoscaleOptions{
+				Policy:   autoscale.TargetUtilization{},
+				MinNodes: 128,
+			},
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkTuneSmall runs the offline tuner end to end on a small

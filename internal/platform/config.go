@@ -169,20 +169,32 @@ func Configs(spec *Spec) []Config {
 // then by name for determinism. This is the predefined state-machine
 // ordering of §3.3, "approximately from highest to lowest power
 // efficiency".
+//
+// Each configuration's power and capacity keys are evaluated once,
+// before the sort; the name, needed only on a tie of both, is rendered
+// in the comparison.
 func OrderByStressPower(spec *Spec, configs []Config) []Config {
-	out := make([]Config, len(configs))
-	copy(out, configs)
-	power := func(c Config) float64 { return StressPower(spec, c).Total }
-	sort.SliceStable(out, func(i, j int) bool {
-		pi, pj := power(out[i]), power(out[j])
-		if pi != pj {
-			return pi < pj
+	type keyed struct {
+		cfg        Config
+		power, ips float64
+	}
+	keys := make([]keyed, len(configs))
+	for i, c := range configs {
+		keys[i] = keyed{cfg: c, power: StressPower(spec, c).Total, ips: StressIPS(spec, c)}
+	}
+	sort.SliceStable(keys, func(i, j int) bool {
+		ki, kj := &keys[i], &keys[j]
+		if ki.power != kj.power {
+			return ki.power < kj.power
 		}
-		ci, cj := StressIPS(spec, out[i]), StressIPS(spec, out[j])
-		if ci != cj {
-			return ci < cj
+		if ki.ips != kj.ips {
+			return ki.ips < kj.ips
 		}
-		return out[i].String() < out[j].String()
+		return ki.cfg.String() < kj.cfg.String()
 	})
+	out := make([]Config, len(keys))
+	for i := range keys {
+		out[i] = keys[i].cfg
+	}
 	return out
 }

@@ -3,6 +3,8 @@ package platform
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -226,6 +228,52 @@ func TestOrderByStressPowerAscending(t *testing.T) {
 	last := ordered[len(ordered)-1]
 	if last.NBig != 2 || last.BigFreq != 1150 {
 		t.Errorf("most expensive state should use both bigs at max DVFS, got %v", last)
+	}
+}
+
+// orderByStressPowerRef is the comparator-side sort: both keys are
+// evaluated inside every comparison. It is the reference the keyed sort
+// of OrderByStressPower is pinned to.
+func orderByStressPowerRef(spec *Spec, configs []Config) []Config {
+	out := slices.Clone(configs)
+	power := func(c Config) float64 { return StressPower(spec, c).Total }
+	sort.SliceStable(out, func(i, j int) bool {
+		pi, pj := power(out[i]), power(out[j])
+		if pi != pj {
+			return pi < pj
+		}
+		ci, cj := StressIPS(spec, out[i]), StressIPS(spec, out[j])
+		if ci != cj {
+			return ci < cj
+		}
+		return out[i].String() < out[j].String()
+	})
+	return out
+}
+
+// TestOrderByStressPowerMatchesComparatorSort pins the keyed sort to
+// the comparator-side reference on the Juno R1 space in the given
+// order, reversed, and in 100 seeded shuffles.
+func TestOrderByStressPowerMatchesComparatorSort(t *testing.T) {
+	spec := juno(t)
+	given := Configs(spec)
+	inputs := [][]Config{given, slices.Clone(given)}
+	slices.Reverse(inputs[1])
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 100; i++ {
+		in := slices.Clone(given)
+		r.Shuffle(len(in), func(a, b int) { in[a], in[b] = in[b], in[a] })
+		inputs = append(inputs, in)
+	}
+	for k, in := range inputs {
+		before := slices.Clone(in)
+		got, want := OrderByStressPower(spec, in), orderByStressPowerRef(spec, in)
+		if !slices.Equal(got, want) {
+			t.Fatalf("input %d %v: keyed order %v != comparator order %v", k, in, got, want)
+		}
+		if !slices.Equal(in, before) {
+			t.Fatalf("input %d: OrderByStressPower reordered its argument", k)
+		}
 	}
 }
 

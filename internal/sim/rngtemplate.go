@@ -4,17 +4,26 @@ import (
 	"sync"
 )
 
-// Seeding a math/rand source is surprisingly expensive: NewSource runs
-// ~1900 rounds of a Lehmer LCG to expand the seed into the generator's
-// 607-word state, which dominates fleet construction (every node builds
-// several independent streams). Since the expanded state is a pure
-// function of the seed, sim keeps a template cache: the first request
-// for a seed pays the expansion once, later requests memcpy the
-// template. fibSource replicates math/rand's additive lagged-Fibonacci
-// generator exactly — same seed expansion (see rngcooked.go), same
-// Int63/Uint64 recurrence, and it implements rand.Source64 so
-// rand.Rand drives it through the same code paths — making every
-// stream bit-identical to rand.New(rand.NewSource(seed)).
+// fibSource replicates math/rand's additive lagged-Fibonacci generator
+// exactly: the same seed expansion (see rngcooked.go), the same
+// Int63/Uint64 recurrence, and it implements rand.Source64 so rand.Rand
+// drives it through the same code paths. Every stream is bit-identical
+// to rand.New(rand.NewSource(seed)).
+//
+// rand.NewSource expands a seed into the 607-word state with a serial
+// chain of 1,841 steps of the Lehmer LCG x ← 48271·x mod (2³¹−1): 20
+// warm-up steps, then three per word. fibSource jumps ahead instead. It
+// multiplies the seed once by 48271²⁰, then computes each word's three
+// values from the previous word's last one by the constant multipliers
+// 48271, 48271² and 48271³, so the dependent chain is one multiply per
+// word.
+//
+// An expansion still costs a few microseconds, and a clone is cheaper,
+// while tests, experiments and the tuner rebuild the same (seed, label)
+// streams many times. So sim keeps a template cache: the first request
+// for a seed stores a copy of its expansion, and later requests clone
+// it. Once the cache holds rngTemplateCap seeds, a new seed's stream is
+// returned as it was expanded, with no copy.
 
 const (
 	rngLen      = 607
@@ -22,22 +31,28 @@ const (
 	rngMask     = 1<<63 - 1
 	rngInt32Max = 1<<31 - 1
 
-	// Lehmer LCG constants of the seed expansion.
-	rngSeedA = 48271
-	rngSeedQ = 44488
-	rngSeedR = 3399
+	// Multipliers of the seed-expansion LCG: one, two and three steps
+	// (a word's three values) and the 20 warm-up steps. Each is a
+	// product of two residues, which fits in 62 bits; one literal
+	// power would overflow the constant arithmetic.
+	rngSeedA   = 48271
+	rngSeedA2  = rngSeedA * rngSeedA % rngInt32Max
+	rngSeedA3  = rngSeedA2 * rngSeedA % rngInt32Max
+	rngSeedA5  = rngSeedA3 * rngSeedA2 % rngInt32Max
+	rngSeedA10 = rngSeedA5 * rngSeedA5 % rngInt32Max
+	rngSeedA20 = rngSeedA10 * rngSeedA10 % rngInt32Max
 )
 
-// seedrand is one round of the seed-expansion LCG: x = (48271*x) mod
-// (2^31-1), in Schrage's overflow-free form.
-func seedrand(x int32) int32 {
-	hi := x / rngSeedQ
-	lo := x % rngSeedQ
-	x = rngSeedA*lo - rngSeedR*hi
-	if x < 0 {
-		x += rngInt32Max
+// mulMod returns x·k mod (2³¹−1) for x, k < 2³¹−1. Since 2³¹ ≡ 1, the
+// high bits of the 62-bit product fold onto the low 31 (a Mersenne
+// reduction).
+func mulMod(x, k uint64) uint64 {
+	p := x * k
+	r := p&rngInt32Max + p>>31
+	if r >= rngInt32Max {
+		r -= rngInt32Max
 	}
-	return x
+	return r
 }
 
 // fibSource is the additive lagged-Fibonacci generator F(607, 273, +).
@@ -57,18 +72,11 @@ func (s *fibSource) seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	x := int32(seed)
-	for i := -20; i < rngLen; i++ {
-		x = seedrand(x)
-		if i >= 0 {
-			u := uint64(x) << 40
-			x = seedrand(x)
-			u ^= uint64(x) << 20
-			x = seedrand(x)
-			u ^= uint64(x)
-			u ^= uint64(rngCooked[i])
-			s.vec[i] = int64(u)
-		}
+	x := mulMod(uint64(seed), rngSeedA20)
+	for i := range s.vec {
+		hi, mid := mulMod(x, rngSeedA), mulMod(x, rngSeedA2)
+		x = mulMod(x, rngSeedA3)
+		s.vec[i] = int64(hi<<40 ^ mid<<20 ^ x ^ uint64(rngCooked[i]))
 	}
 }
 
@@ -104,18 +112,28 @@ var (
 )
 
 // newFibSource returns a freshly seeded generator, cloning a cached
-// template when one exists. Templates are immutable once published.
+// template when one exists. A new seed is expanded outside the lock,
+// and a copy of it is stored only while the cache has room; the cache
+// never shrinks, so a full cache seen at the lookup stays full.
+// Templates are immutable once published.
 func newFibSource(seed int64) *fibSource {
 	rngTemplateMu.Lock()
 	t, ok := rngTemplates[seed]
-	if !ok {
-		t = &fibSource{}
-		t.seed(seed)
-		if len(rngTemplates) < rngTemplateCap {
-			rngTemplates[seed] = t
-		}
-	}
+	room := len(rngTemplates) < rngTemplateCap
 	rngTemplateMu.Unlock()
-	clone := *t
-	return &clone
+	if ok {
+		clone := *t
+		return &clone
+	}
+	s := &fibSource{}
+	s.seed(seed)
+	if room {
+		rngTemplateMu.Lock()
+		if len(rngTemplates) < rngTemplateCap {
+			t := *s
+			rngTemplates[seed] = &t
+		}
+		rngTemplateMu.Unlock()
+	}
+	return s
 }
