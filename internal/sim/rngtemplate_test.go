@@ -96,8 +96,8 @@ func TestSeedExpansionMatchesReference(t *testing.T) {
 
 // TestNewRNGConcurrentAcrossCap has 8 goroutines build streams for the
 // same 1,024 seeds, each from its own starting offset, on an emptied
-// template cache: seeds are expanded, published and cloned
-// concurrently, and the cache fills up along the way. Every stream must
+// template cache: seeds are expanded, published and cloned from all
+// eight at once, and the cache fills up along the way. Every stream must
 // match rand.NewSource draw by draw over its first rngLen−rngTap draws,
 // which between them read every one of the 607 state words.
 func TestNewRNGConcurrentAcrossCap(t *testing.T) {
