@@ -470,7 +470,7 @@ type desNode struct {
 	cfg  platform.Config
 
 	// The server pool uses a fixed-slot layout: every node always
-	// allocates spec.Big.Cores + spec.Small.Cores slots — big slots
+	// has spec.Big.Cores + spec.Small.Cores slots — big slots
 	// first ([0, bigSlots)), small after — and the current
 	// configuration enables a prefix of each kind. Reconfiguring (the
 	// learning loop) flips enabled flags and rates; a disabled slot
@@ -859,13 +859,8 @@ func New(opts Options) (*Fleet, error) {
 	flat := make([]int32, 2*len(opts.Nodes))
 	f.committed, f.hedgeBars = flat[:len(opts.Nodes):len(opts.Nodes)], flat[len(opts.Nodes):]
 
-	for i, nc := range opts.Nodes {
-		n, err := newNode(i, nc, opts.MaxQueue, f)
-		if err != nil {
-			return nil, err
-		}
-		f.nodes = append(f.nodes, n)
-		f.fleetCap += n.capacity
+	if err := f.newNodes(opts.Nodes, opts.MaxQueue); err != nil {
+		return nil, err
 	}
 
 	f.active = len(f.nodes)
@@ -972,67 +967,84 @@ func (f *Fleet) updateActive() {
 	}
 }
 
-func newNode(id int, nc NodeConfig, maxQueue int, f *Fleet) (*desNode, error) {
-	if nc.Spec == nil {
-		return nil, fmt.Errorf("clusterdes: node %d: nil platform spec", id)
-	}
-	if nc.Workload == nil {
-		return nil, fmt.Errorf("clusterdes: node %d: nil workload", id)
-	}
-	if err := nc.Workload.Validate(); err != nil {
-		return nil, fmt.Errorf("clusterdes: node %d: %w", id, err)
-	}
-	cfg := platform.Config{NBig: nc.Spec.Big.Cores, BigFreq: nc.Spec.Big.MaxFreq()}
-	if nc.Config != nil {
-		cfg = nc.Config.Normalize(nc.Spec)
-	}
-	if err := cfg.Validate(nc.Spec); err != nil {
-		return nil, fmt.Errorf("clusterdes: node %d: %w", id, err)
-	}
-	n := &desNode{
-		id:    id,
-		spec:  nc.Spec,
-		wl:    nc.Workload,
-		cfg:   cfg,
-		trace: &telemetry.Trace{},
-	}
-	n.bigSlots = nc.Spec.Big.Cores
-	slots := nc.Spec.Big.Cores + nc.Spec.Small.Cores
-	n.servers = make([]queueing.Server, slots)
-	n.dists = make([]stats.LogNormal, slots)
-	// enabled and idle share one allocation; the fleet's AppendServers
-	// scratch is threaded through so per-node construction costs no
-	// extra allocations over the pre-reconfigurable layout.
-	bools := make([]bool, 2*slots)
-	n.enabled, n.idle = bools[:slots:slots], bools[slots:]
-	f.svScratch = n.applyConfig(cfg, f.svScratch)
-	for i := range n.idle {
-		n.idle[i] = true
-	}
-	n.serving = make([]int32, len(n.servers))
-	for i := range n.serving {
-		n.serving[i] = -1
-	}
-	n.svcSeq = make([]int32, len(n.servers))
-	if r := f.resil; r != nil {
-		if r.Breaker != nil {
-			n.breaker = resilience.NewBreaker(*r.Breaker)
+// newNodes validates the roster and builds its nodes into f.nodes.
+// The node structs, their traces and each per-server field are carved
+// from fleet-wide arrays sized by the sum of the nodes' own slot
+// counts, so a roster of any size and mix of specs costs a fixed
+// handful of allocations. Each node's window of an array is cut with
+// its capacity at its end (see take), so an append to one node's slice
+// can never write into a neighbour's slots.
+func (f *Fleet) newNodes(ncs []NodeConfig, maxQueue int) error {
+	store := make([]desNode, len(ncs))
+	slots := 0
+	for i, nc := range ncs {
+		if nc.Spec == nil {
+			return fmt.Errorf("clusterdes: node %d: nil platform spec", i)
 		}
-		if r.RateLimit != nil {
-			n.bucket = resilience.NewTokenBucket(*r.RateLimit)
+		if nc.Workload == nil {
+			return fmt.Errorf("clusterdes: node %d: nil workload", i)
 		}
-		n.hedgeLeft = r.HedgeBudget
+		if err := nc.Workload.Validate(); err != nil {
+			return fmt.Errorf("clusterdes: node %d: %w", i, err)
+		}
+		cfg := platform.Config{NBig: nc.Spec.Big.Cores, BigFreq: nc.Spec.Big.MaxFreq()}
+		if nc.Config != nil {
+			cfg = nc.Config.Normalize(nc.Spec)
+		}
+		if err := cfg.Validate(nc.Spec); err != nil {
+			return fmt.Errorf("clusterdes: node %d: %w", i, err)
+		}
+		store[i].cfg = cfg
+		slots += nc.Spec.TotalCores()
 	}
-	n.busy = make([]float64, len(n.servers))
-	n.busyUntil = make([]float64, len(n.servers))
-	n.maxQueue = maxQueue
-	if n.maxQueue == 0 {
-		n.maxQueue = int(math.Max(64, nc.Workload.BacklogCapSecs*n.capacity*4))
+	traces := make([]telemetry.Trace, len(ncs))
+	servers := make([]queueing.Server, slots)
+	dists := make([]stats.LogNormal, slots)
+	bools := make([]bool, 2*slots)     // enabled, idle
+	int32s := make([]int32, 2*slots)   // serving, svcSeq
+	floats := make([]float64, 3*slots) // busy, busyUntil, bigUtils and smallUtils
+	f.nodes = make([]*desNode, len(ncs))
+	for i, nc := range ncs {
+		n := &store[i]
+		big, k := nc.Spec.Big.Cores, nc.Spec.TotalCores()
+		n.id, n.spec, n.wl, n.trace = i, nc.Spec, nc.Workload, &traces[i]
+		n.bigSlots = big
+		n.servers, n.dists = take(&servers, k), take(&dists, k)
+		n.enabled, n.idle = take(&bools, k), take(&bools, k)
+		n.serving, n.svcSeq = take(&int32s, k), take(&int32s, k)
+		n.busy, n.busyUntil = take(&floats, k), take(&floats, k)
+		n.bigUtils, n.smallUtils = take(&floats, big), take(&floats, k-big)
+		f.svScratch = n.applyConfig(n.cfg, f.svScratch)
+		for s := range n.idle {
+			n.idle[s] = true
+			n.serving[s] = -1
+		}
+		if r := f.resil; r != nil {
+			if r.Breaker != nil {
+				n.breaker = resilience.NewBreaker(*r.Breaker)
+			}
+			if r.RateLimit != nil {
+				n.bucket = resilience.NewTokenBucket(*r.RateLimit)
+			}
+			n.hedgeLeft = r.HedgeBudget
+		}
+		n.maxQueue = maxQueue
+		if n.maxQueue == 0 {
+			n.maxQueue = int(math.Max(64, nc.Workload.BacklogCapSecs*n.capacity*4))
+		}
+		n.state = cluster.NodeState{ID: i, CapacityRPS: n.capacity}
+		f.nodes[i] = n
+		f.fleetCap += n.capacity
 	}
-	n.bigUtils = make([]float64, nc.Spec.Big.Cores)
-	n.smallUtils = make([]float64, nc.Spec.Small.Cores)
-	n.state = cluster.NodeState{ID: id, CapacityRPS: n.capacity}
-	return n, nil
+	return nil
+}
+
+// take returns the first k elements of *a as a slice whose capacity
+// ends at its length, and advances *a past them.
+func take[E any](a *[]E, k int) []E {
+	w := (*a)[:k:k]
+	*a = (*a)[k:]
+	return w
 }
 
 // initAutoscale builds the shared scaler from the options' controller

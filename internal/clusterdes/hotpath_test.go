@@ -1,6 +1,7 @@
 package clusterdes
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -846,4 +847,73 @@ func TestOneShotRunAllocatesItsRecord(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNodeWindowsDisjoint builds a fleet mixing Juno R1 nodes (2 big and
+// 4 small slots) with nodes of a 1-big, 2-small spec, and checks every
+// node's per-server slices: each has the node's own length, its
+// capacity ends at its length, so an append reallocates instead of
+// writing into the next node's slots, and no two windows of one element
+// type overlap.
+func TestNodeWindowsDisjoint(t *testing.T) {
+	small := platform.JunoR1()
+	small.Big.Cores, small.Small.Cores = 1, 2
+	var ncs []NodeConfig
+	for i, s := range []*platform.Spec{platform.JunoR1(), small, small, platform.JunoR1(), small, platform.JunoR1(), platform.JunoR1()} {
+		ncs = append(ncs, NodeConfig{Spec: s, Workload: workload.WebSearch()})
+		if i == 3 {
+			cfg := platform.Config{NBig: 1, NSmall: 2, BigFreq: 900}
+			ncs[i].Config = &cfg
+		}
+	}
+	fl, err := New(Options{Nodes: ncs, Pattern: loadgen.Constant{Frac: 0.5}, Workers: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string][]span{} // by element type
+	for _, n := range fl.nodes {
+		k, big := n.spec.TotalCores(), n.spec.Big.Cores
+		spans["Server"] = append(spans["Server"], windowSpan(t, n.id, "servers", n.servers, k))
+		spans["LogNormal"] = append(spans["LogNormal"], windowSpan(t, n.id, "dists", n.dists, k))
+		spans["bool"] = append(spans["bool"],
+			windowSpan(t, n.id, "enabled", n.enabled, k), windowSpan(t, n.id, "idle", n.idle, k))
+		spans["int32"] = append(spans["int32"],
+			windowSpan(t, n.id, "serving", n.serving, k), windowSpan(t, n.id, "svcSeq", n.svcSeq, k))
+		spans["float64"] = append(spans["float64"],
+			windowSpan(t, n.id, "busy", n.busy, k), windowSpan(t, n.id, "busyUntil", n.busyUntil, k),
+			windowSpan(t, n.id, "bigUtils", n.bigUtils, big), windowSpan(t, n.id, "smallUtils", n.smallUtils, k-big))
+	}
+	for elem, ss := range spans {
+		slices.SortFunc(ss, func(a, b span) int { return cmp.Compare(a.start, b.start) })
+		for i := 1; i < len(ss); i++ {
+			if ss[i].start < ss[i-1].end {
+				t.Errorf("%s windows overlap: node %d %s and node %d %s", elem, ss[i-1].node, ss[i-1].field, ss[i].node, ss[i].field)
+			}
+		}
+	}
+	if n := fl.nodes[3]; !n.enabled[0] || n.enabled[1] || !n.enabled[2] || !n.enabled[3] || n.enabled[4] {
+		t.Errorf("node 3's 1B2S configuration enables %v", n.enabled)
+	}
+	if _, err := fl.Run(30); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// span is the bytes one node's window of a fleet-wide array covers.
+type span struct {
+	node       int
+	field      string
+	start, end uintptr
+}
+
+// windowSpan checks that a node's window has length and capacity want,
+// and returns the bytes it covers.
+func windowSpan[E any](t *testing.T, node int, field string, w []E, want int) span {
+	t.Helper()
+	if len(w) != want || cap(w) != want {
+		t.Errorf("node %d %s: len %d cap %d, want both %d", node, field, len(w), cap(w), want)
+	}
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(w)))
+	var e E
+	return span{node, field, start, start + uintptr(len(w))*unsafe.Sizeof(e)}
 }

@@ -121,17 +121,20 @@ type Stats struct {
 }
 
 // Coordinator owns the fleet table and runs the serial merge rounds.
+// The fleet table is flat and row-major, like rl.Table's: cell
+// (state, action) sits at index state·Actions+action.
 type Coordinator struct {
 	cfg    Config
-	vals   [][]float64
-	visits [][]int
+	vals   []float64
+	visits []int
 	// lastSync is the interval of each node's last accepted (or
 	// staleness-reset) report; nodes start "synced" at interval 0,
 	// when every table is zero.
 	lastSync []int
-	// roundMax is per-round scratch for MaxConfidence: the largest
-	// per-cell contribution folded so far in the current round.
-	roundMax [][]int
+	// roundMax is per-round scratch for MaxConfidence, in the table's
+	// layout: the largest per-cell contribution folded so far in the
+	// current round.
+	roundMax []int
 	stats    Stats
 }
 
@@ -149,16 +152,14 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Merge < VisitWeighted || cfg.Merge > NewestWins {
 		return nil, fmt.Errorf("federation: invalid merge policy %d", cfg.Merge)
 	}
-	c := &Coordinator{cfg: cfg, lastSync: make([]int, cfg.Nodes)}
-	c.vals = make([][]float64, cfg.States)
-	c.visits = make([][]int, cfg.States)
-	c.roundMax = make([][]int, cfg.States)
-	for s := range c.vals {
-		c.vals[s] = make([]float64, cfg.Actions)
-		c.visits[s] = make([]int, cfg.Actions)
-		c.roundMax[s] = make([]int, cfg.Actions)
-	}
-	return c, nil
+	cells := cfg.States * cfg.Actions
+	return &Coordinator{
+		cfg:      cfg,
+		vals:     make([]float64, cells),
+		visits:   make([]int, cells),
+		lastSync: make([]int, cfg.Nodes),
+		roundMax: make([]int, cells),
+	}, nil
 }
 
 // Stats returns the activity counters so far.
@@ -181,27 +182,24 @@ func (c *Coordinator) MarkSynced(node, interval int) error {
 	return nil
 }
 
-// Table returns a copy of the current fleet table, for inspection;
-// the sync path uses BroadcastTo, which makes no copy of its own.
+// Table returns a copy of the current fleet table, one row per state,
+// for inspection; the sync path uses BroadcastTo, which makes no copy
+// of its own.
 func (c *Coordinator) Table() Broadcast {
-	b := Broadcast{
-		Values: make([][]float64, len(c.vals)),
-		Visits: make([][]int, len(c.visits)),
-	}
-	for s := range c.vals {
-		b.Values[s] = make([]float64, len(c.vals[s]))
-		copy(b.Values[s], c.vals[s])
-		b.Visits[s] = make([]int, len(c.visits[s]))
-		copy(b.Visits[s], c.visits[s])
-	}
-	return b
+	return Broadcast{Values: rl.Rows(c.vals, c.cfg.Actions), Visits: rl.Rows(c.visits, c.cfg.Actions)}
 }
 
 // BroadcastTo overwrites tab's values and visit counts with the fleet
-// table (rl.Table.Absorb copies the matrices; tab never aliases them).
-// It is how a sync round, a warm start or a revival hands the fleet
-// table to a node, and it allocates nothing.
-func (c *Coordinator) BroadcastTo(tab *rl.Table) error { return tab.Absorb(c.vals, c.visits) }
+// table: rl.Table.Absorb copies both flat matrices, so tab never
+// aliases them. It is how a sync round, a warm start or a revival
+// hands the fleet table to a node, and it allocates nothing.
+func (c *Coordinator) BroadcastTo(tab *rl.Table) error {
+	if tab.NumStates() != c.cfg.States || tab.NumActions() != c.cfg.Actions {
+		return fmt.Errorf("federation: broadcast of a %dx%d fleet table to a %dx%d table",
+			c.cfg.States, c.cfg.Actions, tab.NumStates(), tab.NumActions())
+	}
+	return tab.Absorb(c.vals, c.visits)
+}
 
 // Sync runs one merge round at the given monitoring interval: it folds
 // the reports into the fleet table in the order given (the cluster
@@ -211,11 +209,7 @@ func (c *Coordinator) BroadcastTo(tab *rl.Table) error { return tab.Absorb(c.val
 // staleness bound are discarded; the node's clock still resets, so it
 // resumes from the broadcast fleet table.
 func (c *Coordinator) Sync(interval int, reports []Report) error {
-	for s := range c.roundMax {
-		for a := range c.roundMax[s] {
-			c.roundMax[s][a] = 0
-		}
-	}
+	clear(c.roundMax)
 	for _, r := range reports {
 		if r.Node < 0 || r.Node >= c.cfg.Nodes {
 			return fmt.Errorf("federation: report from unknown node %d (fleet size %d)", r.Node, c.cfg.Nodes)
@@ -249,24 +243,24 @@ func (c *Coordinator) merge(d rl.Delta) error {
 		if cell.Visits <= 0 {
 			return fmt.Errorf("delta cell (%d,%d) has non-positive visits %d", cell.State, cell.Action, cell.Visits)
 		}
-		have := c.visits[cell.State][cell.Action]
+		i := cell.State*c.cfg.Actions + cell.Action
+		have := c.visits[i]
 		switch c.cfg.Merge {
 		case MaxConfidence:
 			// The reporter with the most updates this round wins the
 			// cell; sequential strict > keeps the earlier reporter on
 			// ties.
-			if cell.Visits > c.roundMax[cell.State][cell.Action] {
-				c.vals[cell.State][cell.Action] = cell.Value
-				c.roundMax[cell.State][cell.Action] = cell.Visits
+			if cell.Visits > c.roundMax[i] {
+				c.vals[i] = cell.Value
+				c.roundMax[i] = cell.Visits
 			}
 		case NewestWins:
-			c.vals[cell.State][cell.Action] = cell.Value
+			c.vals[i] = cell.Value
 		default: // VisitWeighted
 			total := have + cell.Visits
-			c.vals[cell.State][cell.Action] =
-				(float64(have)*c.vals[cell.State][cell.Action] + float64(cell.Visits)*cell.Value) / float64(total)
+			c.vals[i] = (float64(have)*c.vals[i] + float64(cell.Visits)*cell.Value) / float64(total)
 		}
-		c.visits[cell.State][cell.Action] += cell.Visits
+		c.visits[i] += cell.Visits
 		c.stats.MergedCells++
 		c.stats.MergedVisits += cell.Visits
 	}

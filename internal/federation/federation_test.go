@@ -2,6 +2,7 @@ package federation
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -252,5 +253,104 @@ func TestDeterministicReplay(t *testing.T) {
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("identical report sequences produced different fleet tables")
+	}
+}
+
+// nestedFleet is the coordinator's merge written over nested rows, one
+// value, visit and round-maximum row per state: the reference the flat
+// fleet table is pinned to.
+type nestedFleet struct {
+	merge    MergePolicy
+	vals     [][]float64
+	visits   [][]int
+	roundMax [][]int
+}
+
+func newNestedFleet(merge MergePolicy, states, actions int) *nestedFleet {
+	n := &nestedFleet{merge: merge}
+	for s := 0; s < states; s++ {
+		n.vals = append(n.vals, make([]float64, actions))
+		n.visits = append(n.visits, make([]int, actions))
+		n.roundMax = append(n.roundMax, make([]int, actions))
+	}
+	return n
+}
+
+func (n *nestedFleet) sync(reports []Report) {
+	for s := range n.roundMax {
+		for a := range n.roundMax[s] {
+			n.roundMax[s][a] = 0
+		}
+	}
+	for _, r := range reports {
+		for _, cell := range r.Delta.Cells {
+			s, a := cell.State, cell.Action
+			have := n.visits[s][a]
+			switch n.merge {
+			case MaxConfidence:
+				if cell.Visits > n.roundMax[s][a] {
+					n.vals[s][a] = cell.Value
+					n.roundMax[s][a] = cell.Visits
+				}
+			case NewestWins:
+				n.vals[s][a] = cell.Value
+			default:
+				total := have + cell.Visits
+				n.vals[s][a] = (float64(have)*n.vals[s][a] + float64(cell.Visits)*cell.Value) / float64(total)
+			}
+			n.visits[s][a] += cell.Visits
+		}
+	}
+}
+
+// TestFlatMergeMatchesNested runs seeded merge rounds under every
+// policy, on the 21x13 HipsterIn table shape and a small one, against
+// the nested reference: after each round the fleet table, and a node
+// table it was broadcast to, must equal the reference bit for bit.
+// Reports overlap on cells, so MaxConfidence ties and NewestWins
+// overwrites are exercised.
+func TestFlatMergeMatchesNested(t *testing.T) {
+	junoLadder := platform.Configs(platform.JunoR1())
+	shapes := []struct{ states, actions int }{{21, len(junoLadder)}, {3, 2}}
+	for _, policy := range []MergePolicy{VisitWeighted, MaxConfidence, NewestWins} {
+		for _, sh := range shapes {
+			for seed := int64(1); seed <= 3; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				c := coordinator(t, Config{Nodes: 4, States: sh.states, Actions: sh.actions, Merge: policy})
+				ref := newNestedFleet(policy, sh.states, sh.actions)
+				tab, err := rl.NewTable(sh.states, junoLadder[:sh.actions])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for round := 1; round <= 30; round++ {
+					var reports []Report
+					for node := 0; node < 4; node++ {
+						if rng.Intn(4) == 0 {
+							continue
+						}
+						var cells []rl.DeltaCell
+						for i := 0; i < sh.states*sh.actions; i++ {
+							if rng.Intn(3) == 0 {
+								cells = append(cells, cell(i/sh.actions, i%sh.actions, 5*rng.NormFloat64(), 1+rng.Intn(4)))
+							}
+						}
+						reports = append(reports, Report{Node: node, Delta: rl.Delta{Cells: cells}})
+					}
+					if err := c.Sync(round, reports); err != nil {
+						t.Fatal(err)
+					}
+					ref.sync(reports)
+					if got := c.Table(); !reflect.DeepEqual(got, Broadcast{Values: ref.vals, Visits: ref.visits}) {
+						t.Fatalf("%v %dx%d seed %d round %d: fleet table differs from the nested reference", policy, sh.states, sh.actions, seed, round)
+					}
+					if err := c.BroadcastTo(tab); err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(tab.Snapshot(), ref.vals) || !reflect.DeepEqual(tab.VisitsSnapshot(), ref.visits) {
+						t.Fatalf("%v %dx%d seed %d round %d: broadcast table differs from the nested reference", policy, sh.states, sh.actions, seed, round)
+					}
+				}
+			}
+		}
 	}
 }

@@ -10,6 +10,8 @@
 package heuristic
 
 import (
+	"slices"
+
 	"hipster/internal/platform"
 	"hipster/internal/policy"
 )
@@ -38,9 +40,10 @@ type Mapper struct {
 }
 
 // Ladder returns the full configuration space ordered by modelled
-// stress-microbenchmark power, ascending — the §3.3 state ordering.
+// stress-microbenchmark power, ascending — the §3.3 state ordering. The
+// slice is a copy the caller owns.
 func Ladder(spec *platform.Spec) []platform.Config {
-	return platform.OrderByStressPower(spec, platform.Configs(spec))
+	return slices.Clone(spec.StressLadder())
 }
 
 // PaperLadder returns the exact empirical ordering of Figure 2c, for
@@ -73,9 +76,11 @@ func PaperLadder(spec *platform.Spec) []platform.Config {
 	return out
 }
 
-// New builds the heuristic mapper with the modelled ladder order.
+// New builds the heuristic mapper with the modelled ladder order. Every
+// mapper on one spec orders its states from the spec's one shared
+// ladder, which NewWithLadder copies.
 func New(spec *platform.Spec, p Params) (*Mapper, error) {
-	return NewWithLadder(Ladder(spec), p)
+	return NewWithLadder(spec.StressLadder(), p)
 }
 
 // NewWithLadder builds the mapper over an explicit state order.

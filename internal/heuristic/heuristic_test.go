@@ -1,6 +1,7 @@
 package heuristic
 
 import (
+	"sync"
 	"testing"
 
 	"hipster/internal/platform"
@@ -101,5 +102,74 @@ func TestMapperDecisions(t *testing.T) {
 func TestNewWithLadderValidation(t *testing.T) {
 	if _, err := NewWithLadder(nil, DefaultParams()); err == nil {
 		t.Fatal("empty ladder accepted")
+	}
+}
+
+// modelledJuno is the §3.3 ladder OrderByStressPower gives Juno R1, the
+// order heuristic.New uses. Figure 2c's empirical order (PaperLadder)
+// differs from it in where 4S, 2B2S-0.90 and the 1.15-GHz states sit.
+var modelledJuno = []string{
+	"1S-0.65", "2S-0.65", "3S-0.65", "4S-0.65",
+	"2B-0.60", "1B3S-0.60", "2B2S-0.60", "1B3S-0.90", "2B-0.90",
+	"1B3S-1.15", "2B2S-0.90", "2B-1.15", "2B2S-1.15",
+}
+
+func sameOrder(t *testing.T, what string, got []platform.Config) {
+	t.Helper()
+	if len(got) != len(modelledJuno) {
+		t.Fatalf("%s has %d states, want %d", what, len(got), len(modelledJuno))
+	}
+	for i, name := range modelledJuno {
+		if got[i].String() != name {
+			t.Fatalf("%s position %d: got %v, want %s", what, i, got[i], name)
+		}
+	}
+}
+
+// TestLadderIsTheCallers pins that the slice Ladder returns is a copy:
+// overwriting it moves no mapper built before or after, and no later
+// Ladder, on the same spec.
+func TestLadderIsTheCallers(t *testing.T) {
+	spec := platform.JunoR1()
+	before := MustNew(spec, DefaultParams())
+	l := Ladder(spec)
+	for i := range l {
+		l[i] = platform.Config{NBig: 9}
+	}
+	sameOrder(t, "mapper built before the write", before.States())
+	sameOrder(t, "mapper built after the write", MustNew(spec, DefaultParams()).States())
+	sameOrder(t, "a later Ladder", Ladder(spec))
+}
+
+// TestConcurrentMappersShareOneLadder has 8 goroutines build mappers
+// on one fresh spec, whose ladder none has computed yet: every mapper
+// must get the modelled order, and the spec must end up holding one
+// ladder. Run under -race.
+func TestConcurrentMappersShareOneLadder(t *testing.T) {
+	spec := platform.JunoR1()
+	const workers = 8
+	got := make([][]platform.Config, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			m, err := New(spec, DefaultParams())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[w] = m.States()
+		}(w)
+	}
+	wg.Wait()
+	for w, states := range got {
+		sameOrder(t, "mapper", states)
+		if w > 0 && &states[0] == &got[0][0] {
+			t.Fatal("two mappers share one state slice")
+		}
+	}
+	if a, b := spec.StressLadder(), spec.StressLadder(); &a[0] != &b[0] {
+		t.Fatal("the spec recomputed its ladder")
 	}
 }

@@ -277,6 +277,26 @@ func TestOrderByStressPowerMatchesComparatorSort(t *testing.T) {
 	}
 }
 
+// TestStressLadderIsMemoized pins the spec's ladder to the comparator
+// order of its configuration space, and checks that a second spec of a
+// different shape gets its own ladder while the first keeps one.
+func TestStressLadderIsMemoized(t *testing.T) {
+	spec, small := juno(t), juno(t)
+	small.Big.Cores = 1
+	for _, s := range []*Spec{spec, small} {
+		got := s.StressLadder()
+		if want := orderByStressPowerRef(s, Configs(s)); !slices.Equal(got, want) {
+			t.Fatalf("%d big cores: ladder %v, want %v", s.Big.Cores, got, want)
+		}
+		if again := s.StressLadder(); &again[0] != &got[0] {
+			t.Fatalf("%d big cores: the ladder was computed twice", s.Big.Cores)
+		}
+	}
+	if slices.Equal(small.StressLadder(), spec.StressLadder()) {
+		t.Fatal("specs of different shapes share a ladder")
+	}
+}
+
 func TestTotalIPSScaling(t *testing.T) {
 	spec := juno(t)
 	if got := spec.Big.TotalIPS(2, 1150); math.Abs(got-4260e6) > 1e3 {

@@ -3,6 +3,7 @@ package platform
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // ClusterSpec describes one core cluster (big or small) of the platform:
@@ -112,7 +113,10 @@ func (c *ClusterSpec) TotalIPS(n int, f FreqMHz) float64 {
 	return raw * (1 - loss)
 }
 
-// Spec describes the whole platform.
+// Spec describes the whole platform. A spec must not change after its
+// first use: what is derived from it is memoized against it, here (the
+// stress-ordered ladder) and in the workload models (analytic rates,
+// keyed by the spec's pointer).
 type Spec struct {
 	Name  string
 	Big   ClusterSpec
@@ -127,6 +131,25 @@ type Spec struct {
 	// TDPW is the thermal design power used by the HipsterIn power
 	// reward (Algorithm 1: Powerreward = TDP/Power).
 	TDPW float64
+
+	// ladder memoizes StressLadder.
+	ladder atomic.Pointer[[]Config]
+}
+
+// StressLadder returns the spec's configuration space (Configs) ordered
+// by OrderByStressPower: the §3.3 state-machine ladder. It is computed
+// on first use and shared by every later caller, so it is read-only;
+// heuristic.Ladder returns a copy its caller owns. Concurrent first
+// calls agree on one slice.
+func (s *Spec) StressLadder() []Config {
+	if p := s.ladder.Load(); p != nil {
+		return *p
+	}
+	order := OrderByStressPower(s, Configs(s))
+	if s.ladder.CompareAndSwap(nil, &order) {
+		return order
+	}
+	return *s.ladder.Load()
 }
 
 // MaxSystemIPS returns the aggregate stress-benchmark IPS with every

@@ -33,38 +33,32 @@ func (d Delta) TotalVisits() int {
 	return n
 }
 
-// Checkpoint is a visit-count baseline for delta extraction. It is a
-// deep copy: later table updates do not move the baseline.
+// Checkpoint is a visit-count baseline for delta extraction: a flat
+// copy of the table's visit counts, in the table's row-major layout,
+// and the row width it was taken at. It is a deep copy: later table
+// updates do not move the baseline.
 type Checkpoint struct {
-	visits [][]int
+	visits []int
+	width  int
 }
 
 // Checkpoint captures the table's current visit counts as the baseline
 // the next DeltaSince call diffs against.
 func (t *Table) Checkpoint() Checkpoint {
-	cp := Checkpoint{visits: make([][]int, len(t.visits))}
-	for i, row := range t.visits {
-		cp.visits[i] = make([]int, len(row))
-		copy(cp.visits[i], row)
-	}
+	cp := Checkpoint{visits: make([]int, len(t.visits)), width: len(t.actions)}
+	copy(cp.visits, t.visits)
 	return cp
 }
 
 // CheckpointInto re-captures the table's visit counts into cp, copying
-// into cp's rows when its shape matches the table's and allocating as
+// into cp's array when its shape matches the table's and allocating as
 // Checkpoint does otherwise. The caller must be cp's only holder.
 func (t *Table) CheckpointInto(cp *Checkpoint) {
-	if len(cp.visits) != len(t.visits) {
+	if len(cp.visits) != len(t.visits) || cp.width != len(t.actions) {
 		*cp = t.Checkpoint()
 		return
 	}
-	for i, row := range t.visits {
-		if len(cp.visits[i]) != len(row) {
-			*cp = t.Checkpoint()
-			return
-		}
-		copy(cp.visits[i], row)
-	}
+	copy(cp.visits, t.visits)
 }
 
 // DeltaSince appends the cells updated since the checkpoint to dst, in
@@ -74,50 +68,31 @@ func (t *Table) CheckpointInto(cp *Checkpoint) {
 // whose visit count decreased — the table was reset since the
 // checkpoint — contributes nothing.
 func (t *Table) DeltaSince(cp Checkpoint, dst []DeltaCell) ([]DeltaCell, error) {
-	if len(cp.visits) != len(t.visits) {
-		return dst, fmt.Errorf("rl: checkpoint has %d states, table %d", len(cp.visits), len(t.visits))
+	n := len(t.actions)
+	if len(cp.visits) != len(t.visits) || cp.width != n {
+		return dst, fmt.Errorf("rl: checkpoint of %d cells in rows of %d, table %dx%d", len(cp.visits), cp.width, t.states, n)
 	}
-	for s, row := range t.visits {
-		if len(cp.visits[s]) != len(row) {
-			return dst, fmt.Errorf("rl: checkpoint state %d has %d actions, table %d", s, len(cp.visits[s]), len(row))
-		}
-		for a, n := range row {
-			if grew := n - cp.visits[s][a]; grew > 0 {
-				dst = append(dst, DeltaCell{
-					State: s, Action: a, Value: t.vals[s][a], Visits: grew,
-				})
-			}
+	for i, v := range t.visits {
+		if grew := v - cp.visits[i]; grew > 0 {
+			dst = append(dst, DeltaCell{State: i / n, Action: i % n, Value: t.vals[i], Visits: grew})
 		}
 	}
 	return dst, nil
 }
 
 // Absorb overwrites the table's values and visit counts with the given
-// matrices (a federation broadcast). The action space is untouched; the
-// matrices must match the table's shape exactly.
-func (t *Table) Absorb(vals [][]float64, visits [][]int) error {
-	if len(vals) != len(t.vals) || len(visits) != len(t.vals) {
-		return fmt.Errorf("rl: absorb of %dx%d matrices into %d-state table", len(vals), len(visits), len(t.vals))
+// matrices (a federation broadcast), each flat and row-major like the
+// table's own, so the broadcast is two copies. The action space is
+// untouched; each matrix must hold exactly the table's cells.
+func (t *Table) Absorb(vals []float64, visits []int) error {
+	if len(vals) != len(t.vals) || len(visits) != len(t.visits) {
+		return fmt.Errorf("rl: absorb of %d values and %d visit counts into a %dx%d table", len(vals), len(visits), t.states, len(t.actions))
 	}
-	for s := range t.vals {
-		if len(vals[s]) != len(t.actions) || len(visits[s]) != len(t.actions) {
-			return fmt.Errorf("rl: absorb state %d row width mismatch", s)
-		}
-	}
-	for s := range t.vals {
-		copy(t.vals[s], vals[s])
-		copy(t.visits[s], visits[s])
-	}
+	copy(t.vals, vals)
+	copy(t.visits, visits)
 	return nil
 }
 
-// VisitsSnapshot copies the visit-count matrix (the table's per-cell
-// confidence, used by merge policies and reports).
-func (t *Table) VisitsSnapshot() [][]int {
-	out := make([][]int, len(t.visits))
-	for i, row := range t.visits {
-		out[i] = make([]int, len(row))
-		copy(out[i], row)
-	}
-	return out
-}
+// VisitsSnapshot copies the visit-count matrix, one row per state (the
+// table's per-cell confidence, used by merge policies and reports).
+func (t *Table) VisitsSnapshot() [][]int { return Rows(t.visits, len(t.actions)) }

@@ -157,7 +157,7 @@ func scanDelta(tab *Table, cp Checkpoint) []DeltaCell {
 	var out []DeltaCell
 	for s := 0; s < tab.NumStates(); s++ {
 		for a := 0; a < tab.NumActions(); a++ {
-			if grew := tab.Visits(s, a) - cp.visits[s][a]; grew > 0 {
+			if grew := tab.Visits(s, a) - cp.visits[s*cp.width+a]; grew > 0 {
 				out = append(out, DeltaCell{State: s, Action: a, Value: tab.Value(s, a), Visits: grew})
 			}
 		}
@@ -196,8 +196,8 @@ func TestAbsorbOverwritesTable(t *testing.T) {
 	tab, _ := NewTable(2, actions())
 	tab.Update(0, 0, 0, 100, 1, 0)
 
-	vals := [][]float64{{1, 2, 3}, {4, 5, 6}}
-	visits := [][]int{{1, 0, 2}, {0, 3, 0}}
+	vals := []float64{1, 2, 3, 4, 5, 6}
+	visits := []int{1, 0, 2, 0, 3, 0}
 	if err := tab.Absorb(vals, visits); err != nil {
 		t.Fatal(err)
 	}
@@ -205,17 +205,17 @@ func TestAbsorbOverwritesTable(t *testing.T) {
 		t.Fatal("absorb did not overwrite the table")
 	}
 	// The table copies; mutating the broadcast afterwards is safe.
-	vals[0][0] = -9
-	visits[0][0] = 99
+	vals[0] = -9
+	visits[0] = 99
 	if tab.Value(0, 0) != 1 || tab.Visits(0, 0) != 1 {
 		t.Fatal("absorb aliases the caller's matrices")
 	}
 
-	if err := tab.Absorb(vals[:1], visits[:1]); err == nil {
-		t.Fatal("want error for wrong state count")
+	if err := tab.Absorb(vals[:3], visits[:3]); err == nil {
+		t.Fatal("want error for a one-state matrix")
 	}
-	if err := tab.Absorb([][]float64{{1}, {2}}, [][]int{{1}, {2}}); err == nil {
-		t.Fatal("want error for wrong action count")
+	if err := tab.Absorb(vals, visits[:4]); err == nil {
+		t.Fatal("want error for visit counts of another shape")
 	}
 }
 

@@ -67,8 +67,8 @@ func (t *Table) Load(r io.Reader) error {
 			return fmt.Errorf("rl: action %d is %v, expected %v", i, got, want)
 		}
 	}
-	if len(snap.Values) != len(t.vals) || len(snap.Visits) != len(t.vals) {
-		return fmt.Errorf("rl: table has %d states, expected %d", len(snap.Values), len(t.vals))
+	if len(snap.Values) != t.states || len(snap.Visits) != t.states {
+		return fmt.Errorf("rl: table has %d states, expected %d", len(snap.Values), t.states)
 	}
 	for i := range snap.Values {
 		if len(snap.Values[i]) != len(t.actions) || len(snap.Visits[i]) != len(t.actions) {
@@ -76,8 +76,8 @@ func (t *Table) Load(r io.Reader) error {
 		}
 	}
 	for i := range snap.Values {
-		copy(t.vals[i], snap.Values[i])
-		copy(t.visits[i], snap.Visits[i])
+		copy(t.valRow(i), snap.Values[i])
+		copy(t.visitRow(i), snap.Visits[i])
 	}
 	return nil
 }

@@ -59,10 +59,18 @@ func (q Quantizer) BucketCenter(b int) float64 {
 // (configuration) c, the estimated total discounted reward. The paper's
 // prototype uses a hash table; a dense matrix gives the same O(1)
 // access with better locality for the small state spaces involved.
+//
+// The matrix is flat: the values live in one row-major states×actions
+// array, cell (w, c) at index w·actions+c, and the per-cell visit
+// counts in a second array of the same layout, so a table is three
+// allocations whatever its state count, and checkpoints, deltas and
+// federation broadcasts are flat copies and scans. Snapshot,
+// VisitsSnapshot and Save still hand out one row per state.
 type Table struct {
 	actions []platform.Config
-	vals    [][]float64
-	visits  [][]int
+	states  int
+	vals    []float64
+	visits  []int
 }
 
 // NewTable builds a zeroed table over nStates buckets and the given
@@ -77,18 +85,28 @@ func NewTable(nStates int, actions []platform.Config) (*Table, error) {
 	}
 	cp := make([]platform.Config, len(actions))
 	copy(cp, actions)
-	t := &Table{actions: cp}
-	t.vals = make([][]float64, nStates)
-	t.visits = make([][]int, nStates)
-	for i := range t.vals {
-		t.vals[i] = make([]float64, len(actions))
-		t.visits[i] = make([]int, len(actions))
-	}
-	return t, nil
+	return &Table{
+		actions: cp,
+		states:  nStates,
+		vals:    make([]float64, nStates*len(actions)),
+		visits:  make([]int, nStates*len(actions)),
+	}, nil
+}
+
+// valRow and visitRow return a state's row of each matrix. Indexing a
+// row panics on an action outside the table, as a nested row would.
+func (t *Table) valRow(state int) []float64 {
+	n := len(t.actions)
+	return t.vals[state*n : state*n+n]
+}
+
+func (t *Table) visitRow(state int) []int {
+	n := len(t.actions)
+	return t.visits[state*n : state*n+n]
 }
 
 // NumStates returns the number of buckets.
-func (t *Table) NumStates() int { return len(t.vals) }
+func (t *Table) NumStates() int { return t.states }
 
 // NumActions returns the size of the action space.
 func (t *Table) NumActions() int { return len(t.actions) }
@@ -114,15 +132,15 @@ func (t *Table) ActionIndex(c platform.Config) int {
 }
 
 // Value returns R(w, c).
-func (t *Table) Value(state, action int) float64 { return t.vals[state][action] }
+func (t *Table) Value(state, action int) float64 { return t.valRow(state)[action] }
 
 // Visits returns how many updates hit (state, action).
-func (t *Table) Visits(state, action int) int { return t.visits[state][action] }
+func (t *Table) Visits(state, action int) int { return t.visitRow(state)[action] }
 
 // StateVisits returns total updates in a state.
 func (t *Table) StateVisits(state int) int {
 	n := 0
-	for _, v := range t.visits[state] {
+	for _, v := range t.visitRow(state) {
 		n += v
 	}
 	return n
@@ -132,7 +150,7 @@ func (t *Table) StateVisits(state int) int {
 // lowest index (cheapest configuration in ladder order).
 func (t *Table) Best(state int) int {
 	best, bestV := 0, math.Inf(-1)
-	for i, v := range t.vals[state] {
+	for i, v := range t.valRow(state) {
 		if v > bestV {
 			best, bestV = i, v
 		}
@@ -142,27 +160,35 @@ func (t *Table) Best(state int) int {
 
 // MaxValue returns max_d R(state, d), the bootstrap term of line 16.
 func (t *Table) MaxValue(state int) float64 {
-	return t.vals[state][t.Best(state)]
+	return t.valRow(state)[t.Best(state)]
 }
 
 // Update applies Algorithm 1 line 16:
 //
 //	R(w,c) += alpha * (reward + gamma*max_d R(w',d) - R(w,c))
 func (t *Table) Update(state, action, nextState int, reward, alpha, gamma float64) {
-	cur := t.vals[state][action]
-	t.vals[state][action] = cur + alpha*(reward+gamma*t.MaxValue(nextState)-cur)
-	t.visits[state][action]++
+	row := t.valRow(state)
+	cur := row[action]
+	row[action] = cur + alpha*(reward+gamma*t.MaxValue(nextState)-cur)
+	t.visitRow(state)[action]++
 }
 
-// Snapshot copies the value matrix (for inspection and tests).
-func (t *Table) Snapshot() [][]float64 {
-	out := make([][]float64, len(t.vals))
-	for i, row := range t.vals {
-		out[i] = make([]float64, len(row))
-		copy(out[i], row)
+// Rows copies a flat row-major matrix, such as a table's values or
+// visit counts, into one row per state of the given width. Each row's
+// capacity ends at its last cell, so appending to one cannot overwrite
+// the next.
+func Rows[E any](flat []E, width int) [][]E {
+	cp := append([]E(nil), flat...)
+	out := make([][]E, len(flat)/width)
+	for s := range out {
+		out[s] = cp[s*width : (s+1)*width : (s+1)*width]
 	}
 	return out
 }
+
+// Snapshot copies the value matrix, one row per state (for inspection
+// and tests).
+func (t *Table) Snapshot() [][]float64 { return Rows(t.vals, len(t.actions)) }
 
 // RewardInput carries the interval measurements Algorithm 1 consumes.
 type RewardInput struct {

@@ -11,9 +11,8 @@ import (
 )
 
 // NewRNG returns a deterministic random source for the given seed. The
-// stream is bit-identical to rand.New(rand.NewSource(seed)); a repeated
-// request for a cached seed clones its template instead of expanding
-// the seed again (see rngtemplate.go).
+// stream is bit-identical to rand.New(rand.NewSource(seed)); the seed is
+// expanded by jump-ahead (see rngtemplate.go).
 func NewRNG(seed int64) *rand.Rand {
 	return rand.New(newFibSource(seed))
 }

@@ -1,9 +1,5 @@
 package sim
 
-import (
-	"sync"
-)
-
 // fibSource replicates math/rand's additive lagged-Fibonacci generator
 // exactly: the same seed expansion (see rngcooked.go), the same
 // Int63/Uint64 recurrence, and it implements rand.Source64 so rand.Rand
@@ -18,22 +14,13 @@ import (
 // 48271, 48271² and 48271³, so the dependent chain is one multiply per
 // word.
 //
-// sim also keeps a template cache. The first request for each of the
-// first rngTemplateCap seeds stores a copy of its expansion, and a later
-// request for that seed clones it, at about half the cost of an
-// expansion. Once the cache is full, a new seed's stream is returned as
-// it was expanded, with no copy.
-//
-// Measured on a 2-vCPU Xeon VM, the root benchmark suite, run as
-//
-//	go test -bench . -benchtime 3x -count 3 .
-//
-// builds 33,732 streams, and 14,056 of them hit the cache, which saves
-// about 23 ms of the suite's 24 s.
-// The five end-to-end workloads run each repetition in a fresh process
-// and seed every stream differently, so they never hit; there the
-// stored copies add about 3 ms to building a 512-node fleet (ROADMAP
-// item 5).
+// Streams are not cached: every request expands its seed. Each of the
+// five end-to-end workloads runs every repetition in a fresh process
+// and seeds every stream differently (4 to 2,048 streams a build), so a
+// cache of expansions keyed by seed never hits there, while storing a
+// copy of each of the first 512 expansions costs about 3 ms of building
+// a 512-node fleet on a 2-vCPU Xeon VM. Over the whole root benchmark
+// suite, where seeds do repeat, such a cache saves about 23 ms of 24 s.
 
 const (
 	rngLen      = 607
@@ -112,32 +99,9 @@ func (s *fibSource) Int63() int64 { return int64(s.Uint64() & rngMask) }
 // Seed implements rand.Source.
 func (s *fibSource) Seed(seed int64) { s.seed(seed) }
 
-// rngTemplateCap bounds the template cache (~5 KB per entry). A process
-// only ever builds streams for a bounded set of (seed, label) pairs;
-// past the cap, requests for new seeds simply pay the expansion.
-const rngTemplateCap = 512
-
-var (
-	rngTemplateMu sync.Mutex
-	rngTemplates  = make(map[int64]*fibSource)
-)
-
-// newFibSource returns a freshly seeded generator, cloning a cached
-// template when one exists. A new seed is expanded and, while the cache
-// has room, a copy is stored as its template; past the cap the expanded
-// stream is returned as it is. Templates are immutable once published.
+// newFibSource returns a freshly seeded generator.
 func newFibSource(seed int64) *fibSource {
-	rngTemplateMu.Lock()
-	defer rngTemplateMu.Unlock()
-	if t, ok := rngTemplates[seed]; ok {
-		clone := *t
-		return &clone
-	}
 	s := &fibSource{}
 	s.seed(seed)
-	if len(rngTemplates) < rngTemplateCap {
-		t := *s
-		rngTemplates[seed] = &t
-	}
 	return s
 }

@@ -95,23 +95,12 @@ func TestSeedExpansionMatchesReference(t *testing.T) {
 }
 
 // TestNewRNGConcurrentAcrossCap has 8 goroutines build streams for the
-// same 1,024 seeds, each from its own starting offset, on an emptied
-// template cache: seeds are expanded, published and cloned from all
-// eight at once, and the cache fills up along the way. Every stream must
-// match rand.NewSource draw by draw over its first rngLen−rngTap draws,
-// which between them read every one of the 607 state words.
+// same 1,024 seeds, each from its own starting offset, so seeds are
+// expanded from all eight at once. Every stream must match
+// rand.NewSource draw by draw over its first rngLen−rngTap draws, which
+// between them read every one of the 607 state words.
 func TestNewRNGConcurrentAcrossCap(t *testing.T) {
-	rngTemplateMu.Lock()
-	saved := rngTemplates
-	rngTemplates = make(map[int64]*fibSource)
-	rngTemplateMu.Unlock()
-	t.Cleanup(func() {
-		rngTemplateMu.Lock()
-		rngTemplates = saved
-		rngTemplateMu.Unlock()
-	})
-
-	const nSeeds, workers, draws = 2 * rngTemplateCap, 8, rngLen - rngTap
+	const nSeeds, workers, draws = 1024, 8, rngLen - rngTap
 	seeds := make([]int64, nSeeds)
 	want := make([][draws]uint64, nSeeds)
 	gen := rand.New(rand.NewSource(7))
@@ -145,15 +134,9 @@ func TestNewRNGConcurrentAcrossCap(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	rngTemplateMu.Lock()
-	n := len(rngTemplates)
-	rngTemplateMu.Unlock()
-	if n != rngTemplateCap {
-		t.Fatalf("template cache holds %d seeds after %d distinct ones, want the cap %d", n, nSeeds, rngTemplateCap)
-	}
 }
 
-// TestFibSourceMatchesStdlib pins the template-cloned generator to
+// TestFibSourceMatchesStdlib pins the jump-ahead-seeded generator to
 // math/rand draw by draw: raw Int63/Uint64 words and the derived
 // distributions the simulator consumes (Float64, NormFloat64,
 // ExpFloat64, Intn). Any divergence — including a future Go release
@@ -190,10 +173,10 @@ func TestFibSourceMatchesStdlib(t *testing.T) {
 	}
 }
 
-// TestFibSourceTemplateIsolation checks that clones of one seed are
-// independent generators: draining one must not perturb a later clone,
-// and a reseeded clone restarts the stream.
-func TestFibSourceTemplateIsolation(t *testing.T) {
+// TestFibSourceIsolation checks that two streams of one seed are
+// independent generators: draining one must not perturb the other, and
+// a reseeded stream restarts from its first draw.
+func TestFibSourceIsolation(t *testing.T) {
 	const seed = 77
 	a := NewRNG(seed)
 	var first [32]int64
@@ -203,30 +186,13 @@ func TestFibSourceTemplateIsolation(t *testing.T) {
 	b := NewRNG(seed)
 	for i := range first {
 		if got := b.Int63(); got != first[i] {
-			t.Fatalf("clone draw %d: %d != first clone's %d", i, got, first[i])
+			t.Fatalf("second stream draw %d: %d != first stream's %d", i, got, first[i])
 		}
 	}
 	b.Seed(seed)
 	for i := range first {
 		if got := b.Int63(); got != first[i] {
 			t.Fatalf("reseeded draw %d: %d != original %d", i, got, first[i])
-		}
-	}
-}
-
-// TestFibSourceCacheOverflow exercises the slow path past the template
-// cap: streams must stay correct even when no template is stored.
-func TestFibSourceCacheOverflow(t *testing.T) {
-	base := int64(1 << 50)
-	for i := int64(0); i < rngTemplateCap+8; i++ {
-		_ = NewRNG(base + i)
-	}
-	seed := base + rngTemplateCap + 4
-	ref := rand.New(rand.NewSource(seed))
-	got := NewRNG(seed)
-	for i := 0; i < 64; i++ {
-		if r, g := ref.Int63(), got.Int63(); r != g {
-			t.Fatalf("overflow seed draw %d: %d != stdlib %d", i, g, r)
 		}
 	}
 }
