@@ -1,5 +1,5 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (see DESIGN.md §5 and EXPERIMENTS.md). Each benchmark
+// evaluation (cmd/paperfigs prints the same artefacts). Each benchmark
 // regenerates the artefact end to end — workload generation, policy
 // decisions, platform model, metric aggregation — and reports the key
 // reproduced number as a custom metric, so

@@ -631,17 +631,8 @@ func runClusterInterval(c *clusterFlags, fed *hipster.FederationOptions) error {
 		Seed:       c.seed,
 		Federation: fed,
 	}
-	if c.autoscale {
-		pol, err := hipster.AutoscalePolicyByName(c.scalePolicy)
-		if err != nil {
-			return err
-		}
-		opts.Autoscale = &hipster.AutoscaleOptions{
-			Policy:            pol,
-			MinNodes:          c.minNodes,
-			MaxNodes:          c.maxNodes,
-			CooldownIntervals: c.cooldown,
-		}
+	if opts.Autoscale, err = buildAutoscale(c); err != nil {
+		return err
 	}
 	cl, err := hipster.NewCluster(opts)
 	if err != nil {
@@ -706,6 +697,27 @@ func runClusterInterval(c *clusterFlags, fed *hipster.FederationOptions) error {
 		fmt.Printf("    node %2d: %s\n", i, report.Pct(tr.QoSGuarantee()*100))
 	}
 	return nil
+}
+
+// buildAutoscale assembles either fleet's autoscale options from the
+// cluster flags, or returns nil without -autoscale. validate refuses
+// -warmup-intervals outside -mode=des, so an interval cluster always
+// gets a zero warm-up.
+func buildAutoscale(c *clusterFlags) (*hipster.AutoscaleOptions, error) {
+	if !c.autoscale {
+		return nil, nil
+	}
+	pol, err := hipster.AutoscalePolicyByName(c.scalePolicy)
+	if err != nil {
+		return nil, err
+	}
+	return &hipster.AutoscaleOptions{
+		Policy:            pol,
+		MinNodes:          c.minNodes,
+		MaxNodes:          c.maxNodes,
+		CooldownIntervals: c.cooldown,
+		WarmupIntervals:   c.warmup,
+	}, nil
 }
 
 // buildResilience assembles the DES resilience options from the
@@ -818,18 +830,8 @@ func runClusterDES(c *clusterFlags, fed *hipster.FederationOptions) error {
 			SpotNotice:    c.spotNotice,
 		}
 	}
-	if c.autoscale {
-		pol, err := hipster.AutoscalePolicyByName(c.scalePolicy)
-		if err != nil {
-			return err
-		}
-		opts.Autoscale = &hipster.ClusterDESAutoscale{
-			Policy:            pol,
-			MinNodes:          c.minNodes,
-			MaxNodes:          c.maxNodes,
-			CooldownIntervals: c.cooldown,
-			WarmupIntervals:   c.warmup,
-		}
+	if opts.Autoscale, err = buildAutoscale(c); err != nil {
+		return err
 	}
 	if c.learn {
 		opts.Learn = &hipster.ClusterDESLearn{

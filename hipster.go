@@ -14,10 +14,12 @@
 //
 // The paper's testbed (an ARM Juno R1 board, Memcached and Web-Search
 // backends, SPEC CPU 2006 co-runners) is reproduced as a calibrated
-// simulation — see DESIGN.md for the substitution table. The public API
-// wires the same pieces the paper's system had: a platform, a
-// latency-critical workload, a load pattern, a policy, and optional
-// batch jobs, driven by a per-interval engine that records telemetry.
+// simulation; README's Layout section lists the packages that model
+// it, and cmd/paperfigs prints each table and figure of the paper from
+// that model. The public API wires the same pieces the paper's system
+// had: a platform, a latency-critical workload, a load pattern, a
+// policy, and optional batch jobs, driven by a per-interval engine that
+// records telemetry.
 //
 // Quick start:
 //
@@ -232,7 +234,9 @@ func MergePolicyByName(name string) (MergePolicy, error) {
 // enabled a joining node is warm-started from the fleet table while a
 // departing node flushes its learning into it first.
 type (
-	// AutoscaleOptions configure elastic sizing on a cluster.
+	// AutoscaleOptions configure elastic sizing on either fleet; only a
+	// ClusterDES models the node warm-up (WarmupIntervals,
+	// WarmupFactor), and NewCluster rejects a non-zero one.
 	AutoscaleOptions = cluster.AutoscaleOptions
 	// AutoscalePolicy proposes a desired active-node count each
 	// interval; custom policies implement it over AutoscaleContext.
@@ -267,9 +271,6 @@ type (
 	// ClusterDESNode describes one node of the DES fleet (spec,
 	// workload, fixed configuration).
 	ClusterDESNode = clusterdes.NodeConfig
-	// ClusterDESAutoscale configures elastic sizing with warm-up on a
-	// cluster DES.
-	ClusterDESAutoscale = clusterdes.AutoscaleOptions
 	// ClusterDESResult bundles a DES run: fleet trace, node traces, the
 	// end-to-end latency distribution, and mitigation/scaling stats.
 	ClusterDESResult = clusterdes.Result

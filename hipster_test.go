@@ -242,7 +242,7 @@ func TestClusterDESFacade(t *testing.T) {
 		Mitigation: hipster.NewHedgedMitigation(0),
 		Workers:    4,
 		Seed:       42,
-		Autoscale: &hipster.ClusterDESAutoscale{
+		Autoscale: &hipster.AutoscaleOptions{
 			Policy:          hipster.NewQueueDepthPolicy(),
 			MinNodes:        2,
 			WarmupIntervals: 2,

@@ -1,7 +1,7 @@
 // Package batch models the throughput-oriented co-runners of the
 // paper's HipsterCo experiments: SPEC CPU 2006 programs whose progress
-// is observed only through per-core instruction counters (IPS), exactly
-// as the paper measures them with perf.
+// is observed only as instructions per second on each cluster, the BIPS
+// and SIPS the paper reads from the perf counters.
 //
 // Each program is characterised by its per-core IPS on a big core and a
 // small core at maximum DVFS, and by its memory intensity, which
@@ -132,9 +132,6 @@ type StepResult struct {
 	SmallIPS float64
 	// Instr is the total instructions retired this interval.
 	Instr float64
-	// PerCoreIPS is indexed big cores first, then small cores, matching
-	// the platform topology for granted cores.
-	PerCoreIPS []float64
 }
 
 // TotalIPS returns the aggregate rate.
@@ -208,7 +205,6 @@ func (r *Runner) Step(spec *platform.Spec, g Grant, dt, slowdownBig, slowdownSma
 	if smallF == 0 {
 		smallF = spec.Small.MaxFreq()
 	}
-	res.PerCoreIPS = make([]float64, 0, g.Cores())
 	idx := r.rrOffset
 	next := func() Program {
 		p := r.programs[idx%len(r.programs)]
@@ -218,12 +214,10 @@ func (r *Runner) Step(spec *platform.Spec, g Grant, dt, slowdownBig, slowdownSma
 	for i := 0; i < g.NBig; i++ {
 		ips := next().IPSOn(spec, platform.Big, bigF) * slowdownBig
 		res.BigIPS += ips
-		res.PerCoreIPS = append(res.PerCoreIPS, ips)
 	}
 	for i := 0; i < g.NSmall; i++ {
 		ips := next().IPSOn(spec, platform.Small, smallF) * slowdownSmall
 		res.SmallIPS += ips
-		res.PerCoreIPS = append(res.PerCoreIPS, ips)
 	}
 	r.rrOffset = idx % len(r.programs)
 	res.Instr = res.TotalIPS() * dt

@@ -40,6 +40,14 @@ type AutoscaleOptions struct {
 	// smaller fleet for this many consecutive intervals before a
 	// scale-down happens (default 3).
 	DownAfterIntervals int
+	// WarmupIntervals and WarmupFactor model activation cost, which
+	// only the request-level fleet (clusterdes) does: a woken node
+	// spends WarmupIntervals intervals serving at WarmupFactor of its
+	// service rate, in [0, 1) (0 serves nothing). Both default to 0, a
+	// node that joins warm; the interval-mode cluster rejects any other
+	// value.
+	WarmupIntervals int
+	WarmupFactor    float64
 }
 
 // autoscaleStep fills the scaler's roster, runs one scaling decision

@@ -344,6 +344,8 @@ func TestAutoscaleValidation(t *testing.T) {
 		{InitialNodes: 4, MaxNodes: 2}, // initial outside bounds
 		{CooldownIntervals: -1},
 		{DownAfterIntervals: -1},
+		{WarmupIntervals: 1}, // warm-up is modelled only by the DES
+		{WarmupFactor: 0.5},
 	}
 	for i, as := range cases {
 		opts := as

@@ -230,8 +230,12 @@ func New(opts Options) (*Cluster, error) {
 		c.fed = fed
 	}
 	c.active = len(c.nodes)
-	if opts.Autoscale != nil {
-		scaler, initial, err := NewScaler(*opts.Autoscale, len(c.nodes))
+	if as := opts.Autoscale; as != nil {
+		if as.WarmupIntervals != 0 || as.WarmupFactor != 0 {
+			return nil, fmt.Errorf("cluster: autoscale warm-up (%d intervals at factor %v) is modelled only by the request-level fleet",
+				as.WarmupIntervals, as.WarmupFactor)
+		}
+		scaler, initial, err := NewScaler(*as, len(c.nodes))
 		if err != nil {
 			return nil, err
 		}

@@ -129,8 +129,8 @@ func sameActions(a, b *rl.Table) bool {
 	if a.NumActions() != b.NumActions() {
 		return false
 	}
-	for i, cfg := range a.Actions() {
-		if b.Action(i) != cfg {
+	for i := range a.NumActions() {
+		if a.Action(i) != b.Action(i) {
 			return false
 		}
 	}

@@ -47,7 +47,6 @@ import (
 	"runtime"
 	"slices"
 
-	"hipster/internal/autoscale"
 	"hipster/internal/cluster"
 	"hipster/internal/faults"
 	"hipster/internal/loadgen"
@@ -77,41 +76,21 @@ type NodeConfig struct {
 	Config *platform.Config
 }
 
-// AutoscaleOptions enable elastic sizing of the DES fleet. Scale
-// events run through the interval mode's cluster.Scaler: the same
-// option resolution, controller (bounds, cooldown, hysteresis),
-// scaling policies, federation warm-start/flush and counters. Two
-// things differ from the interval mode, both only expressible at
-// request granularity. First, the policy's OfferedRPS is the MEASURED
-// arrival rate of the previous interval, not the pattern's demand for
-// the coming one — the DES autoscaler is an observer, not
-// clairvoyant. Second, activation is not free: a woken node spends
-// WarmupIntervals intervals degraded to WarmupFactor of its service
-// rate (0 = serves nothing) while the splitter, which routes by
-// nominal capacity, keeps sending it traffic — the queue that builds
-// is the transient CloudCoaster-style schedulers plan around, and
-// mitigation policies act on.
-type AutoscaleOptions struct {
-	// Policy proposes the desired active count each interval (default
-	// autoscale.TargetUtilization{}).
-	Policy autoscale.Policy
-	// MinNodes and MaxNodes bound the active count (defaults 1 and the
-	// roster size).
-	MinNodes, MaxNodes int
-	// InitialNodes is the active count before the first interval
-	// (default MinNodes). Initial nodes start warm.
-	InitialNodes int
-	// CooldownIntervals and DownAfterIntervals are the controller's
-	// scale-down cooldown and hysteresis (defaults 5 and 3).
-	CooldownIntervals, DownAfterIntervals int
-	// WarmupIntervals is how many intervals an activated node serves
-	// degraded (default 0 = joins warm, matching the interval mode).
-	WarmupIntervals int
-	// WarmupFactor is the fraction of its service rate a warming node
-	// retains, in [0, 1): 0 means a warming node serves nothing and
-	// only queues (default 0).
-	WarmupFactor float64
-}
+// AutoscaleOptions enable elastic sizing of the DES fleet. It is the
+// interval mode's type, and scale events run through the same
+// cluster.Scaler: the same option resolution, controller (bounds,
+// cooldown, hysteresis), scaling policies, federation warm-start/flush
+// and counters. Two things differ, both only expressible at request
+// granularity. First, the policy's OfferedRPS is the MEASURED arrival
+// rate of the previous interval, not the pattern's demand for the
+// coming one — the DES autoscaler is an observer, not clairvoyant.
+// Second, activation is not free: a woken node spends WarmupIntervals
+// intervals degraded to WarmupFactor of its service rate (0 = serves
+// nothing) while the splitter, which routes by nominal capacity, keeps
+// sending it traffic — the queue that builds is the transient
+// CloudCoaster-style schedulers plan around, and mitigation policies
+// act on. Initial nodes start warm.
+type AutoscaleOptions = cluster.AutoscaleOptions
 
 // Options configure a cluster-scale discrete-event run.
 type Options struct {
@@ -1047,17 +1026,10 @@ func take[E any](a *[]E, k int) []E {
 	return w
 }
 
-// initAutoscale builds the shared scaler from the options' controller
-// fields and validates the warm-up, which only the DES models.
+// initAutoscale builds the shared scaler and validates the warm-up,
+// which only the DES models.
 func (f *Fleet) initAutoscale(opts AutoscaleOptions) error {
-	scaler, initial, err := cluster.NewScaler(cluster.AutoscaleOptions{
-		Policy:             opts.Policy,
-		MinNodes:           opts.MinNodes,
-		MaxNodes:           opts.MaxNodes,
-		InitialNodes:       opts.InitialNodes,
-		CooldownIntervals:  opts.CooldownIntervals,
-		DownAfterIntervals: opts.DownAfterIntervals,
-	}, len(f.nodes))
+	scaler, initial, err := cluster.NewScaler(opts, len(f.nodes))
 	if err != nil {
 		return err
 	}

@@ -69,8 +69,6 @@ type Engine struct {
 	wlRNG   *rand.Rand
 	pwrRNG  *rand.Rand
 
-	topo  *platform.Topology
-	perf  *platform.PerfCounters
 	meter platform.EnergyMeter
 
 	cfg            platform.Config
@@ -86,15 +84,11 @@ type Engine struct {
 	desRunner *workload.DESRunner
 
 	// Per-interval scratch, sized once in New and reused every Step so
-	// the steady-state step loop allocates nothing: the core-ID lists
-	// of each cluster and the per-core instruction / utilisation
-	// vectors handed to the perf-counter and power models (neither of
-	// which retains them).
-	bigIDs       []platform.CoreID
-	smallIDs     []platform.CoreID
-	instrScratch []float64
-	bigUtils     []float64
-	smallUtils   []float64
+	// the steady-state step loop allocates nothing: the per-core
+	// utilisation vectors handed to the power model (which does not
+	// retain them).
+	bigUtils   []float64
+	smallUtils []float64
 }
 
 // New validates options and builds an engine.
@@ -127,8 +121,6 @@ func New(opts Options) (*Engine, error) {
 	e.pwrRNG = sim.SubRNG(opts.Seed, "power")
 
 	e.cpuidleOff = opts.Batch != nil
-	e.topo = platform.NewTopology(opts.Spec)
-	e.perf = platform.NewPerfCounters(e.topo, e.cpuidleOff)
 
 	if opts.InitialConfig != nil {
 		e.cfg = opts.InitialConfig.Normalize(opts.Spec)
@@ -141,9 +133,6 @@ func New(opts Options) (*Engine, error) {
 	if opts.UseDES {
 		e.desRunner = &workload.DESRunner{}
 	}
-	e.bigIDs = e.topo.CoresOf(platform.Big)
-	e.smallIDs = e.topo.CoresOf(platform.Small)
-	e.instrScratch = make([]float64, e.topo.NumCores())
 	e.bigUtils = make([]float64, opts.Spec.Big.Cores)
 	e.smallUtils = make([]float64, opts.Spec.Small.Cores)
 	e.trace = &telemetry.Trace{}
@@ -275,12 +264,9 @@ func (e *Engine) Step() (telemetry.Sample, error) {
 		bres = e.opts.Batch.Step(e.spec, grant, dt, slowBig, slowSmall)
 	}
 
-	// Performance counters (per-core instructions), with the Juno
-	// idle erratum when CPUidle is enabled.
-	instr := e.perCoreInstr(out, bres, grant, dt)
-	anyIdle := e.anyCoreIdle(out, grant)
-	e.perf.Tick(instr, anyIdle)
-	reading := e.perf.LastInterval()
+	// The Juno perf erratum: with CPUidle enabled, a core that idles
+	// during the interval corrupts every core's counters.
+	perfGarbage := !e.cpuidleOff && e.anyCoreIdle(out, grant)
 
 	// Power model and energy meter.
 	bigF := e.bigClusterFreq(grant.NBig > 0)
@@ -321,7 +307,7 @@ func (e *Engine) Step() (telemetry.Sample, error) {
 		BatchSmallIPS: bres.SmallIPS,
 		BatchBig:      grant.NBig,
 		BatchSmall:    grant.NSmall,
-		PerfGarbage:   reading.Garbage,
+		PerfGarbage:   perfGarbage,
 	}
 	if ph, ok := e.opts.Policy.(policy.Phaser); ok {
 		s.Phase = ph.Phase()
@@ -339,7 +325,7 @@ func (e *Engine) Step() (telemetry.Sample, error) {
 		HasBatch:      e.opts.Batch != nil && grant.Cores() > 0,
 		BatchBigIPS:   bres.BigIPS,
 		BatchSmallIPS: bres.SmallIPS,
-		PerfGarbage:   reading.Garbage,
+		PerfGarbage:   perfGarbage,
 	}
 	next := e.opts.Policy.Decide(obs).Normalize(e.spec)
 	if err := next.Validate(e.spec); err != nil {
@@ -366,51 +352,6 @@ func (e *Engine) Run(horizon float64) (*telemetry.Trace, error) {
 		}
 	}
 	return e.trace, nil
-}
-
-// perCoreInstr distributes this interval's instructions across cores:
-// LC instructions proportionally to each allocated core's service rate,
-// batch instructions per the runner's per-core rates, idle cores zero.
-// The returned slice is engine-owned scratch, valid until the next Step.
-func (e *Engine) perCoreInstr(out workload.IntervalOutput, bres batch.StepResult, grant batch.Grant, dt float64) []float64 {
-	instr := e.instrScratch
-	for i := range instr {
-		instr[i] = 0
-	}
-
-	bigRate := e.wl.CoreRate(e.spec, platform.Big, e.cfg.BigFreq)
-	smallRate := e.wl.CoreRate(e.spec, platform.Small, e.spec.Small.MaxFreq())
-	totRate := float64(e.cfg.NBig)*bigRate + float64(e.cfg.NSmall)*smallRate
-	lcInstr := out.DeliveredIPS * dt
-
-	bigIDs := e.bigIDs
-	smallIDs := e.smallIDs
-	if totRate > 0 {
-		for i := 0; i < e.cfg.NBig; i++ {
-			instr[bigIDs[i]] = lcInstr * bigRate / totRate
-		}
-		for i := 0; i < e.cfg.NSmall; i++ {
-			instr[smallIDs[i]] = lcInstr * smallRate / totRate
-		}
-	}
-	// Batch cores fill from the top of each cluster (disjoint from the
-	// LC cores by construction).
-	bi := 0
-	for i := 0; i < grant.NBig; i++ {
-		id := bigIDs[len(bigIDs)-1-i]
-		if bi < len(bres.PerCoreIPS) {
-			instr[id] += bres.PerCoreIPS[bi] * dt
-			bi++
-		}
-	}
-	for i := 0; i < grant.NSmall; i++ {
-		id := smallIDs[len(smallIDs)-1-i]
-		if bi < len(bres.PerCoreIPS) {
-			instr[id] += bres.PerCoreIPS[bi] * dt
-			bi++
-		}
-	}
-	return instr
 }
 
 // anyCoreIdle reports whether some core had idle time this interval

@@ -289,20 +289,61 @@ func TestCollocationProducesBatchThroughputAndNoGarbage(t *testing.T) {
 	}
 }
 
-func TestInteractivePerfGarbageUnderCPUIdle(t *testing.T) {
-	// Without batch jobs, CPUidle stays enabled and idle cores corrupt
-	// the counters (the Juno erratum).
-	o := baseOpts()
-	e, _ := New(o)
-	tr, _ := e.Run(10)
-	garbage := 0
-	for _, s := range tr.Samples {
-		if s.PerfGarbage {
-			garbage++
-		}
+// TestPerfGarbageErratum pins the Juno erratum's truth table: the
+// counters read garbage exactly when CPUidle is on (no batch jobs) and
+// some core idles, and the sample and the policy's observation agree.
+func TestPerfGarbageErratum(t *testing.T) {
+	spec := platform.JunoR1()
+	bigMax := platform.Config{NBig: spec.Big.Cores, BigFreq: spec.Big.MaxFreq()}
+	allMax := platform.Config{NBig: spec.Big.Cores, NSmall: spec.Small.Cores, BigFreq: spec.Big.MaxFreq()}
+	cases := []struct {
+		name    string
+		cfg     platform.Config
+		pattern loadgen.Pattern
+		batch   bool
+		garbage bool
+	}{
+		{"cpuidle on, small cores unassigned", bigMax, loadgen.Constant{Frac: 0.4}, false, true},
+		// fixedLoad passes overload through, so all six cores stay busy.
+		{"cpuidle on, every core saturated", allMax, fixedLoad(3), false, false},
+		{"cpuidle off under collocation", bigMax, loadgen.Constant{Frac: 0.4}, true, false},
 	}
-	if garbage == 0 {
-		t.Fatal("expected the perf erratum with CPUidle enabled and idle cores")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := &recordingPolicy{cfg: tc.cfg}
+			o := Options{
+				Spec:          spec,
+				Workload:      workload.Memcached(),
+				Pattern:       tc.pattern,
+				Policy:        rec,
+				Seed:          1,
+				InitialConfig: &tc.cfg,
+			}
+			if tc.batch {
+				runner, err := batch.NewRunner(batch.SPEC2006()[:2])
+				if err != nil {
+					t.Fatal(err)
+				}
+				o.Batch = runner
+			}
+			e, err := New(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := e.Run(20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Len() != 20 {
+				t.Fatalf("recorded %d intervals, want 20", tr.Len())
+			}
+			for i, s := range tr.Samples {
+				if s.PerfGarbage != tc.garbage || rec.obs[i].PerfGarbage != tc.garbage {
+					t.Fatalf("interval %d: sample garbage %v, observation garbage %v, want %v",
+						i, s.PerfGarbage, rec.obs[i].PerfGarbage, tc.garbage)
+				}
+			}
+		})
 	}
 }
 

@@ -81,9 +81,9 @@ type RewardAblationRow struct {
 	MigrationEvents int
 }
 
-// RewardAblation quantifies the design choices DESIGN.md calls out:
-// the discount factor, the learning rate, the stochastic penalty term,
-// and the learning-phase duration, on Memcached under the diurnal load.
+// RewardAblation quantifies four design choices of the learner: the
+// discount factor, the learning rate, the stochastic penalty term, and
+// the learning-phase duration, on Memcached under the diurnal load.
 func RewardAblation(spec *platform.Spec, o RunOpts) ([]RewardAblationRow, error) {
 	o = o.withDefaults()
 	wl := workload.Memcached()

@@ -1,5 +1,5 @@
 // Package experiments contains one harness per table and figure of the
-// paper's evaluation (see DESIGN.md §5 for the index). Each harness
+// paper's evaluation (cmd/paperfigs lists them by name). Each harness
 // returns a structured result that cmd/paperfigs renders in the paper's
 // row/series format; benchmarks in the repository root regenerate every
 // artefact.

@@ -89,8 +89,8 @@ func rebase(tr *telemetry.Trace) *telemetry.Trace {
 	return out
 }
 
-// Table3Paper records the paper's Table 3 for EXPERIMENTS.md
-// comparisons (QoS guarantee %, tardiness, energy reduction %).
+// Table3Paper records the paper's Table 3 (QoS guarantee %, tardiness,
+// energy reduction %), which cmd/paperfigs prints beside our values.
 var Table3Paper = map[string]map[string][3]float64{
 	"memcached": {
 		"static-big":        {99.5, 1.1, 0},

@@ -1,8 +1,9 @@
 // Package platform models the evaluation platform of the paper: an ARM
 // Juno R1 developer board with a 64-bit big.LITTLE processor (two
 // out-of-order Cortex-A57 "big" cores and four in-order Cortex-A53
-// "small" cores), per-cluster DVFS, energy-meter registers and per-core
-// performance counters.
+// "small" cores), per-cluster DVFS and energy-meter registers. Of the
+// per-core performance counters only the idle erratum is modelled, as
+// one flag the engine computes each interval.
 //
 // The model is calibrated against the paper's Table 2 (power and IPS of
 // each cluster under a compute-only stress microbenchmark) and exposes

@@ -345,63 +345,6 @@ func TestEnergyMeter(t *testing.T) {
 	m.Add(Breakdown{}, -1)
 }
 
-func TestPerfCountersErratum(t *testing.T) {
-	spec := juno(t)
-	topo := NewTopology(spec)
-
-	// CPUidle enabled: an idle core corrupts the whole reading.
-	pc := NewPerfCounters(topo, false)
-	instr := []float64{1e9, 1e9, 5e8, 5e8, 5e8, 5e8}
-	pc.Tick(instr, true)
-	if !pc.LastInterval().Garbage {
-		t.Fatal("idle interval with CPUidle on must read garbage")
-	}
-	if got := pc.LastInterval().TotalInstr(); got != 6e12 {
-		t.Fatalf("garbage reading totals %v, want the fixed 1e12 on each of 6 cores", got)
-	}
-	for _, v := range pc.Cumulative() {
-		if v != 0 {
-			t.Fatal("garbage readings must not accumulate")
-		}
-	}
-	pc.Tick(instr, false)
-	if pc.LastInterval().Garbage {
-		t.Fatal("busy interval should read clean")
-	}
-	if got := pc.Cumulative()[0]; got != 1e9 {
-		t.Fatalf("cumulative[0] = %v", got)
-	}
-
-	// CPUidle disabled: no corruption even with idling cores.
-	pc2 := NewPerfCounters(topo, true)
-	pc2.Tick(instr, true)
-	if pc2.LastInterval().Garbage {
-		t.Fatal("CPUidle disabled should prevent the erratum")
-	}
-	if got := pc2.LastInterval().TotalInstr(); math.Abs(got-4e9) > 1 {
-		t.Fatalf("total instr = %v", got)
-	}
-}
-
-func TestTopology(t *testing.T) {
-	spec := juno(t)
-	topo := NewTopology(spec)
-	if topo.NumCores() != 6 {
-		t.Fatalf("cores = %d", topo.NumCores())
-	}
-	if topo.Kind(0) != Big || topo.Kind(1) != Big {
-		t.Fatal("cores 0-1 should be big")
-	}
-	for i := 2; i < 6; i++ {
-		if topo.Kind(CoreID(i)) != Small {
-			t.Fatalf("core %d should be small", i)
-		}
-	}
-	if got := len(topo.CoresOf(Small)); got != 4 {
-		t.Fatalf("small cores = %d", got)
-	}
-}
-
 func TestSpecValidateRejectsBadSpecs(t *testing.T) {
 	s := JunoR1()
 	s.Big.Cores = 0
