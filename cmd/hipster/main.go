@@ -203,7 +203,7 @@ func run(workloadName, policyName, patternName string, duration float64, seed in
 		return err
 	}
 
-	pattern, err := parsePattern(patternName)
+	pattern, err := hipster.PatternByName(patternName)
 	if err != nil {
 		return err
 	}
@@ -379,7 +379,7 @@ func newClusterFlags() (*flag.FlagSet, *clusterFlags) {
 	fs.Float64Var(&c.spotFraction, "spot-fraction", 0, "fault schedule: fraction of the fleet that is revocable spot capacity, in [0, 1]")
 	fs.IntVar(&c.spotNotice, "spot-notice", 2, "fault schedule: intervals of drain notice before a spot revocation (>= 1)")
 	fs.StringVar(&c.tuned, "tuned", "", "DES: replay the winning configuration of a tuning artifact (see the tune subcommand); "+
-		"unset fleet flags take the tuner's default fleet, and only -"+strings.Join(replayFlags, ", -")+" may be set")
+		"unset fleet flags take the fleet the artifact was tuned on, and only -"+strings.Join(replayFlags, ", -")+" may be set")
 	return fs, c
 }
 
@@ -393,7 +393,7 @@ func runCluster(args []string) error {
 			return err
 		}
 		if c.tuned != "" {
-			return runTunedReplay(c)
+			return runTunedReplay(c, fs)
 		}
 		fed, err := c.federation()
 		if err != nil {
@@ -407,8 +407,7 @@ func runCluster(args []string) error {
 }
 
 // validate rejects flag combinations and values the engines would
-// silently ignore or replace with a default, and resolves a -tuned
-// replay's unset fleet flags.
+// silently ignore or replace with a default.
 func (c *clusterFlags) validate(fs *flag.FlagSet) error {
 	set := make(map[string]bool)
 	fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
@@ -437,12 +436,12 @@ func (c *clusterFlags) validate(fs *flag.FlagSet) error {
 		return err
 	}
 	// The engines turn a zero autoscale floor into 1, and the tuner's
-	// evaluator turns a zero fleet size or horizon into its own
-	// default; refuse each explicitly. A negative duration is refused
-	// here to name the flag (the engines refuse any horizon that is
-	// not finite and positive). Unset flags always pass, so checking
-	// before the -tuned fallback below is the same as checking after
-	// it.
+	// evaluator turns a zero fleet size or horizon or an empty workload
+	// into its own default; refuse each explicitly. A negative duration
+	// is refused here to name the flag (the engines refuse any horizon
+	// that is not finite and positive). Unset flags always pass, so a
+	// -tuned replay, which takes the artifact's fleet for them, passes
+	// too.
 	switch {
 	case c.nodes < 1:
 		return fmt.Errorf("-nodes %d must be at least 1", c.nodes)
@@ -452,6 +451,8 @@ func (c *clusterFlags) validate(fs *flag.FlagSet) error {
 		return fmt.Errorf("-duration %v must not be negative (0 = the pattern's own length)", c.duration)
 	case c.duration == 0 && c.tuned != "":
 		return fmt.Errorf("-duration 0 under -tuned: the replay horizon must be positive")
+	case c.workload == "" && c.tuned != "":
+		return fmt.Errorf("-workload \"\" under -tuned: the replay must name a workload")
 	}
 	// A tuning artifact dictates every knob but the fleet it replays on;
 	// any flag outside replayFlags would fight it, so it is rejected
@@ -466,24 +467,6 @@ func (c *clusterFlags) validate(fs *flag.FlagSet) error {
 		})
 		if len(clashing) > 0 {
 			return fmt.Errorf("%s conflict(s) with -tuned: the artifact dictates those knobs", strings.Join(clashing, ", "))
-		}
-		// Unset fleet flags fall back to the tuner's default evaluation
-		// fleet; explicit flags override to probe how the winner
-		// generalises.
-		if !set["nodes"] {
-			c.nodes = tuneFleet.nodes
-		}
-		if !set["workload"] {
-			c.workload = tuneFleet.workload
-		}
-		if !set["pattern"] {
-			c.pattern = tuneFleet.pattern
-		}
-		if !set["duration"] {
-			c.duration = tuneFleet.duration
-		}
-		if !set["min-nodes"] {
-			c.minNodes = tuneFleet.minNodes
 		}
 		return nil
 	}
@@ -603,7 +586,7 @@ func runClusterInterval(c *clusterFlags, fed *hipster.FederationOptions) error {
 	if err != nil {
 		return err
 	}
-	pattern, err := parsePattern(c.pattern)
+	pattern, err := hipster.PatternByName(c.pattern)
 	if err != nil {
 		return err
 	}
@@ -786,7 +769,7 @@ func runClusterDES(c *clusterFlags, fed *hipster.FederationOptions) error {
 	if err != nil {
 		return err
 	}
-	pattern, err := parsePattern(c.pattern)
+	pattern, err := hipster.PatternByName(c.pattern)
 	if err != nil {
 		return err
 	}
@@ -794,15 +777,9 @@ func runClusterDES(c *clusterFlags, fed *hipster.FederationOptions) error {
 	if err != nil {
 		return err
 	}
-	mit, err := hipster.MitigationByName(c.mitigation)
+	mit, err := hipster.MitigationByName(c.mitigation, c.hedgeQuantile)
 	if err != nil {
 		return err
-	}
-	if c.mitigation == "hedged" {
-		mit = hipster.NewHedgedMitigation(c.hedgeQuantile)
-	}
-	if c.mitigation == "predictive" {
-		mit = hipster.NewPredictiveMitigation(c.hedgeQuantile)
 	}
 	defs, err := hipster.UniformClusterDESNodes(c.nodes, spec, wl)
 	if err != nil {
@@ -939,24 +916,6 @@ func runClusterDES(c *clusterFlags, fed *hipster.FederationOptions) error {
 		}
 	}
 	return nil
-}
-
-func parsePattern(name string) (hipster.Pattern, error) {
-	switch {
-	case name == "diurnal":
-		return hipster.DefaultDiurnal(), nil
-	case name == "ramp":
-		return hipster.Ramp{From: 0.5, To: 1.0, RampSecs: 175, HoldSecs: 10}, nil
-	case name == "spike":
-		return hipster.Spike{Base: 0.3, Peak: 0.9, EverySecs: 120, SpikeSecs: 20, Horizon: 1440}, nil
-	case strings.HasPrefix(name, "constant:"):
-		frac, err := strconv.ParseFloat(strings.TrimPrefix(name, "constant:"), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad constant pattern %q: %w", name, err)
-		}
-		return hipster.ConstantLoad{Frac: frac}, nil
-	}
-	return nil, fmt.Errorf("unknown pattern %q", name)
 }
 
 // policyNames lists the policies buildPolicy accepts; keep it next to

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"hipster"
 )
 
 // TestClusterOrphanFlags pins the guards that refuse what a run would
@@ -331,6 +334,24 @@ func TestRunRejectsNonFiniteLoad(t *testing.T) {
 	err := run("memcached", "hipster-in", "constant:NaN", 5, 42, "", "", false)
 	if err == nil || !strings.Contains(err.Error(), "engine: pattern returned load NaN") {
 		t.Fatalf("run with -pattern constant:NaN: error %v, want one naming the NaN load", err)
+	}
+}
+
+// TestRejectsUnknownPattern checks the single-node command and both
+// cluster modes refuse an unregistered -pattern through the shared name
+// table: the error wraps hipster.ErrUnknownName and lists the valid
+// names.
+func TestRejectsUnknownPattern(t *testing.T) {
+	check := func(how string, err error) {
+		t.Helper()
+		if !errors.Is(err, hipster.ErrUnknownName) || !strings.Contains(err.Error(), "constant:<frac>") {
+			t.Errorf("%s -pattern nope: error %v, want ErrUnknownName listing the patterns", how, err)
+		}
+	}
+	check("hipster", run("memcached", "hipster-in", "nope", 5, 42, "", "", false))
+	for _, mode := range []string{"interval", "des"} {
+		check("hipster cluster -mode "+mode, runCluster([]string{"-mode", mode, "-nodes", "2",
+			"-pattern", "nope", "-duration", "2", "-series=false"}))
 	}
 }
 

@@ -10,16 +10,6 @@ import (
 	"hipster/internal/report"
 )
 
-// tuneFleet is the tuner's default evaluation fleet
-// (hipster.DefaultTuneFleet), written as the cluster flags that
-// describe it: hipster tune searches on it unless its fleet flags say
-// otherwise, and a -tuned replay reruns it for every fleet flag left
-// unset. The empty pattern is the tuner's own bursty training day.
-var tuneFleet = func() clusterFlags {
-	d := hipster.DefaultTuneFleet()
-	return clusterFlags{nodes: d.Nodes, workload: d.Workload.Name, duration: d.Horizon, minNodes: d.MinNodes}
-}()
-
 // runTune implements the tune subcommand: an offline search over the
 // learn-enabled cluster DES that writes its winner plus the full
 // evaluation ledger as a reproducible JSON artifact. The search is
@@ -28,20 +18,20 @@ var tuneFleet = func() clusterFlags {
 // record of how the winner was found.
 func runTune(args []string) error {
 	fs := flag.NewFlagSet("tune", flag.ExitOnError)
-	w := hipster.DefaultTuneWeights()
+	w, d := hipster.DefaultTuneWeights(), hipster.DefaultTuneFleet()
 	var (
-		nodes        = fs.Int("nodes", tuneFleet.nodes, "fleet size every candidate is evaluated on")
+		nodes        = fs.Int("nodes", d.Nodes, "fleet size every candidate is evaluated on")
 		workers      = fs.Int("workers", 0, "parallel candidate evaluations (0 = GOMAXPROCS); never changes the result")
-		workloadName = fs.String("workload", tuneFleet.workload, "latency-critical workload on every node: memcached|websearch")
-		patternName  = fs.String("pattern", tuneFleet.pattern, "training-day load pattern: diurnal|ramp|constant:<frac>|spike (default: the tuner's bursty day)")
-		duration     = fs.Float64("duration", tuneFleet.duration, "simulated seconds per evaluation")
+		workloadName = fs.String("workload", d.Workload, "latency-critical workload on every node: memcached|websearch")
+		patternName  = fs.String("pattern", d.Pattern, "training-day load pattern: diurnal|ramp|constant:<frac>|spike (default: the tuner's bursty day)")
+		duration     = fs.Float64("duration", d.Horizon, "simulated seconds per evaluation")
 		seed         = fs.Int64("seed", 42, "search-stream seed; also the base of the default training seeds")
 		trainSeeds   = fs.String("train-seeds", "", "comma-separated training seeds every candidate is scored across (default seed,seed+1)")
 		rounds       = fs.Int("rounds", 12, "hill-climbing rounds per restart")
 		neighbors    = fs.Int("neighbors", 4, "candidates proposed per round")
 		patience     = fs.Int("patience", 2, "rounds without improvement before a climb converges")
 		restarts     = fs.Int("restarts", 3, "random restarts after the default-point climb")
-		minNodes     = fs.Int("min-nodes", tuneFleet.minNodes, "autoscale lower bound of every evaluation fleet")
+		minNodes     = fs.Int("min-nodes", d.MinNodes, "autoscale lower bound of every evaluation fleet")
 		wP99         = fs.Float64("w-p99", w.P99, "objective weight on a second of p99 tail latency")
 		wQoS         = fs.Float64("w-qos", w.QoSMiss, "objective weight on a whole missed QoS fraction")
 		wPower       = fs.Float64("w-power", w.PowerW, "objective weight on a watt of fleet mean power")
@@ -58,6 +48,9 @@ func runTune(args []string) error {
 			return fmt.Errorf("-nodes %d: tuning needs at least 2 nodes", *nodes)
 		case *minNodes < 1:
 			return fmt.Errorf("-min-nodes %d must be at least 1", *minNodes)
+		case *workloadName == "":
+			// The evaluator reads an empty workload as unset.
+			return fmt.Errorf("-workload must name a workload")
 		case *duration <= 0:
 			return fmt.Errorf("-duration %v must be positive", *duration)
 		case *rounds < 1:
@@ -81,21 +74,10 @@ func runTune(args []string) error {
 		if err != nil {
 			return err
 		}
-		wl, err := hipster.WorkloadByName(*workloadName)
-		if err != nil {
-			return err
-		}
-		var pattern hipster.Pattern
-		if *patternName != "" {
-			if pattern, err = parsePattern(*patternName); err != nil {
-				return err
-			}
-		}
-
 		ev := hipster.TuneFleetEvaluator{
 			Nodes:    *nodes,
-			Workload: wl,
-			Pattern:  pattern,
+			Workload: *workloadName,
+			Pattern:  *patternName,
 			Horizon:  *duration,
 			MinNodes: *minNodes,
 		}
@@ -103,30 +85,9 @@ func runTune(args []string) error {
 		if err != nil {
 			return err
 		}
-		evaluate := ev.Evaluator(space)
-
-		weights := hipster.TuneWeights{P99: *wP99, QoSMiss: *wQoS, PowerW: *wPower}
-		switch {
-		case *powerCap > 0:
-			weights.PowerCapW = *powerCap
-		case *powerCap < 0:
-			// Measure the untuned configuration's draw on the training
-			// seeds and budget the search against it: the winner may not
-			// buy its tail with more energy than the default burns.
-			var capW float64
-			for _, s := range seeds {
-				m, err := evaluate(space.Default(), s)
-				if err != nil {
-					return fmt.Errorf("baseline evaluation under seed %d: %w", s, err)
-				}
-				capW += m.MeanPowerW
-			}
-			weights.PowerCapW = capW / float64(len(seeds))
-		}
-
 		res, err := hipster.Tune(hipster.TuneOptions{
 			Space:     space,
-			Evaluate:  evaluate,
+			Evaluate:  ev.Evaluator(space),
 			Seeds:     seeds,
 			Seed:      *seed,
 			Neighbors: *neighbors,
@@ -134,11 +95,12 @@ func runTune(args []string) error {
 			Patience:  *patience,
 			Restarts:  *restarts,
 			Workers:   *workers,
-			Weights:   weights,
+			Weights:   hipster.TuneWeights{P99: *wP99, QoSMiss: *wQoS, PowerW: *wPower, PowerCapW: *powerCap},
 		})
 		if err != nil {
 			return err
 		}
+		res.Fleet = &ev
 		if err := res.WriteFile(*out); err != nil {
 			return err
 		}
@@ -169,45 +131,48 @@ var replayFlags = []string{"mode", "tuned", "nodes", "workload", "pattern", "dur
 	"min-nodes", "seed", "workers", "series", "cpuprofile", "memprofile"}
 
 // runTunedReplay reruns a tuning artifact's winning configuration as a
-// cluster DES: the artifact's own space and winner settings rebuild
-// the exact evaluation fleet through the same code path the tuner
-// used, so a replay under a training seed reproduces the ledger's
-// numbers and a replay under a fresh seed grades the winner on a day
-// it never saw.
-func runTunedReplay(c *clusterFlags) error {
+// cluster DES on the fleet the artifact records (the tuner's default
+// fleet for an artifact that records none), each fleet flag set on the
+// command line overriding its recorded value. The artifact's own space
+// and winner settings rebuild the exact evaluation fleet through the
+// same code path the tuner used, so a bare replay under a training
+// seed reproduces the ledger's numbers and a replay under a fresh seed
+// grades the winner on a day it never saw.
+func runTunedReplay(c *clusterFlags, fs *flag.FlagSet) error {
 	res, err := hipster.ReadTuneResult(c.tuned)
 	if err != nil {
 		return err
 	}
-	wl, err := hipster.WorkloadByName(c.workload)
-	if err != nil {
-		return err
+	ev := hipster.DefaultTuneFleet()
+	if res.Fleet != nil {
+		ev = *res.Fleet
 	}
-	var pattern hipster.Pattern
-	if c.pattern != "" {
-		if pattern, err = parsePattern(c.pattern); err != nil {
-			return err
+	fs.Visit(func(fl *flag.Flag) {
+		switch fl.Name {
+		case "nodes":
+			ev.Nodes = c.nodes
+		case "workload":
+			ev.Workload = c.workload
+		case "pattern":
+			ev.Pattern = c.pattern
+		case "duration":
+			ev.Horizon = c.duration
+		case "min-nodes":
+			ev.MinNodes = c.minNodes
 		}
-	}
-	ev := hipster.TuneFleetEvaluator{
-		Nodes:    c.nodes,
-		Workload: wl,
-		Pattern:  pattern,
-		Horizon:  c.duration,
-		MinNodes: c.minNodes,
-	}
+	})
 	opts, err := ev.FleetOptions(res.Space, res.WinnerPoint(), c.seed)
 	if err != nil {
 		return err
 	}
 	opts.Workers = c.workers
-	m, err := hipster.EvaluateClusterDES(opts, c.duration)
+	m, err := hipster.EvaluateClusterDES(opts, ev.Horizon)
 	if err != nil {
 		return err
 	}
 
 	fmt.Printf("cluster mode=des tuned=%s nodes=%d workload=%s duration=%.0fs seed=%d\n",
-		c.tuned, c.nodes, c.workload, c.duration, c.seed)
+		c.tuned, ev.Nodes, ev.Workload, ev.Horizon, c.seed)
 	fmt.Println("  tuned config    :")
 	printSettings(res.Winner.Settings)
 	fmt.Printf("  requests        : %d issued, %d completed\n", m.Requests, m.Completed)

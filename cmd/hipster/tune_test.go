@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -9,8 +12,15 @@ import (
 	"strings"
 	"testing"
 
+	"hipster"
+	"hipster/internal/report"
 	"hipster/internal/tuning"
 )
+
+// tinyTune is the smallest tune budget, for cases that must fail before
+// the search but would run it should their guard ever lapse.
+var tinyTune = []string{"-nodes", "2", "-duration", "5", "-rounds", "1", "-neighbors", "1",
+	"-patience", "1", "-restarts", "0", "-out", os.DevNull}
 
 // TestTuneFlagValidation pins the tune subcommand's CLI-boundary
 // checks: every range violation must fail loudly, naming the flag,
@@ -90,6 +100,30 @@ func TestTuneFlagValidation(t *testing.T) {
 			args: []string{"-min-nodes", "0", "-nodes", "2", "-duration", "5",
 				"-rounds", "1", "-neighbors", "1", "-patience", "1", "-restarts", "0", "-out", os.DevNull},
 			want: []string{"-min-nodes", "at least 1"},
+		},
+		{
+			// The evaluator turns an empty workload into websearch.
+			name: "empty-workload",
+			args: []string{"-workload", ""},
+			want: []string{"-workload"},
+		},
+		{
+			// A NaN budget would drop the budget silently, and an infinite
+			// one would fail only when the artifact is written, after the
+			// whole search. Both must fail before any evaluation.
+			name: "power-cap-nan",
+			args: append([]string{"-power-cap", "NaN"}, tinyTune...),
+			want: []string{"non-finite objective weight"},
+		},
+		{
+			name: "power-cap-inf",
+			args: append([]string{"-power-cap", "Inf"}, tinyTune...),
+			want: []string{"non-finite objective weight"},
+		},
+		{
+			name: "w-p99-nan",
+			args: append([]string{"-w-p99", "NaN"}, tinyTune...),
+			want: []string{"non-finite objective weight"},
 		},
 	}
 	for _, tc := range cases {
@@ -181,6 +215,11 @@ func TestTunedFlagGuards(t *testing.T) {
 			args: []string{"-mode", "des", "-tuned", "x.json", "-duration", "0"},
 			want: []string{"-duration", "-tuned"},
 		},
+		{
+			name: "tuned-with-empty-workload",
+			args: []string{"-mode", "des", "-tuned", "x.json", "-workload", ""},
+			want: []string{"-workload"},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -220,7 +259,7 @@ func TestTunedRejectsEveryUnhonouredFlag(t *testing.T) {
 // domain.
 func TestTunerDefaultsMatchFlags(t *testing.T) {
 	fs, _ := newClusterFlags()
-	space, err := tuning.DefaultSpace(tuneFleet.nodes)
+	space, err := tuning.DefaultSpace(tuning.DefaultFleet().Nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,24 +300,92 @@ func TestTunedMissingArtifact(t *testing.T) {
 }
 
 // TestTuneAndReplayRun drives the full offline loop through the CLI
-// path: a tiny search writes an artifact, and -tuned replays its
-// winner both under a training seed and on a held-out day.
+// path: a tiny search on a non-default fleet writes an artifact that
+// records the fleet, and -tuned replays its winner on that fleet with
+// no fleet flag given — under a training seed, where it must print
+// exactly that seed's ledger metrics, and on a held-out day. An
+// artifact without a fleet replays the tuner's default fleet, and one
+// whose fleet names an unknown workload or pattern is refused.
 func TestTuneAndReplayRun(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "tuning_result.json")
-	err := runTune([]string{"-nodes", "4", "-duration", "40",
-		"-rounds", "1", "-neighbors", "1", "-restarts", "0", "-patience", "1",
+	dir := t.TempDir()
+	out := filepath.Join(dir, "tuning_result.json")
+	err := runTune([]string{"-nodes", "3", "-duration", "20", "-min-nodes", "1", "-pattern", "spike",
+		"-rounds", "1", "-neighbors", "1", "-restarts", "0", "-patience", "1", "-workers", "1",
 		"-out", out})
 	if err != nil {
 		t.Fatalf("tune run failed: %v", err)
 	}
-	// Bare replay reproduces the tuning conditions under a training seed.
-	if err := runCluster([]string{"-mode", "des", "-tuned", out,
-		"-nodes", "4", "-duration", "40"}); err != nil {
-		t.Fatalf("training-seed replay failed: %v", err)
+	res, err := hipster.ReadTuneResult(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := hipster.TuneFleetEvaluator{Nodes: 3, Workload: "websearch", Pattern: "spike", Horizon: 20, MinNodes: 1}
+	if res.Fleet == nil || *res.Fleet != want {
+		t.Fatalf("artifact fleet = %+v, want %+v", res.Fleet, want)
+	}
+
+	// A bare replay under training seed 42 is the ledger's first
+	// per-seed entry for the winner, to the printed digit.
+	got := string(captureStdout(t, func() error {
+		return runCluster([]string{"-mode", "des", "-tuned", out})
+	}))
+	m := res.Winner.PerSeed[0]
+	for _, line := range []string{
+		"nodes=3 workload=websearch duration=20s seed=42",
+		fmt.Sprintf("latency         : p99 %s ms", report.F2(m.P99*1000)),
+		"QoS attainment  : " + report.Pct(m.QoSAttainment*100),
+		fmt.Sprintf("fleet energy    : %s J (mean %s W)", report.F0(m.EnergyJ), report.F2(m.MeanPowerW)),
+		"objective score : " + report.F4(res.Weights.Score(m)),
+	} {
+		if !strings.Contains(got, line) {
+			t.Errorf("bare replay does not print %q:\n%s", line, got)
+		}
 	}
 	// A fresh seed grades the winner on a day the search never saw.
-	if err := runCluster([]string{"-mode", "des", "-tuned", out,
-		"-nodes", "4", "-duration", "40", "-seed", "1042"}); err != nil {
+	if err := runCluster([]string{"-mode", "des", "-tuned", out, "-seed", "1042"}); err != nil {
 		t.Fatalf("held-out replay failed: %v", err)
+	}
+
+	// Rewrite the artifact's fleet: drop it, or name what is not
+	// registered.
+	rewrite := func(name string, edit func(fleet map[string]any) any) string {
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var art map[string]any
+		if err := json.Unmarshal(b, &art); err != nil {
+			t.Fatal(err)
+		}
+		art["fleet"] = edit(art["fleet"].(map[string]any))
+		if art["fleet"] == nil {
+			delete(art, "fleet")
+		}
+		if b, err = json.Marshal(art); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	noFleet := rewrite("no-fleet.json", func(map[string]any) any { return nil })
+	got = string(captureStdout(t, func() error {
+		return runCluster([]string{"-mode", "des", "-tuned", noFleet, "-duration", "5"})
+	}))
+	d := hipster.DefaultTuneFleet()
+	if header := fmt.Sprintf("nodes=%d workload=%s duration=5s", d.Nodes, d.Workload); !strings.Contains(got, header) {
+		t.Errorf("replay of an artifact without a fleet does not print %q:\n%s", header, got)
+	}
+	for field, name := range map[string]string{"workload": "hadoop", "pattern": "sawtooth"} {
+		path := rewrite("unknown-"+field+".json", func(fleet map[string]any) any {
+			fleet[field] = name
+			return fleet
+		})
+		err := runCluster([]string{"-mode", "des", "-tuned", path})
+		if !errors.Is(err, hipster.ErrUnknownName) || !strings.Contains(err.Error(), name) {
+			t.Errorf("replay of a fleet with %s %q: error %v, want ErrUnknownName naming it", field, name, err)
+		}
 	}
 }

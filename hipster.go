@@ -58,9 +58,11 @@ import (
 )
 
 // ErrUnknownName is wrapped by every name-keyed constructor
-// (WorkloadByName, SplitterByName, MergePolicyByName,
+// (WorkloadByName, PatternByName, SplitterByName, MergePolicyByName,
 // AutoscalePolicyByName, MitigationByName, BatchProgramByName) when the
 // name is not registered; the error message lists the valid options.
+// ReadTuneResult wraps it too, for a recorded fleet whose workload or
+// pattern is not registered.
 var ErrUnknownName = names.ErrUnknown
 
 // Platform types.
@@ -390,7 +392,8 @@ type (
 	// TuneSetting is one dimension binding of the JSON artifact.
 	TuneSetting = tuning.Setting
 	// TuneWeights parameterise the scalar objective, including the
-	// optional soft energy budget (PowerCapW).
+	// optional soft energy budget (PowerCapW; negative asks Tune to
+	// measure the untuned configuration's draw and budget against it).
 	TuneWeights = tuning.Weights
 	// TuneOptions configure a Tune run: space, evaluator, training
 	// seeds, search budget and objective weights.
@@ -410,8 +413,10 @@ type (
 	// calls; it must be pure in (point, seed).
 	TuneEvaluator = tuning.Evaluator
 	// TuneFleetEvaluator maps points of DefaultParamSpace onto concrete
-	// learn-enabled cluster DES runs; its FleetOptions method is also
-	// how a tuning artifact is replayed as a ClusterDESOptions.
+	// learn-enabled cluster DES runs over a named workload and pattern;
+	// a tuning artifact records it (TuneResult.Fleet), and its
+	// FleetOptions method is how the artifact is replayed as a
+	// ClusterDESOptions.
 	TuneFleetEvaluator = tuning.FleetEvaluator
 )
 
@@ -444,11 +449,13 @@ func DefaultTuneWeights() TuneWeights { return tuning.DefaultWeights() }
 
 // DefaultTuneFleet returns the tuner's default evaluation fleet (6
 // Web-Search nodes, 300-s evaluations, autoscale floor 2, the bursty
-// training day); a TuneFleetEvaluator fills its unset fields from it.
+// training day); a TuneFleetEvaluator fills its unset fields from it,
+// and a replay reruns it for an artifact that records no fleet.
 func DefaultTuneFleet() TuneFleetEvaluator { return tuning.DefaultFleet() }
 
 // ReadTuneResult loads a tuning artifact written by TuneResult's
-// WriteFile, validating its space and winner.
+// WriteFile, validating its space, its winner and the names of its
+// recorded fleet, whose unset fields it fills from DefaultTuneFleet.
 func ReadTuneResult(path string) (TuneResult, error) { return tuning.ReadFile(path) }
 
 // EvaluateClusterDES builds a fleet from opts, runs it for horizon
@@ -502,8 +509,12 @@ func NewPredictiveMitigation(quantile float64) Mitigation {
 }
 
 // MitigationByName returns a built-in straggler mitigation ("none",
-// "hedged", "work-stealing" or "predictive").
-func MitigationByName(name string) (Mitigation, error) { return clusterdes.MitigationByName(name) }
+// "hedged", "work-stealing" or "predictive"); the two that hedge take
+// hedgeQuantile as their hedge delay quantile (0 uses the 0.95
+// default), and the others ignore it.
+func MitigationByName(name string, hedgeQuantile float64) (Mitigation, error) {
+	return clusterdes.MitigationByName(name, hedgeQuantile)
+}
 
 // NewQueueDepthPolicy returns the queue-depth scaling policy with its
 // default thresholds: add a node as soon as the mean per-node queue
@@ -576,6 +587,11 @@ func WorkloadByName(name string) (*Workload, error) { return workload.ByName(nam
 
 // DefaultDiurnal returns the paper's compressed-day load pattern.
 func DefaultDiurnal() Diurnal { return loadgen.DefaultDiurnal() }
+
+// PatternByName returns a named load pattern: "diurnal", "ramp",
+// "spike" or "constant:<frac>", as the hipster command's -pattern flag
+// takes them.
+func PatternByName(name string) (Pattern, error) { return loadgen.ByName(name) }
 
 // NewTracePattern builds a load pattern that replays samples (fractions
 // of maximum load) spaced stepSecs apart, interpolating linearly.

@@ -97,7 +97,11 @@ func TestByNameConstructors(t *testing.T) {
 			return err
 		}},
 		{"mitigation", []string{"none", "hedged", "work-stealing"}, func(n string) error {
-			_, err := hipster.MitigationByName(n)
+			_, err := hipster.MitigationByName(n, 0)
+			return err
+		}},
+		{"pattern", []string{"diurnal", "ramp", "spike"}, func(n string) error {
+			_, err := hipster.PatternByName(n)
 			return err
 		}},
 		{"batch program", []string{
@@ -265,7 +269,7 @@ func TestClusterDESFacade(t *testing.T) {
 	if sum.QoSAttainment <= 0 || sum.TotalEnergyJ <= 0 {
 		t.Fatalf("implausible fleet summary: %+v", sum)
 	}
-	if _, err := hipster.MitigationByName("work-stealing"); err != nil {
+	if _, err := hipster.MitigationByName("work-stealing", 0); err != nil {
 		t.Fatal(err)
 	}
 	if hipster.NewWorkStealingMitigation().Name() != "work-stealing" {

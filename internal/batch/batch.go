@@ -130,21 +130,17 @@ type StepResult struct {
 	// cluster (the BIPS and SIPS terms of Algorithm 1 line 13).
 	BigIPS   float64
 	SmallIPS float64
-	// Instr is the total instructions retired this interval.
-	Instr float64
 }
 
 // TotalIPS returns the aggregate rate.
 func (r StepResult) TotalIPS() float64 { return r.BigIPS + r.SmallIPS }
 
 // Runner executes a mix of batch programs on whatever cores it is
-// granted each interval, assigning programs to cores round-robin. It
-// tracks cumulative retired instructions and supports suspension
-// (SIGSTOP/SIGCONT in the paper's implementation).
+// granted each interval, assigning programs to cores round-robin, and
+// supports suspension (SIGSTOP/SIGCONT in the paper's implementation).
 type Runner struct {
 	programs  []Program
 	suspended bool
-	totInstr  float64
 	rrOffset  int
 }
 
@@ -179,9 +175,6 @@ func (r *Runner) Resume() { r.suspended = false }
 
 // Suspended reports the suspension state.
 func (r *Runner) Suspended() bool { return r.suspended }
-
-// TotalInstr returns cumulative instructions retired.
-func (r *Runner) TotalInstr() float64 { return r.totInstr }
 
 // Step runs the batch mix for dt seconds on the granted cores.
 // slowdownBig and slowdownSmall are multiplicative throughput factors
@@ -220,8 +213,6 @@ func (r *Runner) Step(spec *platform.Spec, g Grant, dt, slowdownBig, slowdownSma
 		res.SmallIPS += ips
 	}
 	r.rrOffset = idx % len(r.programs)
-	res.Instr = res.TotalIPS() * dt
-	r.totInstr += res.Instr
 	return res
 }
 

@@ -90,9 +90,6 @@ func TestRunnerStep(t *testing.T) {
 	if math.Abs(res.SmallIPS-wantSmall) > 1 {
 		t.Fatalf("small IPS = %v, want %v", res.SmallIPS, wantSmall)
 	}
-	if math.Abs(r.TotalInstr()-res.Instr) > 1 {
-		t.Fatal("total instructions should accumulate")
-	}
 }
 
 func TestRunnerSuspendResume(t *testing.T) {

@@ -339,19 +339,26 @@ func TestQueueBoundDrops(t *testing.T) {
 }
 
 // TestMitigationByName sweeps the constructor over its registered
-// names and checks the unknown-name error contract shared by every
+// names, checks that exactly the two hedging mitigations take the hedge
+// quantile, and checks the unknown-name error contract shared by every
 // ByName family.
 func TestMitigationByName(t *testing.T) {
+	want := map[string]clusterdes.Mitigation{
+		"none":          clusterdes.None{},
+		"hedged":        clusterdes.Hedged{Quantile: 0.8},
+		"work-stealing": clusterdes.WorkStealing{},
+		"predictive":    clusterdes.Predictive{Quantile: 0.8},
+	}
 	for _, name := range clusterdes.MitigationNames() {
-		m, err := clusterdes.MitigationByName(name)
+		m, err := clusterdes.MitigationByName(name, 0.8)
 		if err != nil {
 			t.Fatalf("registered name %q rejected: %v", name, err)
 		}
-		if m.Name() != name {
-			t.Errorf("MitigationByName(%q).Name() = %q", name, m.Name())
+		if m.Name() != name || m != want[name] {
+			t.Errorf("MitigationByName(%q, 0.8) = %#v, want %#v", name, m, want[name])
 		}
 	}
-	_, err := clusterdes.MitigationByName("nope")
+	_, err := clusterdes.MitigationByName("nope", 0.8)
 	if !errors.Is(err, names.ErrUnknown) {
 		t.Fatalf("unknown mitigation error = %v, want names.ErrUnknown", err)
 	}

@@ -96,20 +96,21 @@ func MitigationNames() []string {
 	return []string{"none", "hedged", "work-stealing", "predictive"}
 }
 
-// MitigationByName returns a built-in mitigation as its zero value, or
-// an error (wrapping names.ErrUnknown) listing the valid names. A zero
-// Quantile is resolved to its documented default when the fleet is
-// built, not here.
-func MitigationByName(name string) (Mitigation, error) {
+// MitigationByName returns a built-in mitigation, or an error
+// (wrapping names.ErrUnknown) listing the valid names. hedgeQuantile
+// sets the hedge delay quantile of the two mitigations that hedge
+// (hedged and predictive), and the others ignore it; a zero quantile is
+// resolved to DefaultHedgeQuantile when the fleet is built, not here.
+func MitigationByName(name string, hedgeQuantile float64) (Mitigation, error) {
 	switch name {
 	case "none":
 		return None{}, nil
 	case "hedged":
-		return Hedged{}, nil
+		return Hedged{Quantile: hedgeQuantile}, nil
 	case "work-stealing":
 		return WorkStealing{}, nil
 	case "predictive":
-		return Predictive{}, nil
+		return Predictive{Quantile: hedgeQuantile}, nil
 	}
 	return nil, names.Unknown("clusterdes", "mitigation", name, MitigationNames())
 }

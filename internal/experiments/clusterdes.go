@@ -57,7 +57,7 @@ func HedgingTail(o ClusterDESOpts) ([]HedgingTailRow, error) {
 	// degradation to act on, so it is benchmarked against hedged in
 	// FaultTolerance instead of adding a redundant healthy-fleet row.
 	for _, name := range []string{"none", "hedged", "work-stealing"} {
-		mit, err := clusterdes.MitigationByName(name)
+		mit, err := clusterdes.MitigationByName(name, clusterdes.DefaultHedgeQuantile)
 		if err != nil {
 			return nil, err
 		}

@@ -93,21 +93,12 @@ func Tuning(o TuningOpts) (TuningResult, error) {
 	}
 	evaluate := ev.Evaluator(space)
 
-	// Pre-measure the untuned configuration's draw on the training
-	// seeds and hand the search that figure as its soft energy budget:
-	// "no worse energy than the default" becomes part of the objective
-	// rather than an after-the-fact hope.
-	var capW float64
-	for _, seed := range trainSeeds {
-		m, err := evaluate(space.Default(), seed)
-		if err != nil {
-			return res, fmt.Errorf("experiments: baseline evaluation under seed %d: %w", seed, err)
-		}
-		capW += m.MeanPowerW
-	}
-	capW /= float64(len(trainSeeds))
+	// The negative budget has the search measure the untuned
+	// configuration's draw on the training seeds and take that figure
+	// as its soft energy budget: "no worse energy than the default"
+	// becomes part of the objective rather than an after-the-fact hope.
 	weights := tuning.DefaultWeights()
-	weights.PowerCapW = capW
+	weights.PowerCapW = -1
 
 	res.Tune, err = tuning.Tune(tuning.Options{
 		Space:     space,

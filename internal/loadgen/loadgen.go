@@ -9,6 +9,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
+
+	"hipster/internal/names"
 )
 
 // Pattern yields the offered load at time t (seconds) as a fraction of
@@ -238,49 +242,31 @@ func (tr Trace) Duration() float64 {
 	return float64(len(tr.Samples)-1) * tr.StepSecs
 }
 
-// Scale wraps a pattern, multiplying its output by Factor (clamped).
-type Scale struct {
-	Inner  Pattern
-	Factor float64
-}
+// PatternNames lists the pattern names ByName accepts, in presentation
+// order; constant takes its load fraction after the colon.
+func PatternNames() []string { return []string{"diurnal", "ramp", "constant:<frac>", "spike"} }
 
-// LoadAt implements Pattern.
-func (s Scale) LoadAt(t float64) float64 { return clamp01(s.Inner.LoadAt(t) * s.Factor) }
-
-// Duration implements Pattern.
-func (s Scale) Duration() float64 { return s.Inner.Duration() }
-
-// Concat plays each pattern in sequence for its Duration; patterns with
-// unbounded duration terminate the sequence.
-type Concat struct {
-	Parts []Pattern
-}
-
-// LoadAt implements Pattern.
-func (c Concat) LoadAt(t float64) float64 {
-	for _, p := range c.Parts {
-		d := p.Duration()
-		if d == 0 || t < d {
-			return p.LoadAt(t)
+// ByName returns a named pattern: the paper's diurnal day
+// (DefaultDiurnal), the Figure 8 ramp from 50% to 100% over 175 s,
+// 20-s spikes from 30% to 90% every 120 s over a 1440-s day, or a flat
+// constant:<frac>. An unknown name returns an error wrapping
+// names.ErrUnknown that lists the valid names. A constant's fraction is
+// taken as parsed: a non-finite one is refused by CheckLoad when a
+// simulator reads it.
+func ByName(name string) (Pattern, error) {
+	switch {
+	case name == "diurnal":
+		return DefaultDiurnal(), nil
+	case name == "ramp":
+		return Ramp{From: 0.5, To: 1.0, RampSecs: 175, HoldSecs: 10}, nil
+	case name == "spike":
+		return Spike{Base: 0.3, Peak: 0.9, EverySecs: 120, SpikeSecs: 20, Horizon: 1440}, nil
+	case strings.HasPrefix(name, "constant:"):
+		frac, err := strconv.ParseFloat(strings.TrimPrefix(name, "constant:"), 64)
+		if err != nil {
+			return nil, fmt.Errorf("loadgen: bad constant pattern %q: %w", name, err)
 		}
-		t -= d
+		return Constant{Frac: frac}, nil
 	}
-	if len(c.Parts) == 0 {
-		return 0
-	}
-	last := c.Parts[len(c.Parts)-1]
-	return last.LoadAt(last.Duration())
-}
-
-// Duration implements Pattern.
-func (c Concat) Duration() float64 {
-	var d float64
-	for _, p := range c.Parts {
-		pd := p.Duration()
-		if pd == 0 {
-			return 0
-		}
-		d += pd
-	}
-	return d
+	return nil, names.Unknown("loadgen", "pattern", name, PatternNames())
 }

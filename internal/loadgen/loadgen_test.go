@@ -1,11 +1,14 @@
 package loadgen
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"hipster/internal/names"
 )
 
 func allPatterns() []Pattern {
@@ -16,8 +19,6 @@ func allPatterns() []Pattern {
 		Ramp{From: 0.5, To: 1, RampSecs: 175, HoldSecs: 25},
 		Spike{Base: 0.2, Peak: 0.9, EverySecs: 60, SpikeSecs: 5, Horizon: 600},
 		tr,
-		Scale{Inner: Constant{Frac: 0.8}, Factor: 0.5},
-		Concat{Parts: []Pattern{Ramp{From: 0, To: 1, RampSecs: 10}, Constant{Frac: 0.3}}},
 	}
 }
 
@@ -167,38 +168,47 @@ func TestTraceValidation(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	c := Concat{Parts: []Pattern{
-		Ramp{From: 0, To: 1, RampSecs: 10},
-		Constant{Frac: 0.3},
-	}}
-	if got := c.LoadAt(5); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("first part load = %v", got)
+// TestByName pins the name table every command and the tuner share:
+// each form builds its documented pattern, a constant whose fraction
+// does not parse names the pattern, and an unknown name wraps
+// names.ErrUnknown and lists every valid name.
+func TestByName(t *testing.T) {
+	ok := []struct {
+		name string
+		want Pattern
+	}{
+		{"diurnal", DefaultDiurnal()},
+		{"ramp", Ramp{From: 0.5, To: 1.0, RampSecs: 175, HoldSecs: 10}},
+		{"spike", Spike{Base: 0.3, Peak: 0.9, EverySecs: 120, SpikeSecs: 20, Horizon: 1440}},
+		{"constant:0.6", Constant{Frac: 0.6}},
+		{"constant:1.5", Constant{Frac: 1.5}},
 	}
-	if got := c.LoadAt(15); got != 0.3 {
-		t.Errorf("second part load = %v", got)
+	for _, c := range ok {
+		got, err := ByName(c.name)
+		if err != nil || got != c.want {
+			t.Errorf("ByName(%q) = %#v, %v; want %#v", c.name, got, err, c.want)
+		}
 	}
-	// Unbounded tail pattern makes the whole sequence unbounded.
-	if c.Duration() != 0 {
-		t.Errorf("duration = %v, want unbounded", c.Duration())
+	// A non-finite constant parses; CheckLoad refuses it at run time.
+	if got, err := ByName("constant:NaN"); err != nil || CheckLoad(got.LoadAt(0), 0) == nil {
+		t.Errorf("ByName(constant:NaN) = %#v, %v; want a pattern whose load CheckLoad refuses", got, err)
 	}
-	bounded := Concat{Parts: []Pattern{
-		Ramp{From: 0, To: 1, RampSecs: 10},
-		Spike{Base: 0.1, Peak: 0.5, EverySecs: 10, SpikeSecs: 1, Horizon: 20},
-	}}
-	if bounded.Duration() != 30 {
-		t.Errorf("bounded duration = %v", bounded.Duration())
+	for _, bad := range []string{"constant:", "constant:half", "constant:0.5x"} {
+		_, err := ByName(bad)
+		if err == nil || !strings.Contains(err.Error(), "bad constant pattern") || errors.Is(err, names.ErrUnknown) {
+			t.Errorf("ByName(%q): error %v, want a bad-constant error", bad, err)
+		}
 	}
-}
-
-func TestScale(t *testing.T) {
-	s := Scale{Inner: Constant{Frac: 0.8}, Factor: 0.5}
-	if got := s.LoadAt(0); math.Abs(got-0.4) > 1e-12 {
-		t.Errorf("scaled load = %v", got)
-	}
-	over := Scale{Inner: Constant{Frac: 0.8}, Factor: 2}
-	if got := over.LoadAt(0); got != 1 {
-		t.Errorf("scaled load should clamp to 1, got %v", got)
+	for _, unknown := range []string{"", "sawtooth", "constant", "Diurnal"} {
+		_, err := ByName(unknown)
+		if !errors.Is(err, names.ErrUnknown) {
+			t.Fatalf("ByName(%q): error %v, want names.ErrUnknown", unknown, err)
+		}
+		for _, valid := range PatternNames() {
+			if !strings.Contains(err.Error(), valid) {
+				t.Errorf("ByName(%q) error %q does not list %q", unknown, err, valid)
+			}
+		}
 	}
 }
 

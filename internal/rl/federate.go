@@ -12,25 +12,16 @@ import "fmt"
 // checkpoint: the node's current value estimate and how many table
 // updates it applied to the cell since then.
 type DeltaCell struct {
-	State  int     `json:"state"`
-	Action int     `json:"action"`
-	Value  float64 `json:"value"`
-	Visits int     `json:"visits"`
+	State  int
+	Action int
+	Value  float64
+	Visits int
 }
 
 // Delta is the mergeable unit of table federation: the set of cells a
 // node updated since its last sync, in row-major (state, action) order.
 type Delta struct {
-	Cells []DeltaCell `json:"cells"`
-}
-
-// TotalVisits sums the per-cell update counts.
-func (d Delta) TotalVisits() int {
-	n := 0
-	for _, c := range d.Cells {
-		n += c.Visits
-	}
-	return n
+	Cells []DeltaCell
 }
 
 // Checkpoint is a visit-count baseline for delta extraction: a flat

@@ -81,39 +81,3 @@ func (t *Table) Load(r io.Reader) error {
 	}
 	return nil
 }
-
-// deltaSnapshot is the wire form of a federation delta: what a node
-// ships to the coordinator at each sync round.
-type deltaSnapshot struct {
-	Version int         `json:"version"`
-	Cells   []DeltaCell `json:"cells"`
-}
-
-const deltaVersion = 1
-
-// Save serialises the delta as JSON (the sync-round upload format).
-func (d Delta) Save(w io.Writer) error {
-	return json.NewEncoder(w).Encode(deltaSnapshot{Version: deltaVersion, Cells: d.Cells})
-}
-
-// LoadDelta restores a delta written by Delta.Save. Cell indices are
-// validated against the given table shape so a delta trained for a
-// different state or action space cannot be merged.
-func LoadDelta(r io.Reader, nStates, nActions int) (Delta, error) {
-	var snap deltaSnapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return Delta{}, fmt.Errorf("rl: decode delta: %w", err)
-	}
-	if snap.Version != deltaVersion {
-		return Delta{}, fmt.Errorf("rl: unsupported delta version %d", snap.Version)
-	}
-	for _, c := range snap.Cells {
-		if c.State < 0 || c.State >= nStates || c.Action < 0 || c.Action >= nActions {
-			return Delta{}, fmt.Errorf("rl: delta cell (%d,%d) outside %dx%d table", c.State, c.Action, nStates, nActions)
-		}
-		if c.Visits <= 0 {
-			return Delta{}, fmt.Errorf("rl: delta cell (%d,%d) has non-positive visits %d", c.State, c.Action, c.Visits)
-		}
-	}
-	return Delta{Cells: snap.Cells}, nil
-}

@@ -44,17 +44,6 @@ func (q Quantizer) Bucket(loadFrac float64) int {
 	return b
 }
 
-// BucketCenter returns the representative load fraction of a bucket.
-// The overflow (>= 100% load) bucket has no upper edge, so its center
-// is clamped to 1.0 rather than extrapolating past full load.
-func (q Quantizer) BucketCenter(b int) float64 {
-	c := (float64(b) + 0.5) * q.BucketFrac
-	if c > 1 {
-		c = 1
-	}
-	return c
-}
-
 // Table is the lookup table R(w, c): for each load bucket w and action
 // (configuration) c, the estimated total discounted reward. The paper's
 // prototype uses a hash table; a dense matrix gives the same O(1)

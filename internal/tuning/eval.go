@@ -57,75 +57,90 @@ func DefaultSpace(nodes int) (Space, error) {
 		{Name: DimDomains, Kind: Discrete, Min: 1, Max: float64(maxDomains), Default: 1},
 		{Name: DimSyncInterval, Kind: Discrete, Min: 2, Max: 20, Default: cluster.DefaultSyncInterval, Step: 3},
 		{Name: DimScaleTarget, Kind: Continuous, Min: 0.5, Max: 0.95, Default: autoscale.DefaultTargetUtilization, Step: 0.12},
-		{Name: DimMitigation, Kind: Categorical, Default: 0,
-			Values: []string{"none", "hedged", "work-stealing", "predictive"}},
+		{Name: DimMitigation, Kind: Categorical, Default: 0, Values: clusterdes.MitigationNames()},
 	}}
 	return s, s.Validate()
 }
 
 // FleetEvaluator maps a Point of the default space onto a concrete
-// learn-enabled cluster DES run: a uniform fleet training on a bursty
-// day with federation, elastic autoscaling and the Point's mitigation,
-// every knob of the Point bound to the corresponding engine option.
-// Unset fields take DefaultFleet's values.
+// learn-enabled cluster DES run: a uniform Juno R1 fleet training on a
+// bursty day with federation, elastic autoscaling and the Point's
+// mitigation, every knob of the Point bound to the corresponding engine
+// option. It names its workload and pattern, so a tuning artifact can
+// record the fleet it was tuned on (Result.Fleet). Unset fields take
+// DefaultFleet's values.
 type FleetEvaluator struct {
 	// Nodes is the fleet size.
-	Nodes int
-	// Spec is the per-node platform.
-	Spec *platform.Spec
-	// Workload is the latency-critical workload.
-	Workload *workload.Model
-	// Pattern is the training day (nil: a bursty spike pattern over
-	// Horizon, 0.35 base, 0.75 peak every 100 s for 30 s — the
-	// transients where tuned knobs separate from defaults).
-	Pattern loadgen.Pattern
+	Nodes int `json:"nodes"`
+	// Workload names the latency-critical workload (workload.ByName).
+	Workload string `json:"workload"`
+	// Pattern names the training day (loadgen.ByName). Empty selects
+	// the tuner's bursty day: 0.35 base, 0.75 peak every 100 s for 30 s
+	// over Horizon — the transients where tuned knobs separate from
+	// defaults.
+	Pattern string `json:"pattern,omitempty"`
 	// Horizon is the simulated seconds per evaluation.
-	Horizon float64
+	Horizon float64 `json:"horizon_s"`
 	// MinNodes is the autoscaler's lower bound; the fleet starts full
 	// and may shed down to it.
-	MinNodes int
+	MinNodes int `json:"min_nodes"`
 }
 
 // DefaultFleet returns the tuner's default evaluation fleet: 6
-// Web-Search nodes on Juno R1, 300 simulated seconds per evaluation,
-// an autoscale floor of 2, and the bursty training day (nil Pattern).
+// Web-Search nodes, 300 simulated seconds per evaluation, an autoscale
+// floor of 2, and the bursty training day (empty Pattern).
 func DefaultFleet() FleetEvaluator {
-	return FleetEvaluator{Nodes: 6, Spec: platform.JunoR1(), Workload: workload.WebSearch(), Horizon: 300, MinNodes: 2}
+	return FleetEvaluator{Nodes: 6, Workload: "websearch", Horizon: 300, MinNodes: 2}
 }
 
-// withDefaults fills unset fields from DefaultFleet. A resolved
-// evaluator comes back as is, so the FleetOptions call made per
-// evaluation builds no default spec or workload.
-func (e FleetEvaluator) withDefaults() FleetEvaluator {
-	if e.Nodes != 0 && e.Spec != nil && e.Workload != nil && e.Horizon != 0 && e.Pattern != nil && e.MinNodes != 0 {
-		return e
-	}
+// fleet is a FleetEvaluator with its unset fields filled and its names
+// resolved: what every evaluation of one evaluator shares, so the
+// per-evaluation FleetOptions call builds no spec, workload or pattern.
+type fleet struct {
+	FleetEvaluator
+	spec    *platform.Spec
+	wl      *workload.Model
+	pattern loadgen.Pattern
+}
+
+// resolve fills unset fields from DefaultFleet and resolves the names;
+// an unknown name returns an error wrapping names.ErrUnknown.
+func (e FleetEvaluator) resolve() (fleet, error) {
 	d := DefaultFleet()
 	if e.Nodes == 0 {
 		e.Nodes = d.Nodes
 	}
-	if e.Spec == nil {
-		e.Spec = d.Spec
-	}
-	if e.Workload == nil {
+	if e.Workload == "" {
 		e.Workload = d.Workload
 	}
 	if e.Horizon == 0 {
 		e.Horizon = d.Horizon
 	}
-	if e.Pattern == nil {
-		e.Pattern = loadgen.Spike{Base: 0.35, Peak: 0.75, EverySecs: 100, SpikeSecs: 30, Horizon: e.Horizon}
-	}
 	if e.MinNodes == 0 {
 		e.MinNodes = d.MinNodes
 	}
-	return e
+	f := fleet{FleetEvaluator: e, spec: platform.JunoR1()}
+	var err error
+	if f.wl, err = workload.ByName(e.Workload); err != nil {
+		return fleet{}, fmt.Errorf("tuning: fleet: %w", err)
+	}
+	if e.Pattern == "" {
+		f.pattern = loadgen.Spike{Base: 0.35, Peak: 0.75, EverySecs: 100, SpikeSecs: 30, Horizon: e.Horizon}
+	} else if f.pattern, err = loadgen.ByName(e.Pattern); err != nil {
+		return fleet{}, fmt.Errorf("tuning: fleet: %w", err)
+	}
+	return f, nil
 }
 
 // Space returns the evaluator's search space (DefaultSpace capped by
-// its fleet size).
+// its fleet size), or an error naming a workload or pattern that does
+// not resolve.
 func (e FleetEvaluator) Space() (Space, error) {
-	return DefaultSpace(e.withDefaults().Nodes)
+	f, err := e.resolve()
+	if err != nil {
+		return Space{}, err
+	}
+	return DefaultSpace(f.Nodes)
 }
 
 // FleetOptions binds configuration p onto cluster DES options under
@@ -135,7 +150,14 @@ func (e FleetEvaluator) Space() (Space, error) {
 // Exported so cmd/hipster can rebuild the exact evaluation fleet when
 // replaying a tuning artifact under -mode=des.
 func (e FleetEvaluator) FleetOptions(s Space, p Point, seed int64) (clusterdes.Options, error) {
-	e = e.withDefaults()
+	f, err := e.resolve()
+	if err != nil {
+		return clusterdes.Options{}, err
+	}
+	return f.options(s, p, seed)
+}
+
+func (f fleet) options(s Space, p Point, seed int64) (clusterdes.Options, error) {
 	if !s.Contains(p) {
 		return clusterdes.Options{}, fmt.Errorf("tuning: point %v outside the search space", p)
 	}
@@ -150,7 +172,7 @@ func (e FleetEvaluator) FleetOptions(s Space, p Point, seed int64) (clusterdes.O
 	if s.Dims[s.Index(DimMitigation)].Kind != Categorical {
 		return clusterdes.Options{}, fmt.Errorf("tuning: %s dimension must be categorical", DimMitigation)
 	}
-	nodes, err := clusterdes.Uniform(e.Nodes, e.Spec, e.Workload)
+	nodes, err := clusterdes.Uniform(f.Nodes, f.spec, f.wl)
 	if err != nil {
 		return clusterdes.Options{}, err
 	}
@@ -162,25 +184,14 @@ func (e FleetEvaluator) FleetOptions(s Space, p Point, seed int64) (clusterdes.O
 	if err := params.Validate(); err != nil {
 		return clusterdes.Options{}, err
 	}
-
-	var mit clusterdes.Mitigation
-	q := s.Value(p, DimHedgeQuantile)
-	switch name := s.Category(p, DimMitigation); name {
-	case "none":
-		mit = clusterdes.None{}
-	case "hedged":
-		mit = clusterdes.Hedged{Quantile: q}
-	case "work-stealing":
-		mit = clusterdes.WorkStealing{}
-	case "predictive":
-		mit = clusterdes.Predictive{Quantile: q}
-	default:
-		return clusterdes.Options{}, fmt.Errorf("tuning: unmapped mitigation %q", name)
+	mit, err := clusterdes.MitigationByName(s.Category(p, DimMitigation), s.Value(p, DimHedgeQuantile))
+	if err != nil {
+		return clusterdes.Options{}, fmt.Errorf("tuning: %w", err)
 	}
 
 	return clusterdes.Options{
 		Nodes:      nodes,
-		Pattern:    e.Pattern,
+		Pattern:    f.pattern,
 		Mitigation: mit,
 		Workers:    1,
 		Domains:    int(s.Value(p, DimDomains)),
@@ -193,21 +204,25 @@ func (e FleetEvaluator) FleetOptions(s Space, p Point, seed int64) (clusterdes.O
 		},
 		Autoscale: &clusterdes.AutoscaleOptions{
 			Policy:       autoscale.TargetUtilization{Target: s.Value(p, DimScaleTarget)},
-			MinNodes:     e.MinNodes,
-			InitialNodes: e.Nodes,
+			MinNodes:     f.MinNodes,
+			InitialNodes: f.Nodes,
 		},
 	}, nil
 }
 
 // Evaluator returns the Tune evaluation function over this fleet:
-// simulate p under seed and report the run's headline metrics.
+// simulate p under seed and report the run's headline metrics. A
+// workload or pattern that does not resolve fails every evaluation.
 func (e FleetEvaluator) Evaluator(s Space) Evaluator {
-	e = e.withDefaults()
+	f, err := e.resolve()
 	return func(p Point, seed int64) (Metrics, error) {
-		opts, err := e.FleetOptions(s, p, seed)
 		if err != nil {
 			return Metrics{}, err
 		}
-		return clusterdes.Evaluate(opts, e.Horizon)
+		opts, err := f.options(s, p, seed)
+		if err != nil {
+			return Metrics{}, err
+		}
+		return clusterdes.Evaluate(opts, f.Horizon)
 	}
 }

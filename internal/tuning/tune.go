@@ -2,6 +2,7 @@ package tuning
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -20,10 +21,10 @@ import (
 // plain weighted tail + QoS + energy trade; the optional hinge term
 // turns an energy budget into a soft constraint — fleet draw above
 // PowerCapW is priced steeply, so candidates compete on tail and QoS
-// only inside the budget. Setting PowerCapW to the untuned
-// configuration's measured draw (as experiments.Tuning does) encodes
-// "beat the default without burning more energy than it" directly
-// into the search.
+// only inside the budget. A negative PowerCapW budgets against the
+// untuned configuration's own measured draw (as experiments.Tuning and
+// hipster tune's default do), which encodes "beat the default without
+// burning more energy than it" directly into the search.
 type Weights struct {
 	// P99 prices a second of end-to-end tail latency (default 1).
 	P99 float64 `json:"p99"`
@@ -32,7 +33,10 @@ type Weights struct {
 	// PowerW prices a watt of fleet mean power (default 0.1).
 	PowerW float64 `json:"power_w"`
 	// PowerCapW is the soft energy budget in watts; 0 disables the
-	// hinge term.
+	// hinge term. A negative value asks Tune to measure it: the default
+	// point's MeanPowerW, averaged over the training seeds, from the
+	// first evaluation the search runs. A Result records the measured
+	// value.
 	PowerCapW float64 `json:"power_cap_w,omitempty"`
 	// CapW prices a watt of fleet draw above PowerCapW (default 10
 	// whenever a budget is set).
@@ -45,7 +49,8 @@ func DefaultWeights() Weights { return Weights{P99: 1, QoSMiss: 5, PowerW: 0.1} 
 
 // withDefaults fills unset weights: an objective with all three
 // prices zero (the zero value) takes DefaultWeights' prices and keeps
-// its energy budget, and a budget without CapW gets the steep default.
+// its energy budget, and a positive budget without CapW gets the steep
+// default (a budget still to be measured gets it once measured).
 // Options.validate cannot tell an explicit all-zero objective from the
 // unset one, so callers that can (hipster tune) reject it themselves.
 func (w Weights) withDefaults() Weights {
@@ -152,9 +157,15 @@ func (o Options) validate() error {
 		return fmt.Errorf("tuning: Patience %d must be at least 1", o.Patience)
 	case o.Restarts < 0:
 		return fmt.Errorf("tuning: Restarts %d must not be negative", o.Restarts)
-	case o.Weights.P99 < 0 || o.Weights.QoSMiss < 0 || o.Weights.PowerW < 0 ||
-		o.Weights.PowerCapW < 0 || o.Weights.CapW < 0:
+	case o.Weights.P99 < 0 || o.Weights.QoSMiss < 0 || o.Weights.PowerW < 0 || o.Weights.CapW < 0:
 		return fmt.Errorf("tuning: negative objective weight %+v", o.Weights)
+	}
+	// A NaN weight scores every candidate NaN or drops its term
+	// silently, and an infinite one cannot be written to the artifact.
+	for _, v := range []float64{o.Weights.P99, o.Weights.QoSMiss, o.Weights.PowerW, o.Weights.PowerCapW, o.Weights.CapW} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("tuning: non-finite objective weight %+v", o.Weights)
+		}
 	}
 	return nil
 }
@@ -169,7 +180,8 @@ type Result struct {
 	Space Space `json:"space"`
 	// Seeds are the training seeds used.
 	Seeds []int64 `json:"seeds"`
-	// Weights are the objective weights used.
+	// Weights are the objective weights used, with a measured energy
+	// budget in place of the negative PowerCapW that asked for it.
 	Weights Weights `json:"weights"`
 	// SearchSeed is the decision-stream seed.
 	SearchSeed int64 `json:"search_seed"`
@@ -185,6 +197,10 @@ type Result struct {
 	// than by the MaxRounds cap.
 	Rounds    int  `json:"rounds"`
 	Converged bool `json:"converged"`
+	// Fleet is the evaluation fleet the search ran on, when a
+	// FleetEvaluator's was (hipster tune records it), so a replay can
+	// rerun it; nil in artifacts that predate it.
+	Fleet *FleetEvaluator `json:"fleet,omitempty"`
 
 	winnerPoint Point
 }
@@ -245,7 +261,6 @@ func Tune(o Options) (Result, error) {
 	res := Result{
 		Space:      o.Space,
 		Seeds:      o.Seeds,
-		Weights:    o.Weights,
 		SearchSeed: o.Seed,
 	}
 
@@ -267,6 +282,7 @@ func Tune(o Options) (Result, error) {
 		}
 	}
 
+	res.Weights = run.o.Weights
 	res.Evaluations = run.store.Evaluations()
 	res.Rounds = run.rounds
 	def, _ := run.store.Lookup(o.Space.Default())
@@ -364,7 +380,10 @@ func (r *tuneRun) propose(from Evaluation) []Point {
 // worker pool — one pool index per (candidate, seed) pair, each
 // writing only its own slot — then folds the per-seed metrics into
 // ledger entries serially, in candidate order. The ledger therefore
-// depends only on the proposal order, never on evaluation timing.
+// depends only on the proposal order, never on evaluation timing. A
+// budget still to be measured is measured from the first batch before
+// any score: that batch is the default point alone, because the first
+// climb starts there.
 func (r *tuneRun) evaluateAll(cands []Point, round, restart int) ([]Evaluation, error) {
 	seeds := r.o.Seeds
 	type slot struct {
@@ -377,6 +396,20 @@ func (r *tuneRun) evaluateAll(cands []Point, round, restart int) ([]Evaluation, 
 		m, err := r.o.Evaluate(cands[c], seeds[s])
 		slots[i] = slot{m, err}
 	})
+	if r.o.Weights.PowerCapW < 0 {
+		// A failed evaluation leaves a zero slot here; the fold below
+		// reports its error before any score uses the budget.
+		var capW float64
+		for s := range seeds {
+			capW += slots[s].m.MeanPowerW
+		}
+		capW /= float64(len(seeds))
+		if !(capW >= 0) || math.IsInf(capW, 1) {
+			return nil, fmt.Errorf("tuning: measured energy budget %v W; want a finite value >= 0", capW)
+		}
+		r.o.Weights.PowerCapW = capW
+		r.o.Weights = r.o.Weights.withDefaults()
+	}
 	out := make([]Evaluation, len(cands))
 	for c, p := range cands {
 		e := Evaluation{
@@ -428,21 +461,40 @@ func (r Result) WriteFile(path string) error {
 	return f.Close()
 }
 
-// ReadFile loads a tuning artifact written by WriteFile.
+// ReadFile loads a tuning artifact written by WriteFile, validating its
+// space and winner. A recorded fleet comes back with its unset fields
+// filled from DefaultFleet, and one whose workload or pattern does not
+// resolve is refused with an error wrapping names.ErrUnknown.
 func ReadFile(path string) (Result, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return Result{}, err
 	}
-	var r Result
-	if err := json.Unmarshal(b, &r); err != nil {
-		return Result{}, fmt.Errorf("tuning: parse %s: %w", path, err)
-	}
-	if err := r.Space.Validate(); err != nil {
+	r, err := parseResult(b)
+	if err != nil {
 		return Result{}, fmt.Errorf("tuning: artifact %s: %w", path, err)
 	}
+	return r, nil
+}
+
+// parseResult decodes and validates an artifact's bytes.
+func parseResult(b []byte) (Result, error) {
+	var r Result
+	if err := json.Unmarshal(b, &r); err != nil {
+		return Result{}, err
+	}
+	if err := r.Space.Validate(); err != nil {
+		return Result{}, err
+	}
 	if !r.Space.Contains(r.Space.pointOf(r.Winner.Settings)) {
-		return Result{}, fmt.Errorf("tuning: artifact %s: winner outside its own space", path)
+		return Result{}, errors.New("winner outside its own space")
+	}
+	if r.Fleet != nil {
+		f, err := r.Fleet.resolve()
+		if err != nil {
+			return Result{}, err
+		}
+		*r.Fleet = f.FleetEvaluator
 	}
 	return r, nil
 }

@@ -2,11 +2,18 @@ package tuning
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"hipster/internal/clusterdes"
+	"hipster/internal/loadgen"
+	"hipster/internal/names"
 )
 
 // bowlEvaluator is a cheap synthetic objective with a known optimum: a
@@ -230,6 +237,11 @@ func TestTuneOptionValidation(t *testing.T) {
 		{"negative patience", func(o *Options) { o.Patience = -1 }, "Patience"},
 		{"negative restarts", func(o *Options) { o.Restarts = -1 }, "Restarts"},
 		{"negative weight", func(o *Options) { o.Weights = Weights{P99: -1} }, "weight"},
+		{"NaN weight", func(o *Options) { o.Weights = Weights{P99: 1, QoSMiss: math.NaN()} }, "non-finite objective weight"},
+		{"NaN budget", func(o *Options) { o.Weights = Weights{P99: 1, PowerCapW: math.NaN()} }, "non-finite objective weight"},
+		{"infinite budget", func(o *Options) { o.Weights = Weights{P99: 1, PowerCapW: math.Inf(1)} }, "non-finite objective weight"},
+		{"minus infinite budget", func(o *Options) { o.Weights = Weights{P99: 1, PowerCapW: math.Inf(-1)} }, "non-finite objective weight"},
+		{"infinite cap price", func(o *Options) { o.Weights = Weights{P99: 1, PowerCapW: 5, CapW: math.Inf(1)} }, "non-finite objective weight"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -269,6 +281,137 @@ func TestResultFileRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("ReadFile on missing path succeeded")
+	}
+	if back.Fleet != nil {
+		t.Fatalf("artifact written without a fleet read back fleet %+v", back.Fleet)
+	}
+
+	// A recorded fleet reads back with its unset fields filled; one
+	// naming an unregistered workload or pattern is refused.
+	res.Fleet = &FleetEvaluator{Nodes: 4, Pattern: "ramp"}
+	if err := res.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if back, err = ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	want := FleetEvaluator{Nodes: 4, Workload: "websearch", Pattern: "ramp", Horizon: 300, MinNodes: 2}
+	if back.Fleet == nil || *back.Fleet != want {
+		t.Fatalf("round-trip fleet %+v, want %+v", back.Fleet, want)
+	}
+	for _, bad := range []FleetEvaluator{{Workload: "hadoop"}, {Pattern: "sawtooth"}} {
+		res.Fleet = &bad
+		if err := res.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(path); !errors.Is(err, names.ErrUnknown) {
+			t.Errorf("artifact fleet %+v: error %v, want names.ErrUnknown", bad, err)
+		}
+	}
+}
+
+// TestTuneMeasuresBudget pins the negative PowerCapW: the search takes
+// its energy budget from the one evaluation of the default point it
+// runs anyway, on every training seed, and the Result equals a run
+// given that budget explicitly.
+func TestTuneMeasuresBudget(t *testing.T) {
+	o := tuneOpts(t)
+	bowl, space, def := o.Evaluate, o.Space, o.Space.Key(o.Space.Default())
+	var mu sync.Mutex
+	defaultRuns := make(map[int64]int)
+	o.Evaluate = func(p Point, seed int64) (Metrics, error) {
+		if space.Key(p) == def {
+			mu.Lock()
+			defaultRuns[seed]++
+			mu.Unlock()
+		}
+		// Configurations with a lower tail draw more power, so the
+		// budget shapes the search.
+		m, err := bowl(p, seed)
+		m.MeanPowerW = 10 - m.P99 + float64(seed%3)
+		return m, err
+	}
+	o.Weights = Weights{PowerCapW: -1}
+	measured, err := Tune(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range o.Seeds {
+		if defaultRuns[seed] != 1 {
+			t.Errorf("default point evaluated %d times under seed %d, want once", defaultRuns[seed], seed)
+		}
+	}
+	var capW float64
+	for _, m := range measured.DefaultEval.PerSeed {
+		capW += m.MeanPowerW
+	}
+	capW /= float64(len(o.Seeds))
+	want := DefaultWeights()
+	want.PowerCapW, want.CapW = capW, 10
+	if measured.Weights != want {
+		t.Fatalf("Result.Weights = %+v, want the measured budget in %+v", measured.Weights, want)
+	}
+
+	o.Weights = Weights{PowerCapW: capW}
+	explicit, err := Tune(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(measured, explicit) {
+		t.Fatalf("measured-budget result differs from the explicit-budget one:\n%+v\n%+v", measured, explicit)
+	}
+}
+
+// TestFleetEvaluator pins the evaluation fleet: unset fields take
+// DefaultFleet's values and an empty pattern the bursty day over the
+// horizon, named choices reach the options, an evaluation equals a
+// fleet run on those options, and a workload or pattern that does not
+// resolve fails Space, FleetOptions and every evaluation with an error
+// wrapping names.ErrUnknown.
+func TestFleetEvaluator(t *testing.T) {
+	ev := FleetEvaluator{Nodes: 2, Horizon: 50}
+	space, err := ev.Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := ev.FleetOptions(space, space.Default(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spike := loadgen.Spike{Base: 0.35, Peak: 0.75, EverySecs: 100, SpikeSecs: 30, Horizon: 50}
+	if len(opts.Nodes) != 2 || opts.Nodes[0].Workload.Name != "websearch" || opts.Pattern != spike ||
+		opts.Autoscale.MinNodes != 2 || opts.Autoscale.InitialNodes != 2 || opts.Seed != 7 || opts.Mitigation != (clusterdes.None{}) {
+		t.Fatalf("default-filled options: %d nodes of %s, pattern %#v, autoscale %d-%d, seed %d, mitigation %#v",
+			len(opts.Nodes), opts.Nodes[0].Workload.Name, opts.Pattern, opts.Autoscale.MinNodes,
+			opts.Autoscale.InitialNodes, opts.Seed, opts.Mitigation)
+	}
+
+	ev = FleetEvaluator{Nodes: 2, Workload: "memcached", Pattern: "constant:0.4", Horizon: 5, MinNodes: 1}
+	if opts, err = ev.FleetOptions(space, space.Default(), 7); err != nil {
+		t.Fatal(err)
+	}
+	if opts.Nodes[0].Workload.Name != "memcached" || opts.Pattern != (loadgen.Constant{Frac: 0.4}) || opts.Autoscale.MinNodes != 1 {
+		t.Fatalf("named options: workload %s, pattern %#v, autoscale floor %d",
+			opts.Nodes[0].Workload.Name, opts.Pattern, opts.Autoscale.MinNodes)
+	}
+	got, err := ev.Evaluator(space)(space.Default(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := clusterdes.Evaluate(opts, ev.Horizon); err != nil || got != want {
+		t.Fatalf("evaluation = %+v, want the fleet run's %+v (%v)", got, want, err)
+	}
+
+	for _, bad := range []FleetEvaluator{{Workload: "hadoop"}, {Pattern: "sawtooth"}} {
+		if _, err := bad.Space(); !errors.Is(err, names.ErrUnknown) {
+			t.Errorf("%+v: Space error %v, want names.ErrUnknown", bad, err)
+		}
+		if _, err := bad.FleetOptions(space, space.Default(), 1); !errors.Is(err, names.ErrUnknown) {
+			t.Errorf("%+v: FleetOptions error %v, want names.ErrUnknown", bad, err)
+		}
+		if _, err := bad.Evaluator(space)(space.Default(), 1); !errors.Is(err, names.ErrUnknown) {
+			t.Errorf("%+v: evaluation error %v, want names.ErrUnknown", bad, err)
+		}
 	}
 }
 
@@ -348,4 +491,32 @@ func TestWeightsPowerCap(t *testing.T) {
 	if got, want := uncapped.Score(over), 0.5+0.1*120; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("uncapped score = %v, want %v", got, want)
 	}
+}
+
+// FuzzReadTuneResult pins the artifact reader on untrusted bytes: a
+// replay takes its fleet size, horizon and names from a user-supplied
+// file. Any input is refused with an error or yields a Result whose
+// winner lies in its space, and the fleet a replay would run (the
+// recorded one, else DefaultFleet) then binds that winner to options
+// or fails with an error, never a panic.
+func FuzzReadTuneResult(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := parseResult(b)
+		if err != nil {
+			return
+		}
+		p := r.WinnerPoint()
+		if !r.Space.Contains(p) {
+			t.Fatalf("accepted winner %v outside its space %+v", p, r.Space)
+		}
+		fl := DefaultFleet()
+		if r.Fleet != nil {
+			fl = *r.Fleet
+		}
+		// clusterdes.Uniform allocates per node.
+		if fl.Nodes > 64 {
+			return
+		}
+		_, _ = fl.FleetOptions(r.Space, p, 1)
+	})
 }
