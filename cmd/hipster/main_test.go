@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -352,6 +353,28 @@ func TestRejectsUnknownPattern(t *testing.T) {
 	for _, mode := range []string{"interval", "des"} {
 		check("hipster cluster -mode "+mode, runCluster([]string{"-mode", mode, "-nodes", "2",
 			"-pattern", "nope", "-duration", "2", "-series=false"}))
+	}
+}
+
+// TestRejectsOutOfRangeConstant checks the single-node command, both
+// cluster modes and the tuner refuse a constant load fraction outside
+// [0, 1], naming it, where the pattern used to clamp it silently:
+// constant:-1 ran an empty fleet and constant:1.5 ran at full load.
+func TestRejectsOutOfRangeConstant(t *testing.T) {
+	for _, c := range []struct{ pattern, value string }{{"constant:-1", "-1"}, {"constant:1.5", "1.5"}} {
+		check := func(how string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), "load fraction "+c.value+" outside [0, 1]") {
+				t.Errorf("%s -pattern %s: error %v, want one naming fraction %s", how, c.pattern, err, c.value)
+			}
+		}
+		check("hipster", run("memcached", "hipster-in", c.pattern, 5, 42, "", "", false))
+		for _, mode := range []string{"interval", "des"} {
+			check("hipster cluster -mode "+mode, runCluster([]string{"-mode", mode, "-nodes", "2",
+				"-pattern", c.pattern, "-duration", "2", "-series=false"}))
+		}
+		check("hipster tune", runTune([]string{"-nodes", "2", "-duration", "5", "-pattern", c.pattern,
+			"-out", filepath.Join(t.TempDir(), "a.json")}))
 	}
 }
 

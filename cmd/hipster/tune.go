@@ -137,7 +137,9 @@ var replayFlags = []string{"mode", "tuned", "nodes", "workload", "pattern", "dur
 // and winner settings rebuild the exact evaluation fleet through the
 // same code path the tuner used, so a bare replay under a training
 // seed reproduces the ledger's numbers and a replay under a fresh seed
-// grades the winner on a day it never saw.
+// grades the winner on a day it never saw. ReadTuneResult has already
+// accepted the recorded fleet, so a fleet refused after the overrides
+// is reported with the flags that changed it.
 func runTunedReplay(c *clusterFlags, fs *flag.FlagSet) error {
 	res, err := hipster.ReadTuneResult(c.tuned)
 	if err != nil {
@@ -147,6 +149,7 @@ func runTunedReplay(c *clusterFlags, fs *flag.FlagSet) error {
 	if res.Fleet != nil {
 		ev = *res.Fleet
 	}
+	var overrides []string
 	fs.Visit(func(fl *flag.Flag) {
 		switch fl.Name {
 		case "nodes":
@@ -159,10 +162,16 @@ func runTunedReplay(c *clusterFlags, fs *flag.FlagSet) error {
 			ev.Horizon = c.duration
 		case "min-nodes":
 			ev.MinNodes = c.minNodes
+		default:
+			return
 		}
+		overrides = append(overrides, "-"+fl.Name+" "+fl.Value.String())
 	})
 	opts, err := ev.FleetOptions(res.Space, res.WinnerPoint(), c.seed)
 	if err != nil {
+		if len(overrides) > 0 {
+			return fmt.Errorf("-tuned %s with %s: %w", c.tuned, strings.Join(overrides, " "), err)
+		}
 		return err
 	}
 	opts.Workers = c.workers

@@ -346,6 +346,30 @@ func TestTuneAndReplayRun(t *testing.T) {
 		t.Fatalf("held-out replay failed: %v", err)
 	}
 
+	// A fleet flag that breaks the recorded fleet is refused, naming
+	// the flag and the field it set: a tuned fleet has at least 2
+	// nodes, a floor of at most its size and a finite horizon.
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-nodes", "1"}, []string{"-nodes 1", "nodes 1: want at least 2"}},
+		{[]string{"-min-nodes", "4"}, []string{"-min-nodes 4", "min_nodes 4: want 1 to nodes (3)"}},
+		{[]string{"-nodes", "2", "-min-nodes", "3"}, []string{"-min-nodes 3 -nodes 2", "min_nodes 3"}},
+		{[]string{"-duration", "NaN"}, []string{"-duration NaN", "horizon_s NaN"}},
+	} {
+		err := runCluster(append([]string{"-mode", "des", "-tuned", out}, tc.args...))
+		if err == nil {
+			t.Errorf("replay with %v accepted", tc.args)
+			continue
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("replay with %v: error %q does not mention %q", tc.args, err, want)
+			}
+		}
+	}
+
 	// Rewrite the artifact's fleet: drop it, or name what is not
 	// registered.
 	rewrite := func(name string, edit func(fleet map[string]any) any) string {

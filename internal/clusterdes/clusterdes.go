@@ -517,7 +517,8 @@ type desNode struct {
 // more than the first block: that one grows by doubling (a small run
 // pays for what it keeps, not for a full block), every later block is
 // allocated once at full size, and decimation keeps every block's
-// storage for the refill.
+// storage for the refill. Reading a result never copies or reorders
+// the blocks: Fleet.result selects the percentiles from them in place.
 type latRecorder struct {
 	blocks [][]float64
 	n      int // kept sample length
@@ -1837,14 +1838,6 @@ func (lr *latRecorder) decimate() {
 	lr.stride *= 2
 }
 
-// appendSample appends the kept sample, in order, to dst.
-func (lr *latRecorder) appendSample(dst []float64) []float64 {
-	for _, blk := range lr.blocks {
-		dst = append(dst, blk...)
-	}
-	return dst
-}
-
 // runInterval drains the loop's events and arrival process up to the
 // interval boundary tTick, in event-time order. Three sources feed it:
 // the event heap, the deadline and hedge timer lanes, and the next
@@ -2392,9 +2385,10 @@ func (f *Fleet) reserve(k int) {
 
 // result assembles the run's record: the fleet trace and stats, plus
 // the latency record merged across the domain recorders and the
-// coordinator's (counts and sums add exactly; the systematic samples
-// concatenate into a fresh slice, so selection never reorders a live
-// sample a continued run would keep decimating).
+// coordinator's. Counts and sums add exactly, and the percentiles are
+// read from every recorder's blocks in place (stats.BlockPercentiles),
+// which neither copies the kept samples nor reorders them, so a
+// continued run keeps decimating the live sample in its own order.
 func (f *Fleet) result() Result {
 	res := Result{
 		Fleet: f.fleet,
@@ -2416,28 +2410,28 @@ func (f *Fleet) result() Result {
 	var seen int64
 	var sum float64
 	dropped, timedOut, lost := f.coordDropped, 0, f.coordLost
-	total := f.lat.n
+	nblocks := len(f.lat.blocks)
 	for _, l := range f.domains {
-		total += l.lat.n
+		nblocks += len(l.lat.blocks)
 	}
-	sample := make([]float64, 0, total)
+	blocks := make([][]float64, 0, nblocks)
 	for _, l := range f.domains {
 		seen += l.lat.seen
 		sum += l.lat.sum
 		dropped += l.dropped
 		timedOut += l.timedOut
 		lost += l.lost
-		sample = l.lat.appendSample(sample)
+		blocks = append(blocks, l.lat.blocks...)
 	}
 	seen += f.lat.seen
 	sum += f.lat.sum
-	sample = f.lat.appendSample(sample)
+	blocks = append(blocks, f.lat.blocks...)
 	res.Latency.Completed = int(seen)
 	res.Latency.Dropped = dropped
 	res.Latency.TimedOut = timedOut
 	res.Latency.Lost = lost
 	res.Stats.Lost = lost
-	res.Latency.fill(sample, seen, sum)
+	res.Latency.fill(blocks, seen, sum)
 	return res
 }
 
@@ -2445,16 +2439,15 @@ func (f *Fleet) result() Result {
 var latencyPercentiles = [...]float64{0.50, 0.90, 0.95, 0.99}
 
 // fill sets the mean and percentiles from a run's recorder totals and
-// its kept sample, which the caller hands over: selection reorders it.
-func (ls *LatencySummary) fill(sample []float64, seen int64, sum float64) {
-	if len(sample) == 0 {
+// the blocks of its kept sample, which it only reads; an empty sample
+// leaves them zero.
+func (ls *LatencySummary) fill(blocks [][]float64, seen int64, sum float64) {
+	var q [len(latencyPercentiles)]float64
+	if stats.BlockPercentiles(blocks, latencyPercentiles[:], q[:]) != nil {
 		return
 	}
 	ls.Mean = sum / float64(seen)
-	var q [len(latencyPercentiles)]float64
-	if stats.SelectPercentiles(sample, latencyPercentiles[:], q[:]) == nil {
-		ls.P50, ls.P90, ls.P95, ls.P99 = q[0], q[1], q[2], q[3]
-	}
+	ls.P50, ls.P90, ls.P95, ls.P99 = q[0], q[1], q[2], q[3]
 }
 
 // Uniform builds n identical node definitions over one spec and

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -15,6 +16,7 @@ import (
 	"hipster/internal/loadgen"
 	"hipster/internal/platform"
 	"hipster/internal/resilience"
+	"hipster/internal/stats"
 	"hipster/internal/telemetry"
 	"hipster/internal/workload"
 )
@@ -597,6 +599,16 @@ func TestDeepQueueCountMatchesRecount(t *testing.T) {
 	}
 }
 
+// appendSample appends the kept sample, in order, to dst: the copy
+// Fleet.result made before it read the blocks in place, kept as the
+// reference for the recorder's order and for that read.
+func (lr *latRecorder) appendSample(dst []float64) []float64 {
+	for _, blk := range lr.blocks {
+		dst = append(dst, blk...)
+	}
+	return dst
+}
+
 // appendRecorder is the latency recorder the block recorder replaced,
 // kept as its reference: one slice grown by append and decimated in
 // place by keeping every 2nd kept element.
@@ -768,8 +780,11 @@ func TestRunAllocsIndependentOfWorkers(t *testing.T) {
 
 // recordBytes is what the run's record costs to allocate: every trace
 // at its capacity, the latency blocks (the first grown by doubling, as
-// the recorder grows it, the rest allocated at full size), and
-// result's one copy of the kept sample.
+// the recorder grows it, the rest allocated at full size), and the
+// fixed scratch of result's in-place percentile read
+// (stats.BlockPercentiles): a histogram of 1<<w uint32 counters,
+// w = bits.Len(n)-4 clamped to [8, 16] (the few sojourns it gathers
+// are not counted).
 func recordBytes(f *Fleet) int {
 	total := cap(f.fleet.Samples) * int(unsafe.Sizeof(telemetry.FleetSample{}))
 	for _, n := range f.nodes {
@@ -779,8 +794,12 @@ func recordBytes(f *Fleet) int {
 	for _, l := range f.domains {
 		recs = append(recs, &l.lat)
 	}
+	kept := 0
 	for _, lr := range recs {
-		total += 8 * lr.n
+		kept += lr.n
+	}
+	total += 4 << min(max(bits.Len(uint(kept))-4, 8), 16)
+	for _, lr := range recs {
 		for b, blk := range lr.blocks {
 			if b > 0 {
 				total += 8 * cap(blk)
@@ -846,6 +865,83 @@ func TestOneShotRunAllocatesItsRecord(t *testing.T) {
 					alloc, record, float64(alloc)/float64(record))
 			}
 		})
+	}
+}
+
+// TestResultReadsSampleInPlace pins that reading a result neither
+// writes nor copies the kept latency sample. On a hedged Memcached
+// fleet of two one-node domains at full load, whose sample spans at
+// least ten blocks and whose every hedge crosses domains, so its wins
+// fill the coordinator's recorder, result must leave every block
+// bit-identical, allocate under an eighth of the sample's bytes, and
+// report bit for bit the percentiles that selection on the copied
+// sample (appendSample, the read it replaced) reports. Byte counts
+// from a race-detector build say nothing about the normal one, so that
+// check is skipped there.
+func TestResultReadsSampleInPlace(t *testing.T) {
+	nodes, err := Uniform(2, platform.JunoR1(), workload.Memcached())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err := New(Options{
+		Nodes:      nodes,
+		Pattern:    loadgen.Constant{Frac: 1},
+		Mitigation: Hedged{},
+		Domains:    2,
+		Workers:    2,
+		Seed:       7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fl.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if fl.lat.n == 0 {
+		t.Fatal("no cross-domain win reached the coordinator's recorder")
+	}
+	var blocks [][]float64
+	var sample []float64
+	for _, l := range fl.domains {
+		blocks = append(blocks, l.lat.blocks...)
+		sample = l.lat.appendSample(sample)
+	}
+	blocks = append(blocks, fl.lat.blocks...)
+	sample = fl.lat.appendSample(sample)
+	if len(blocks) < 10 {
+		t.Fatalf("the kept sample spans %d blocks, want at least 10", len(blocks))
+	}
+	orig := make([]uint64, len(sample))
+	for i, v := range sample {
+		orig[i] = math.Float64bits(v)
+	}
+	var want [len(latencyPercentiles)]float64
+	if err := stats.SelectPercentiles(sample, latencyPercentiles[:], want[:]); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := fl.result()
+	runtime.ReadMemStats(&after)
+
+	i := 0
+	for _, blk := range blocks {
+		for _, v := range blk {
+			if math.Float64bits(v) != orig[i] {
+				t.Fatalf("result rewrote kept sojourn %d: %v, was %v", i, v, math.Float64frombits(orig[i]))
+			}
+			i++
+		}
+	}
+	got := [...]float64{res.Latency.P50, res.Latency.P90, res.Latency.P95, res.Latency.P99}
+	for k, p := range latencyPercentiles {
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+			t.Errorf("P%v = %v, selection on the copied sample %v", 100*p, got[k], want[k])
+		}
+	}
+	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(sample)); !raceEnabled && alloc >= limit {
+		t.Errorf("result allocated %d bytes for a %d-byte sample, want under an eighth (%d)", alloc, 8*len(sample), limit)
 	}
 }
 

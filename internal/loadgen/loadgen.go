@@ -250,9 +250,10 @@ func PatternNames() []string { return []string{"diurnal", "ramp", "constant:<fra
 // (DefaultDiurnal), the Figure 8 ramp from 50% to 100% over 175 s,
 // 20-s spikes from 30% to 90% every 120 s over a 1440-s day, or a flat
 // constant:<frac>. An unknown name returns an error wrapping
-// names.ErrUnknown that lists the valid names. A constant's fraction is
-// taken as parsed: a non-finite one is refused by CheckLoad when a
-// simulator reads it.
+// names.ErrUnknown that lists the valid names. A constant's fraction
+// must lie in [0, 1], which Constant.LoadAt would otherwise clamp it
+// to; the one exception is NaN, which CheckLoad refuses, naming the
+// load, when a simulator reads it.
 func ByName(name string) (Pattern, error) {
 	switch {
 	case name == "diurnal":
@@ -265,6 +266,9 @@ func ByName(name string) (Pattern, error) {
 		frac, err := strconv.ParseFloat(strings.TrimPrefix(name, "constant:"), 64)
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: bad constant pattern %q: %w", name, err)
+		}
+		if frac < 0 || frac > 1 {
+			return nil, fmt.Errorf("loadgen: constant pattern %q: load fraction %v outside [0, 1]", name, frac)
 		}
 		return Constant{Frac: frac}, nil
 	}

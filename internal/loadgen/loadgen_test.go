@@ -181,7 +181,8 @@ func TestByName(t *testing.T) {
 		{"ramp", Ramp{From: 0.5, To: 1.0, RampSecs: 175, HoldSecs: 10}},
 		{"spike", Spike{Base: 0.3, Peak: 0.9, EverySecs: 120, SpikeSecs: 20, Horizon: 1440}},
 		{"constant:0.6", Constant{Frac: 0.6}},
-		{"constant:1.5", Constant{Frac: 1.5}},
+		{"constant:0", Constant{Frac: 0}},
+		{"constant:1", Constant{Frac: 1}},
 	}
 	for _, c := range ok {
 		got, err := ByName(c.name)
@@ -197,6 +198,20 @@ func TestByName(t *testing.T) {
 		_, err := ByName(bad)
 		if err == nil || !strings.Contains(err.Error(), "bad constant pattern") || errors.Is(err, names.ErrUnknown) {
 			t.Errorf("ByName(%q): error %v, want a bad-constant error", bad, err)
+		}
+	}
+	// A fraction LoadAt would clamp is refused, naming the value.
+	for _, c := range []struct{ name, value string }{
+		{"constant:-1", "-1"},
+		{"constant:1.5", "1.5"},
+		{"constant:-0.001", "-0.001"},
+		{"constant:1e300", "1e+300"},
+		{"constant:Inf", "+Inf"},
+		{"constant:-Inf", "-Inf"},
+	} {
+		_, err := ByName(c.name)
+		if err == nil || !strings.Contains(err.Error(), "load fraction "+c.value+" outside [0, 1]") || errors.Is(err, names.ErrUnknown) {
+			t.Errorf("ByName(%q): error %v, want one naming fraction %s outside [0, 1]", c.name, err, c.value)
 		}
 	}
 	for _, unknown := range []string{"", "sawtooth", "constant", "Diurnal"} {

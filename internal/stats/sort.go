@@ -40,14 +40,10 @@ func SortFloats(x []float64) {
 		sort.Float64s(x)
 		return
 	}
-	// Map each float to a uint64 whose unsigned order matches the
-	// float order: flip all bits of negatives, set the sign bit of
-	// positives.
 	keys := make([]uint64, 2*n)
 	a, b := keys[:n], keys[n:]
 	for i, v := range x {
-		u := math.Float64bits(v)
-		a[i] = u ^ (uint64(int64(u)>>63) | 1<<63)
+		a[i] = orderKey(v)
 	}
 	var count [256]int
 	for shift := 0; shift < 64; shift += 8 {
@@ -74,7 +70,19 @@ func SortFloats(x []float64) {
 		a, b = b, a
 	}
 	for i, u := range a {
-		u ^= (u>>63 - 1) | 1<<63
-		x[i] = math.Float64frombits(u)
+		x[i] = keyValue(u)
 	}
+}
+
+// orderKey maps v to the uint64 whose unsigned order is v's order
+// among floats (-0 just below +0): every bit of a negative flipped,
+// the sign bit of a positive set.
+func orderKey(v float64) uint64 {
+	u := math.Float64bits(v)
+	return u ^ (uint64(int64(u)>>63) | 1<<63)
+}
+
+// keyValue inverts orderKey.
+func keyValue(k uint64) float64 {
+	return math.Float64frombits(k ^ ((k>>63 - 1) | 1<<63))
 }

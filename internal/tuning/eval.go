@@ -2,6 +2,7 @@ package tuning
 
 import (
 	"fmt"
+	"math"
 
 	"hipster/internal/autoscale"
 	"hipster/internal/cluster"
@@ -103,8 +104,12 @@ type fleet struct {
 	pattern loadgen.Pattern
 }
 
-// resolve fills unset fields from DefaultFleet and resolves the names;
-// an unknown name returns an error wrapping names.ErrUnknown.
+// resolve fills unset fields from DefaultFleet, checks the numbers and
+// resolves the names. The fleet needs at least 2 nodes, as
+// DefaultSpace does, an autoscale floor from 1 to the fleet size, and
+// a finite horizon > 0; each refusal names the field as the artifact
+// spells it. An unknown name returns an error wrapping
+// names.ErrUnknown.
 func (e FleetEvaluator) resolve() (fleet, error) {
 	d := DefaultFleet()
 	if e.Nodes == 0 {
@@ -118,6 +123,14 @@ func (e FleetEvaluator) resolve() (fleet, error) {
 	}
 	if e.MinNodes == 0 {
 		e.MinNodes = d.MinNodes
+	}
+	switch {
+	case e.Nodes < 2:
+		return fleet{}, fmt.Errorf("tuning: fleet: nodes %d: want at least 2", e.Nodes)
+	case e.MinNodes < 1 || e.MinNodes > e.Nodes:
+		return fleet{}, fmt.Errorf("tuning: fleet: min_nodes %d: want 1 to nodes (%d)", e.MinNodes, e.Nodes)
+	case !(e.Horizon > 0) || math.IsInf(e.Horizon, 1):
+		return fleet{}, fmt.Errorf("tuning: fleet: horizon_s %v: want a finite number of seconds > 0", e.Horizon)
 	}
 	f := fleet{FleetEvaluator: e, spec: platform.JunoR1()}
 	var err error

@@ -308,6 +308,44 @@ func TestResultFileRoundTrip(t *testing.T) {
 			t.Errorf("artifact fleet %+v: error %v, want names.ErrUnknown", bad, err)
 		}
 	}
+
+	// A recorded fleet's numbers are checked once its unset fields are
+	// filled, and each refusal names the field as the artifact spells
+	// it; a constant pattern outside [0, 1] is refused by name.
+	for _, c := range []struct {
+		fleet FleetEvaluator
+		want  string
+	}{
+		{FleetEvaluator{Nodes: -3}, "nodes -3"},
+		{FleetEvaluator{Nodes: 1}, "nodes 1"},
+		{FleetEvaluator{Nodes: 2, MinNodes: 5}, "min_nodes 5"},
+		{FleetEvaluator{MinNodes: -1}, "min_nodes -1"},
+		{FleetEvaluator{Horizon: -10}, "horizon_s -10"},
+		{FleetEvaluator{Pattern: "constant:1.5"}, "load fraction 1.5"},
+	} {
+		res.Fleet = &c.fleet
+		if err := res.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("artifact fleet %+v: error %v, want one naming %q", c.fleet, err, c.want)
+		}
+	}
+	// JSON cannot carry a non-finite horizon, but an evaluator can.
+	for _, h := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := (FleetEvaluator{Horizon: h}).Space(); err == nil || !strings.Contains(err.Error(), "horizon_s") {
+			t.Errorf("horizon %v: error %v, want one naming horizon_s", h, err)
+		}
+	}
+	// A huge finite horizon stays legal, as hipster tune -duration 1e300
+	// is: nothing but the caller's patience bounds a run.
+	res.Fleet = &FleetEvaluator{Nodes: 2, Horizon: 1e300}
+	if err := res.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if back, err = ReadFile(path); err != nil || back.Fleet.Horizon != 1e300 {
+		t.Errorf("artifact fleet with horizon 1e300: read back %+v, %v", back.Fleet, err)
+	}
 }
 
 // TestTuneMeasuresBudget pins the negative PowerCapW: the search takes
@@ -512,6 +550,9 @@ func FuzzReadTuneResult(f *testing.F) {
 		fl := DefaultFleet()
 		if r.Fleet != nil {
 			fl = *r.Fleet
+			if fl.Nodes < 2 || fl.MinNodes < 1 || fl.MinNodes > fl.Nodes || !(fl.Horizon > 0) || math.IsInf(fl.Horizon, 1) {
+				t.Fatalf("accepted fleet %+v, whose numbers no replay can run", fl)
+			}
 		}
 		// clusterdes.Uniform allocates per node.
 		if fl.Nodes > 64 {
